@@ -228,8 +228,18 @@ fn build_requests(a: &Args) -> Vec<ConnRequest> {
         .collect()
 }
 
+/// Builds the `--fabric` router, exiting 2 with a one-line message when
+/// the port count does not fit the topology.
 fn build_fabric(name: &str, ports: usize, slots: usize) -> MultistageRouter {
+    let bad_geometry = |need: &str| {
+        eprintln!("admit: --fabric {name} needs --ports {need}, got {ports}");
+        std::process::exit(2)
+    };
     let graph = match name {
+        "omega" | "butterfly" if !(ports >= 2 && ports.is_power_of_two()) => {
+            bad_geometry("a power of two >= 2")
+        }
+        "fat-tree" if !(ports >= 4 && ports.is_multiple_of(4)) => bad_geometry("a multiple of 4"),
         "crossbar" => StageGraph::crossbar(ports),
         "omega" => StageGraph::omega(ports),
         "butterfly" => StageGraph::butterfly(ports),
@@ -261,6 +271,10 @@ fn summary_json(args: &Args, outcome: &AdmitOutcome) -> Json {
 
 fn main() {
     let args = parse_args();
+    let router = args
+        .fabric
+        .as_deref()
+        .map(|f| build_fabric(f, args.ports, args.slots));
     let requests = build_requests(&args);
     let mut cfg = AdmitConfig::new(args.ports);
     cfg.slots = args.slots;
@@ -312,8 +326,8 @@ fn main() {
     };
 
     let mut engine = AdmitEngine::new(cfg, args.policy.build());
-    if let Some(fabric) = &args.fabric {
-        engine = engine.with_router(build_fabric(fabric, args.ports, args.slots));
+    if let Some(router) = router {
+        engine = engine.with_router(router);
     }
     let wall_start = std::time::Instant::now();
     let outcome = engine.run(requests, &mut tracer);

@@ -11,11 +11,12 @@
 //!    order and coalesced into one word-parallel request matrix
 //!    (duplicate pairs share a bit).
 //! 3. **Pass** — the matrix drives one scheduler pass
-//!    ([`pass_admitted`](Scheduler::pass_admitted), or
-//!    [`pass_routed`](Scheduler::pass_routed) when a multistage fabric
-//!    is attached). Under [`HoldPolicy::Drop`] the pass also releases
-//!    previously established pairs the matrix no longer asserts — those
-//!    are the engine's evictions.
+//!    ([`pass`](Scheduler::pass), or
+//!    [`pass_admitted`](Scheduler::pass_admitted) through the router
+//!    when a multistage fabric is attached). Under
+//!    [`HoldPolicy::Drop`] the pass also releases previously
+//!    established pairs the matrix no longer asserts — those are the
+//!    engine's evictions.
 //! 4. **Resolve** — each popped request whose pair landed in `B*` is
 //!    granted (fresh establishment or working-set hit); the rest are
 //!    requeued at their original rank, up to `max_denials` epochs, after
@@ -257,8 +258,8 @@ impl AdmitEngine {
     }
 
     /// Attaches a multistage fabric: passes go through
-    /// [`Scheduler::pass_routed`] so establishments must also thread the
-    /// stage graph.
+    /// [`Scheduler::pass_admitted`] with the router, so establishments
+    /// must also thread the stage graph.
     pub fn with_router(mut self, router: MultistageRouter) -> Self {
         self.router = Some(router);
         self
@@ -431,8 +432,8 @@ impl AdmitEngine {
         }
         // Step 3: one pass (through the fabric router when attached).
         let report = match &mut self.router {
-            Some(router) => self.sched.pass_routed(&requests, router, |_| true),
-            None => self.sched.pass_admitted(&requests, |_| true),
+            Some(router) => self.sched.pass_admitted(&requests, Some(router), |_| true),
+            None => self.sched.pass(&requests),
         };
         let slot = report.slot.map(|s| s as u32).unwrap_or(0);
         tracer.emit(

@@ -17,7 +17,7 @@
 //! * [`ratelimit`] — per-tenant token buckets on the stream's own
 //!   virtual clock (no wall clock anywhere);
 //! * [`engine`] — the batch-epoch state machine driving
-//!   `Scheduler::pass_admitted` / `pass_routed` and emitting
+//!   `Scheduler::pass` / `pass_admitted` and emitting
 //!   `pms-trace` events for every decision.
 //!
 //! Everything is a pure function of the request stream and the

@@ -1,7 +1,7 @@
 //! Pins the ISSUE-8 acceptance criterion: with the FIFO policy at
 //! `batch = ports`, rate limiting disabled, and an unbounded-enough
 //! queue, the engine's grant stream must be identical to what the
-//! pre-existing `Scheduler::pass_admitted` batching produces when
+//! pre-existing `Scheduler::pass` batching produces when
 //! driven by a hand-rolled FIFO reference loop. The reference below
 //! shares nothing with `AdmitEngine` except the scheduler itself: it
 //! keeps pending requests in a plain `VecDeque`, coalesces each batch
@@ -90,7 +90,7 @@ fn run_ref_epoch(
     for p in &popped {
         requests.set(p.conn.src as usize, p.conn.dst as usize, true);
     }
-    sched.pass_admitted(&requests, |_| true);
+    sched.pass(&requests);
     for mut p in popped {
         if sched.established(p.conn.src as usize, p.conn.dst as usize) {
             grants.push(Decision::Grant {
@@ -139,7 +139,7 @@ fn check(stream: &[ConnRequest]) {
     assert!(!live.is_empty(), "pin stream produced no grants");
     assert_eq!(
         live, reference,
-        "engine grant stream diverged from the pass_admitted reference"
+        "engine grant stream diverged from the plain-pass reference"
     );
 }
 

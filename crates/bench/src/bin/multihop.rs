@@ -6,7 +6,8 @@
 //! cargo run --release -p pms-bench --bin multihop
 //! ```
 
-use pms_fabric::{Fabric, TorusNetwork};
+use pms_fabric::TorusNetwork;
+use pms_multistage::TorusRouter;
 use pms_sim::{MultihopWormholeSim, PredictorKind, SimParams, TdmMode, TdmSim};
 use pms_workloads::uniform;
 
@@ -23,8 +24,7 @@ fn main() {
     );
     for bytes in [64u32, 128, 256, 512, 1024] {
         let w = uniform(n, bytes, 12, 7);
-        let worm = MultihopWormholeSim::new(&w, &params, TorusNetwork::new(4, 4, 2)).run();
-        let t = TorusNetwork::new(4, 4, 2);
+        let worm = MultihopWormholeSim::new(&w, &params, torus.clone()).run();
         let tdm = TdmSim::new(
             &w,
             &params,
@@ -32,7 +32,7 @@ fn main() {
                 predictor: PredictorKind::Drop,
             },
         )
-        .with_admission(move |cfg| t.is_valid(cfg))
+        .with_router(Box::new(TorusRouter::new(torus.clone(), params.tdm_slots)))
         .run();
         println!(
             "{bytes:>10} {:>13.1}% ({:>4.0} ns) {:>13.1}% ({:>4.0} ns) {:>21.0}%",

@@ -1,6 +1,6 @@
 //! The crossbar fabric: the paper's baseline topology.
 
-use crate::{check_dims, Fabric, Technology};
+use crate::Technology;
 use pms_bitmat::BitMatrix;
 
 /// An `N x N` crossbar. Any partial permutation is realizable, so the only
@@ -22,31 +22,33 @@ impl Crossbar {
         }
     }
 
+    /// Number of input ports (== output ports).
+    pub fn ports(&self) -> usize {
+        self.ports
+    }
+
     /// The physical technology of this crossbar.
     pub fn technology(&self) -> Technology {
         self.technology
     }
-}
 
-impl Fabric for Crossbar {
-    fn ports(&self) -> usize {
-        self.ports
-    }
-
-    fn is_valid(&self, config: &BitMatrix) -> bool {
-        check_dims(self.ports, config);
+    /// Whether `config` can be loaded: a partial permutation.
+    ///
+    /// # Panics
+    /// Panics if the matrix dimensions don't match the port count.
+    pub fn is_valid(&self, config: &BitMatrix) -> bool {
+        assert!(
+            config.rows() == self.ports && config.cols() == self.ports,
+            "configuration is {}x{} but fabric has {} ports",
+            config.rows(),
+            config.cols(),
+            self.ports
+        );
         config.is_partial_permutation()
     }
 
-    fn propagation_delay_ns(&self) -> u64 {
-        self.technology.propagation_delay_ns()
-    }
-
-    fn reserializes(&self) -> bool {
-        self.technology.reserializes()
-    }
-
-    fn name(&self) -> &'static str {
+    /// Human-readable fabric name for reports.
+    pub fn name(&self) -> &'static str {
         match self.technology {
             Technology::Digital => "crossbar/digital",
             Technology::Lvds => "crossbar/lvds",
@@ -85,11 +87,9 @@ mod tests {
 
     #[test]
     fn delay_follows_technology() {
-        assert_eq!(
-            Crossbar::new(4, Technology::Digital).propagation_delay_ns(),
-            10
-        );
-        assert_eq!(Crossbar::new(4, Technology::Lvds).propagation_delay_ns(), 0);
+        let delay = |t| Crossbar::new(4, t).technology().propagation_delay_ns();
+        assert_eq!(delay(Technology::Digital), 10);
+        assert_eq!(delay(Technology::Lvds), 0);
     }
 
     #[test]

@@ -4,92 +4,29 @@
 //! control capabilities" whose mapping from input to output ports is
 //! determined entirely by externally loaded configuration registers (§4).
 //! A configuration is a Boolean matrix `B` where `B[u][v] = 1` connects
-//! input `u` to output `v`; the constraints on `B` depend on the fabric:
+//! input `u` to output `v`. On the paper's [`Crossbar`] the only
+//! constraint is at most one `1` per row and per column (any partial
+//! permutation is realizable).
 //!
-//! * **Crossbar** — at most one `1` per row and per column (any partial
-//!   permutation is realizable);
-//! * **Omega multistage** — additionally, no two paths may share an internal
-//!   link (the network is blocking);
-//! * **Fat tree** — partial permutations subject to up-link capacity when
-//!   the tree is oversubscribed (full-bisection trees accept everything).
+//! [`FabricState`] models the live device: the currently loaded crossbar
+//! configuration plus the signal-propagation properties of its
+//! [`Technology`] (digital, LVDS, optical). [`TorusNetwork`] is the
+//! geometry of the §6 multi-hop fabric: its dimension-order routes feed
+//! the multi-hop wormhole simulator and the torus slot router.
 //!
-//! All fabrics implement the [`Fabric`] trait so the scheduler and simulator
-//! are fabric-agnostic. [`FabricState`] models the live device: the currently
-//! loaded configuration plus the signal-propagation properties of its
-//! [`Technology`] (digital, LVDS, optical).
+//! Blocking fabrics (Omega, butterfly, fat tree, torus) constrain
+//! scheduling through `pms_sched::SlotRouter` implementations in
+//! `pms-multistage`, not through this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crossbar;
-mod fattree;
-mod masked;
-mod omega;
 mod state;
 mod technology;
 mod torus;
 
 pub use crossbar::Crossbar;
-pub use fattree::FatTree;
-pub use masked::MaskedFabric;
-pub use omega::OmegaNetwork;
 pub use state::FabricState;
 pub use technology::Technology;
 pub use torus::TorusNetwork;
-
-use pms_bitmat::BitMatrix;
-
-/// A passive switching fabric: validates configurations and reports the
-/// physical properties the timing model needs.
-pub trait Fabric {
-    /// Number of input ports (== output ports) of the fabric.
-    fn ports(&self) -> usize;
-
-    /// Whether the connection set `config` can be realized by this fabric
-    /// without internal conflicts.
-    ///
-    /// Implementations must reject matrices whose dimensions don't match
-    /// [`ports`](Self::ports) (by panicking), and must accept the all-zero
-    /// matrix.
-    fn is_valid(&self, config: &BitMatrix) -> bool;
-
-    /// Signal propagation delay through the fabric, in nanoseconds.
-    fn propagation_delay_ns(&self) -> u64;
-
-    /// Whether the fabric re-serializes signals at the switch (digital
-    /// switches do; LVDS/optical pass the serial signal through, §5).
-    fn reserializes(&self) -> bool;
-
-    /// Human-readable fabric name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Validates matrix dimensions against a fabric's port count.
-pub(crate) fn check_dims(ports: usize, config: &BitMatrix) {
-    assert!(
-        config.rows() == ports && config.cols() == ports,
-        "configuration is {}x{} but fabric has {} ports",
-        config.rows(),
-        config.cols(),
-        ports
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trait_objects_work() {
-        let fabrics: Vec<Box<dyn Fabric>> = vec![
-            Box::new(Crossbar::new(8, Technology::Digital)),
-            Box::new(OmegaNetwork::new(8)),
-            Box::new(FatTree::full_bisection(8, 4)),
-        ];
-        let zero = BitMatrix::square(8);
-        for f in &fabrics {
-            assert_eq!(f.ports(), 8);
-            assert!(f.is_valid(&zero), "{} must accept empty config", f.name());
-        }
-    }
-}

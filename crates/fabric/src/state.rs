@@ -1,26 +1,26 @@
 //! Live fabric state: the configuration currently loaded into the device.
 
-use crate::Fabric;
+use crate::Crossbar;
 use pms_bitmat::BitMatrix;
 
-/// The runtime state of a passive fabric: which configuration matrix is
-/// currently driving the cross-points.
+/// The runtime state of the passive crossbar: which configuration matrix
+/// is currently driving the cross-points.
 ///
 /// In the paper (Fig. 2), the scheduler copies one of the `K` configuration
 /// registers into the fabric at each time-slot boundary; `FabricState` is
 /// the destination of that copy. It also answers the data-path question the
 /// simulator asks: "which output port is input `u` wired to right now?"
-pub struct FabricState<F: Fabric> {
-    fabric: F,
+pub struct FabricState {
+    fabric: Crossbar,
     current: BitMatrix,
     /// `routes[u] = Some(v)` iff input u is currently wired to output v.
     routes: Vec<Option<usize>>,
     reconfigurations: u64,
 }
 
-impl<F: Fabric> FabricState<F> {
-    /// Wraps a fabric with an initially empty configuration.
-    pub fn new(fabric: F) -> Self {
+impl FabricState {
+    /// Wraps a crossbar with an initially empty configuration.
+    pub fn new(fabric: Crossbar) -> Self {
         let n = fabric.ports();
         Self {
             fabric,
@@ -30,8 +30,8 @@ impl<F: Fabric> FabricState<F> {
         }
     }
 
-    /// The underlying fabric.
-    pub fn fabric(&self) -> &F {
+    /// The underlying crossbar.
+    pub fn fabric(&self) -> &Crossbar {
         &self.fabric
     }
 
@@ -80,7 +80,7 @@ impl<F: Fabric> FabricState<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Crossbar, Technology};
+    use crate::Technology;
 
     #[test]
     fn load_and_route() {

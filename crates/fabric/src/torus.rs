@@ -8,10 +8,8 @@
 //! claiming every inter-switch link on the way; a TDM configuration is
 //! realizable iff it is a partial permutation on the hosts **and** no two
 //! connections share a link — the end-to-end pipes of circuit switching,
-//! with no buffering anywhere in the middle.
-
-use crate::{check_dims, Fabric, Technology};
-use pms_bitmat::BitMatrix;
+//! with no buffering anywhere in the middle. `pms-multistage`'s
+//! `TorusRouter` enforces that constraint slot by slot.
 
 /// Link directions out of a switch, in id order.
 const EAST: usize = 0;
@@ -41,6 +39,11 @@ impl TorusNetwork {
             cols,
             hosts_per_switch,
         }
+    }
+
+    /// Number of hosts (the fabric's port count).
+    pub fn ports(&self) -> usize {
+        self.switches() * self.hosts_per_switch
     }
 
     /// Number of switches.
@@ -134,43 +137,6 @@ impl TorusNetwork {
     }
 }
 
-impl Fabric for TorusNetwork {
-    fn ports(&self) -> usize {
-        self.switches() * self.hosts_per_switch
-    }
-
-    fn is_valid(&self, config: &BitMatrix) -> bool {
-        check_dims(self.ports(), config);
-        if !config.is_partial_permutation() {
-            return false;
-        }
-        let mut used = vec![false; self.links()];
-        for (u, v) in config.iter_ones() {
-            for link in self.route(u, v) {
-                if used[link] {
-                    return false;
-                }
-                used[link] = true;
-            }
-        }
-        true
-    }
-
-    fn propagation_delay_ns(&self) -> u64 {
-        // Worst case: half of each dimension, LVDS pass-through switches.
-        let diameter = (self.rows / 2 + self.cols / 2) as u64;
-        diameter * Technology::Lvds.propagation_delay_ns().max(1)
-    }
-
-    fn reserializes(&self) -> bool {
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "torus"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,32 +175,6 @@ mod tests {
         assert_eq!(route.len(), 2);
         assert_eq!(route[0] % 4, EAST);
         assert_eq!(route[1] % 4, SOUTH);
-    }
-
-    #[test]
-    fn link_conflicts_invalidate_configs() {
-        let t = t44();
-        // Hosts 0 and 1 share switch 0; both send eastwards to switch 1:
-        // they'd share the 0-EAST link.
-        let conflict = BitMatrix::from_pairs(32, 32, [(0, 2), (1, 3)]);
-        assert!(!t.is_valid(&conflict));
-        // One eastbound, one westbound: disjoint links.
-        let ok = BitMatrix::from_pairs(32, 32, [(0, 2), (1, 6)]);
-        assert!(t.is_valid(&ok));
-    }
-
-    #[test]
-    fn intra_switch_traffic_is_always_valid() {
-        let t = t44();
-        let cfg = BitMatrix::from_pairs(32, 32, (0..16).map(|s| (2 * s, 2 * s + 1)));
-        assert!(t.is_valid(&cfg), "local pairs use no inter-switch links");
-    }
-
-    #[test]
-    fn validity_requires_partial_permutation_too() {
-        let t = t44();
-        let dup = BitMatrix::from_pairs(32, 32, [(0, 5), (1, 5)]);
-        assert!(!t.is_valid(&dup));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The stage graph: a pipeline of crossbar stages joined by inter-stage
 //! link maps.
 //!
-//! A [`StageGraph`] generalizes the fabrics in `pms-fabric` to a common
-//! resource model: `S` switching stages separated by `S + 1` *layers* of
+//! A [`StageGraph`] gives every multistage fabric one common resource
+//! model: `S` switching stages separated by `S + 1` *layers* of
 //! lines. Layer `0` is the input ports, layer `S` the output ports, and
 //! the inner layers are the fabric's internal lines. Stage `s` is a
 //! crossbar over lines whose connectivity is restricted by a *reach
@@ -94,9 +94,10 @@ impl StageGraph {
     /// An `N = 2^k` Omega network: `k` identical stages of 2x2 elements
     /// joined by perfect shuffles. From line `a`, stage `s` reaches lines
     /// `2a mod N` and `(2a + 1) mod N` — the shuffle rotates the address
-    /// left and the element forces the low bit. Mirrors
-    /// `pms_fabric::OmegaNetwork::path` exactly, so the unique `u -> v`
-    /// path occupies the same line sequence.
+    /// left and the element forces the low bit, so the unique `u -> v`
+    /// path is destination-tag routing: after stage `i` the line is `u`'s
+    /// address shifted left by `i + 1` with `v`'s top `i + 1` bits
+    /// shifted in.
     ///
     /// # Panics
     /// Panics unless `n` is a power of two and at least 2.
@@ -157,10 +158,11 @@ impl StageGraph {
     /// and lines `n..n + leaves * uplinks` for up-links (layer 1) /
     /// down-links (layer 2). Because up-links of a leaf are
     /// interchangeable, greedy per-connection routing on this graph
-    /// admits a configuration iff `pms_fabric::FatTree::is_valid` accepts
-    /// it: each cross-leaf connection needs one free up-link at the
-    /// source leaf and one free down-link at the destination leaf, and
-    /// intra-leaf traffic rides its free local line.
+    /// admits a partial permutation iff no leaf sources or sinks more
+    /// cross-leaf connections than it has up-links: each cross-leaf
+    /// connection needs one free up-link at the source leaf and one free
+    /// down-link at the destination leaf, and intra-leaf traffic rides its
+    /// free local line.
     ///
     /// # Panics
     /// Panics unless `arity` divides `n` and `uplinks >= 1`.
@@ -215,7 +217,6 @@ impl StageGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pms_fabric::OmegaNetwork;
 
     #[test]
     fn crossbar_is_one_full_stage() {
@@ -226,17 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn omega_reach_matches_fabric_paths() {
-        // Every line an OmegaNetwork path occupies is reachable from its
+    fn omega_reach_carries_destination_tag_paths() {
+        // Every line a destination-tag path occupies is reachable from its
         // predecessor in the stage graph.
         let n = 16;
+        let k = 4;
         let g = StageGraph::omega(n);
-        let net = OmegaNetwork::new(n);
-        assert_eq!(g.num_stages(), net.stages() as usize);
+        assert_eq!(g.num_stages(), k);
         for u in 0..n {
             for v in 0..n {
                 let mut line = u;
-                for (s, next) in net.path(u, v).into_iter().enumerate() {
+                for s in 0..k {
+                    let next = ((line << 1) | ((v >> (k - 1 - s)) & 1)) & (n - 1);
                     assert!(
                         g.reach(s).get(line, next),
                         "({u}->{v}) stage {s}: {line} -> {next} missing"

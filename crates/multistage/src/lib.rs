@@ -1,4 +1,5 @@
-//! Stage-graph fabrics with per-stage TDM configuration scheduling.
+//! Slot routers for blocking fabrics: stage graphs and the multi-hop
+//! torus.
 //!
 //! The single PMS crossbar holds `K` configuration matrices and switches
 //! between them slot by slot. This crate generalizes that picture to a
@@ -9,13 +10,19 @@
 //! slot. The flat crossbar is the one-stage degenerate case, so the
 //! existing scheduler semantics are preserved exactly there; Omega,
 //! butterfly, and fat-tree graphs expose the internal blocking the paper's
-//! multiplexed switching is designed to hide.
+//! multiplexed switching is designed to hide. [`TorusRouter`] covers the
+//! §6 multi-hop torus, whose routes do not fit a stage sequence.
+//!
+//! Both implement `pms_sched::SlotRouter`, the one way a fabric
+//! constrains scheduling (`Scheduler::pass_admitted`, `TdmSim::with_router`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;
 pub mod router;
+pub mod torus;
 
 pub use graph::StageGraph;
 pub use router::MultistageRouter;
+pub use torus::TorusRouter;

@@ -10,15 +10,13 @@
 //! every stage gets its cross-point or nothing changes. Releases walk the
 //! stored path stage by stage.
 //!
-//! Faults reach the router the same way they reach the flat fabric
-//! models: every stage is a [`MaskedFabric`]-wrapped crossbar whose mask
-//! starts as the stage's reach matrix and loses bits as internal links
-//! fail. Masking only removes candidates, so admission stays
-//! subset-closed — the invariant `Scheduler::pass_routed` relies on.
+//! Faults reach the router through a per-stage link mask that starts as
+//! the stage's reach matrix and loses bits as internal links fail.
+//! Masking only removes candidates, so admission stays subset-closed —
+//! the invariant `Scheduler::pass_admitted` relies on.
 
 use crate::graph::StageGraph;
 use pms_bitmat::{BitMatrix, BitVec};
-use pms_fabric::{Crossbar, Fabric, MaskedFabric, Technology};
 use pms_sched::SlotRouter;
 use std::collections::HashMap;
 
@@ -27,10 +25,9 @@ use std::collections::HashMap;
 pub struct MultistageRouter {
     graph: StageGraph,
     slots: usize,
-    /// Per-stage masked crossbar: the mask is `reach AND link-health`,
-    /// so a stage accepts a configuration iff it is a partial permutation
-    /// that uses only live inter-stage links.
-    stage_fabrics: Vec<MaskedFabric<Crossbar>>,
+    /// Per-stage live links, `reach AND link-health`: a stage accepts a
+    /// configuration iff it is a partial permutation inside its mask.
+    masks: Vec<BitMatrix>,
     /// `B_s^(k)`: the configuration matrix of stage `s` in slot `k`.
     stage_cfgs: Vec<Vec<BitMatrix>>,
     /// `used[slot][layer]`: lines occupied by admitted paths.
@@ -49,15 +46,8 @@ impl MultistageRouter {
         assert!(slots > 0, "router needs at least one TDM slot");
         let w = graph.width();
         let s_count = graph.num_stages();
-        let stage_fabrics = (0..s_count)
-            .map(|s| {
-                let mut f = MaskedFabric::new(Crossbar::new(w, Technology::Digital));
-                f.set_mask(graph.reach(s).clone());
-                f
-            })
-            .collect();
         Self {
-            stage_fabrics,
+            masks: (0..s_count).map(|s| graph.reach(s).clone()).collect(),
             stage_cfgs: vec![vec![BitMatrix::square(w); slots]; s_count],
             used: vec![vec![BitVec::new(w); s_count + 1]; slots],
             paths: HashMap::new(),
@@ -105,9 +95,7 @@ impl MultistageRouter {
     /// they re-route (fat trees usually can; unique-path networks like
     /// the Omega cannot and stay blocked until healed).
     pub fn fail_stage_link(&mut self, s: usize, a: usize, b: usize) -> Vec<(usize, usize, usize)> {
-        let mut mask = self.stage_fabrics[s].mask().clone();
-        mask.set(a, b, false);
-        self.stage_fabrics[s].set_mask(mask);
+        self.masks[s].set(a, b, false);
         let mut evicted: Vec<(usize, usize, usize)> = self
             .paths
             .iter()
@@ -126,9 +114,7 @@ impl MultistageRouter {
     /// topology).
     pub fn heal_stage_link(&mut self, s: usize, a: usize, b: usize) {
         if self.graph.reach(s).get(a, b) {
-            let mut mask = self.stage_fabrics[s].mask().clone();
-            mask.set(a, b, true);
-            self.stage_fabrics[s].set_mask(mask);
+            self.masks[s].set(a, b, true);
         }
     }
 
@@ -154,7 +140,7 @@ impl MultistageRouter {
     fn dfs(&self, slot: usize, stage: usize, line: usize, v: usize, path: &mut [usize]) -> bool {
         let last = self.graph.num_stages() - 1;
         // Candidate next lines: reachable over live links, not yet used.
-        let mut cand = self.stage_fabrics[stage].mask().row(line);
+        let mut cand = self.masks[stage].row(line);
         cand.and_not_assign(&self.used[slot][stage + 1]);
         if stage == last {
             return cand.get(v);
@@ -169,15 +155,15 @@ impl MultistageRouter {
     }
 
     /// Debug-checks the router's invariants: every stage configuration is
-    /// accepted by its masked crossbar (partial permutation over live
-    /// links), and configurations agree with the stored paths and line
-    /// occupancy.
+    /// a partial permutation over live links, and configurations agree
+    /// with the stored paths and line occupancy.
     pub fn check_invariants(&self) {
         let s_count = self.graph.num_stages();
-        for stage in 0..s_count {
-            for slot in 0..self.slots {
+        for (stage, mask) in self.masks.iter().enumerate() {
+            for (slot, cfg) in self.stage_cfgs[stage].iter().enumerate() {
+                let dead = BitMatrix::zip2_with(cfg, mask, |c, m| c & !m);
                 assert!(
-                    self.stage_fabrics[stage].is_valid(&self.stage_cfgs[stage][slot]),
+                    cfg.is_partial_permutation() && dead.all_zero(),
                     "stage {stage} slot {slot} configuration invalid"
                 );
             }
@@ -247,7 +233,52 @@ impl SlotRouter for MultistageRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pms_fabric::OmegaNetwork;
+    use pms_sched::{Scheduler, SchedulerConfig};
+
+    /// Destination-tag routing through an `n`-port Omega network: the
+    /// line a pair occupies after each stage (shuffle, then force the low
+    /// bit to the next destination bit, most significant first).
+    fn omega_path(n: usize, u: usize, v: usize) -> Vec<usize> {
+        let k = n.trailing_zeros() as usize;
+        let mut line = u;
+        (0..k)
+            .map(|i| {
+                line = ((line << 1) | ((v >> (k - 1 - i)) & 1)) & (n - 1);
+                line
+            })
+            .collect()
+    }
+
+    /// True if two Omega connections share a line after some stage.
+    fn omega_conflict(n: usize, a: (usize, usize), b: (usize, usize)) -> bool {
+        let (pa, pb) = (omega_path(n, a.0, a.1), omega_path(n, b.0, b.1));
+        pa.iter().zip(&pb).any(|(x, y)| x == y)
+    }
+
+    /// The first pair of connections to outputs 0 and 1 that an `n`-port
+    /// Omega network blocks.
+    fn omega_blocked_pair(n: usize) -> ((usize, usize), (usize, usize)) {
+        (0..n)
+            .flat_map(|a| (0..n).map(move |b| ((a, 0), (b, 1))))
+            .find(|&(x, y)| x.0 != y.0 && omega_conflict(n, x, y))
+            .expect("omega must block some pair")
+    }
+
+    /// Runs routed passes until a full slot cycle changes nothing.
+    fn settle(sched: &mut Scheduler, router: &mut MultistageRouter, r: &BitMatrix) {
+        let mut quiet = 0;
+        for _ in 0..64 {
+            let rep = sched.pass_admitted(r, Some(&mut *router), |_| true);
+            if rep.established.is_empty() && rep.released.is_empty() {
+                quiet += 1;
+                if quiet >= sched.slots() {
+                    return;
+                }
+            } else {
+                quiet = 0;
+            }
+        }
+    }
 
     #[test]
     fn crossbar_router_admits_any_partial_permutation() {
@@ -262,13 +293,21 @@ mod tests {
     }
 
     #[test]
+    fn omega_path_ends_at_destination() {
+        for u in 0..16 {
+            for v in 0..16 {
+                assert_eq!(*omega_path(16, u, v).last().unwrap(), v);
+            }
+        }
+    }
+
+    #[test]
     fn release_frees_the_path() {
         let n = 8;
-        let net = OmegaNetwork::new(n);
         // Find a pair whose unique path conflicts with (0 -> 0)'s.
         let (u, v) = (1..n)
             .flat_map(|u| (1..n).map(move |v| (u, v)))
-            .find(|&(u, v)| net.paths_conflict((0, 0), (u, v)))
+            .find(|&(u, v)| omega_conflict(n, (0, 0), (u, v)))
             .expect("omega must have internal conflicts");
         let mut r = MultistageRouter::new(StageGraph::omega(n), 1);
         assert!(r.try_admit(0, 0, 0));
@@ -279,21 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn omega_admission_matches_fabric_predicate() {
+    fn omega_admission_matches_destination_tag_conflicts() {
         // Unique paths: greedy admission of a whole configuration succeeds
-        // iff `OmegaNetwork::is_valid` accepts it, regardless of order.
+        // iff no two destination-tag paths share a line, in any order.
         let n = 8;
-        let net = OmegaNetwork::new(n);
         for seed in 0..64usize {
-            let cfg = BitMatrix::from_pairs(n, n, (0..n).map(|u| (u, (u * 3 + seed) % n)));
-            let pairs: Vec<(usize, usize)> = cfg.iter_ones().collect();
+            let pairs: Vec<(usize, usize)> = (0..n).map(|u| (u, (u * 3 + seed) % n)).collect();
             let mut r = MultistageRouter::new(StageGraph::omega(n), 1);
             let all_admitted = pairs.iter().all(|&(u, v)| r.try_admit(0, u, v));
-            assert_eq!(
-                all_admitted,
-                net.is_valid(&cfg),
-                "seed {seed}: router and OmegaNetwork disagree"
-            );
+            let conflict =
+                (0..n).any(|i| (i + 1..n).any(|j| omega_conflict(n, pairs[i], pairs[j])));
+            assert_eq!(all_admitted, !conflict, "seed {seed}");
             r.check_invariants();
         }
     }
@@ -330,29 +365,72 @@ mod tests {
         // (0 -> 1) at stage 0 is not wired in a butterfly (stage 0 flips
         // bit 2); healing it must not invent the link.
         r.heal_stage_link(0, 0, 1);
-        assert!(!r.stage_fabrics[0].mask().get(0, 1));
+        assert!(!r.masks[0].get(0, 1));
     }
 
     #[test]
     fn slots_are_independent_resources() {
         // Two conflicting omega connections land in different slots — the
         // TDM answer to internal blocking.
-        let n = 8;
-        let net = OmegaNetwork::new(n);
-        let (mut a, mut b) = (None, None);
-        'outer: for u in 0..n {
-            for w in 0..n {
-                if u != w && net.paths_conflict((u, 0), (w, 1)) {
-                    (a, b) = (Some((u, 0)), Some((w, 1)));
-                    break 'outer;
-                }
-            }
-        }
-        let (a, b) = (a.unwrap(), b.unwrap());
-        let mut r = MultistageRouter::new(StageGraph::omega(n), 2);
+        let (a, b) = omega_blocked_pair(8);
+        let mut r = MultistageRouter::new(StageGraph::omega(8), 2);
         assert!(r.try_admit(0, a.0, a.1));
         assert!(!r.try_admit(0, b.0, b.1), "conflicting pair blocks in-slot");
         assert!(r.try_admit(1, b.0, b.1), "next slot carries it");
         r.check_invariants();
+    }
+
+    #[test]
+    fn routed_passes_spread_omega_conflicts_across_slots() {
+        let (c1, c2) = omega_blocked_pair(8);
+        let mut sched = Scheduler::new(SchedulerConfig::new(8, 2));
+        let mut router = MultistageRouter::new(StageGraph::omega(8), 2);
+        let r = BitMatrix::from_pairs(8, 8, [c1, c2]);
+        // The first pass fits only one of them; the other is revoked.
+        let rep = sched.pass_admitted(&r, Some(&mut router), |_| true);
+        assert_eq!(rep.established.len(), 1, "only one fits the first slot");
+        assert_eq!(rep.admission_denied.len(), 1);
+        settle(&mut sched, &mut router, &r);
+        // Both established — but in different slots, even though a
+        // crossbar would take both in one.
+        assert!(sched.established(c1.0, c1.1) && sched.established(c2.0, c2.1));
+        assert_ne!(sched.slots_of(c1.0, c1.1), sched.slots_of(c2.0, c2.1));
+        for s in 0..2 {
+            assert_eq!(
+                router.admitted_in(s),
+                sched.config(s).iter_ones().collect::<Vec<_>>()
+            );
+        }
+        // Identity traffic never blocks on omega: one pass takes it all.
+        let mut sched = Scheduler::new(SchedulerConfig::new(8, 2));
+        let mut router = MultistageRouter::new(StageGraph::omega(8), 2);
+        let identity = BitMatrix::identity(8);
+        let rep = sched.pass_admitted(&identity, Some(&mut router), |_| true);
+        assert_eq!(rep.established.len(), 8);
+        assert!(rep.admission_denied.is_empty());
+        // Dropping the requests releases every path.
+        settle(&mut sched, &mut router, &BitMatrix::square(8));
+        assert!(sched.b_star().all_zero());
+        assert!(router.admitted_in(0).is_empty() && router.admitted_in(1).is_empty());
+        router.check_invariants();
+    }
+
+    #[test]
+    fn single_uplink_fat_tree_takes_one_cross_leaf_connection_per_slot() {
+        // 4-port leaves with one up-link: at most one cross-leaf
+        // connection out of each leaf per slot.
+        let mut sched = Scheduler::new(SchedulerConfig::new(16, 4));
+        let mut router = MultistageRouter::new(StageGraph::fat_tree(16, 4, 1), 4);
+        // All four ports of leaf 0 want to reach leaf 1.
+        let r = BitMatrix::from_pairs(16, 16, (0..4).map(|i| (i, 4 + i)));
+        settle(&mut sched, &mut router, &r);
+        let mut slots: Vec<usize> = (0..4).flat_map(|i| sched.slots_of(i, 4 + i)).collect();
+        slots.sort_unstable();
+        assert_eq!(
+            slots,
+            vec![0, 1, 2, 3],
+            "one slot per cross-leaf connection"
+        );
+        router.check_invariants();
     }
 }

@@ -96,8 +96,8 @@ impl SchedulerConfig {
 }
 
 /// Per-slot admission of endpoint pairs into a fabric with internal
-/// state — the hook multistage stage-graph routing plugs into
-/// [`Scheduler::pass_routed`].
+/// state — the one way a blocking fabric (stage graphs, the multi-hop
+/// torus) constrains [`Scheduler::pass_admitted`].
 ///
 /// The router shadows the scheduler's registers with its own resource
 /// model (e.g. per-stage configuration matrices and internal-line
@@ -136,9 +136,10 @@ pub struct PassReport {
     pub released: Vec<(usize, usize)>,
     /// Requests denied this pass.
     pub denied: Vec<(usize, usize)>,
-    /// Establishments revoked by the admission filter (fabric-constrained
-    /// scheduling; empty for plain passes). These requests stay pending
-    /// and retry on later passes, which target other slots.
+    /// Establishments revoked by fabric or fault admission (see
+    /// [`Scheduler::pass_admitted`]; empty for plain passes). These
+    /// requests stay pending and retry on later passes, which target
+    /// other slots.
     pub admission_denied: Vec<(usize, usize)>,
     /// Number of SL cells the availability ripple visited this pass — the
     /// dynamic ripple depth, bounded by `2N`. Feed it to
@@ -408,28 +409,43 @@ impl Scheduler {
         self.pass_on_slot(s, requests)
     }
 
-    /// Like [`pass`](Self::pass), but with an *admission filter*: after the
-    /// SL array commits its establishments, they are re-admitted one by one
-    /// (in ripple-priority order) and any whose addition makes the slot
-    /// configuration unacceptable to `admit` is revoked and reported in
-    /// [`PassReport::admission_denied`]. This is the hook for fabrics with
-    /// internal blocking (§6): `admit` is typically
-    /// `|cfg| fabric.is_valid(cfg)`.
+    /// Like [`pass`](Self::pass), but constrained by the fabric (§6
+    /// "fabrics other than crossbars"): after the SL array commits its
+    /// establishments, they are stripped and re-admitted one by one in
+    /// ripple-priority order. Each must pass the stateless `admit` filter
+    /// on the slot configuration (fault masks; pass `|_| true` when
+    /// unused) and, when a [`SlotRouter`] is attached, the router's atomic
+    /// per-slot admission. Released connections free their router
+    /// resources first, so a release-and-establish rearrangement within
+    /// one pass can reuse them. Establishments that fail are revoked into
+    /// [`PassReport::admission_denied`] and retry on later passes, which
+    /// target other slots.
     ///
-    /// The filter must be *subset-closed* (accepting a configuration
-    /// implies accepting any subset), which holds for all physical fabric
-    /// constraints; the pre-pass configuration was itself admitted, so the
-    /// re-admission scan is well-founded.
+    /// Admission must be *subset-closed* (accepting a set implies
+    /// accepting any subset), which holds for every physical fabric
+    /// constraint and fault mask. Without a router that makes the
+    /// whole-configuration check a valid fast path: when `admit` accepts
+    /// the committed slot configuration, greedy re-admission would keep
+    /// every establishment. A router that admits every partial
+    /// permutation (the one-stage crossbar graph) makes this exactly
+    /// equivalent to [`pass`](Self::pass): same report, same statistics,
+    /// same register contents.
     pub fn pass_admitted(
         &mut self,
         requests: &BitMatrix,
+        mut router: Option<&mut (dyn SlotRouter + '_)>,
         admit: impl Fn(&BitMatrix) -> bool,
     ) -> PassReport {
         let mut report = self.pass(requests);
         let Some(slot) = report.slot else {
             return report;
         };
-        if report.established.is_empty() || admit(&self.configs[slot]) {
+        if let Some(rt) = router.as_deref_mut() {
+            for &(u, v) in &report.released {
+                rt.release(slot, u, v);
+            }
+        }
+        if report.established.is_empty() || (router.is_none() && admit(&self.configs[slot])) {
             return report;
         }
         // Strip all fresh establishments, then re-admit greedily. The
@@ -443,63 +459,11 @@ impl Scheduler {
         let mut denied = Vec::new();
         for &(u, v) in &report.established {
             self.configs[slot].set(u, v, true);
-            if admit(&self.configs[slot]) {
-                admitted.push((u, v));
-            } else {
-                self.configs[slot].set(u, v, false);
-                denied.push((u, v));
-            }
-        }
-        self.recompute_b_star();
-        self.stats.establishes -= denied.len() as u64;
-        self.stats.denials += denied.len() as u64;
-        report.established = admitted;
-        report.admission_denied = denied;
-        report
-    }
-
-    /// Like [`pass_admitted`](Self::pass_admitted), but against a stateful
-    /// [`SlotRouter`]: released connections free their fabric resources
-    /// first (so a release-and-establish rearrangement within one pass can
-    /// reuse them), then each establishment is re-admitted one by one — it
-    /// must pass both the stateless `admit` filter (fault masks; pass
-    /// `|_| true` when unused) and the router's atomic multi-stage
-    /// admission. Establishments the router blocks are revoked into
-    /// [`PassReport::admission_denied`] and retry on later passes, which
-    /// target other slots.
-    ///
-    /// A router that admits everything the slot's partial-permutation
-    /// constraint allows (the degenerate one-stage crossbar graph) makes
-    /// this exactly equivalent to [`pass`](Self::pass): same report, same
-    /// statistics, same register contents.
-    pub fn pass_routed(
-        &mut self,
-        requests: &BitMatrix,
-        router: &mut dyn SlotRouter,
-        admit: impl Fn(&BitMatrix) -> bool,
-    ) -> PassReport {
-        let mut report = self.pass(requests);
-        let Some(slot) = report.slot else {
-            return report;
-        };
-        for &(u, v) in &report.released {
-            router.release(slot, u, v);
-        }
-        if report.established.is_empty() {
-            return report;
-        }
-        // Strip all fresh establishments, then re-admit greedily in
-        // ripple-priority order (see `pass_admitted` for the rationale;
-        // the router's admission takes the place of full-configuration
-        // validity, which has no meaning for stateful path assignment).
-        for &(u, v) in &report.established {
-            self.configs[slot].set(u, v, false);
-        }
-        let mut admitted = Vec::new();
-        let mut denied = Vec::new();
-        for &(u, v) in &report.established {
-            self.configs[slot].set(u, v, true);
-            if admit(&self.configs[slot]) && router.try_admit(slot, u, v) {
+            if admit(&self.configs[slot])
+                && router
+                    .as_deref_mut()
+                    .is_none_or(|rt| rt.try_admit(slot, u, v))
+            {
                 admitted.push((u, v));
             } else {
                 self.configs[slot].set(u, v, false);

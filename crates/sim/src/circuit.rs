@@ -158,7 +158,9 @@ impl CircuitSim {
             let report = {
                 let fault_admit = self.faults.as_ref().filter(|f| f.any_grant_blocked());
                 match fault_admit {
-                    Some(f) => self.scheduler.pass_admitted(&visible, |cfg| f.admits(cfg)),
+                    Some(f) => self
+                        .scheduler
+                        .pass_admitted(&visible, None, |cfg| f.admits(cfg)),
                     None => self.scheduler.pass(&visible),
                 }
             };

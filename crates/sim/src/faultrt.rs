@@ -114,7 +114,7 @@ impl FaultRt {
     }
 
     /// Is any grant-blocking fault active (i.e. should passes go through
-    /// the admission filter)?
+    /// the fault admission mask)?
     pub fn any_grant_blocked(&self) -> bool {
         self.state.any_grant_blocked()
     }

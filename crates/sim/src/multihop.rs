@@ -7,8 +7,8 @@
 //! dimension-order route, each hop re-arbitrating for its outgoing link
 //! (one scheduler decision per hop per worm head) and re-buffering the
 //! worm. The TDM counterpart is [`TdmSim`](crate::TdmSim) with a
-//! [`TorusNetwork`] admission filter: end-to-end pipes with no
-//! intermediate state.
+//! `pms_multistage::TorusRouter` claiming each [`TorusNetwork`] route's
+//! links: end-to-end pipes with no intermediate state.
 //!
 //! Model: whole-worm store-and-forward at each switch (worms are capped at
 //! 128 B precisely so they fit switch buffers, §5). A worm holds its
@@ -83,7 +83,6 @@ impl MultihopWormholeSim {
     /// # Panics
     /// Panics if the workload's port count does not match the torus.
     pub fn new(workload: &Workload, params: &SimParams, torus: TorusNetwork) -> Self {
-        use pms_fabric::Fabric;
         assert_eq!(
             workload.ports,
             torus.ports(),

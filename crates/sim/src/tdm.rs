@@ -94,10 +94,6 @@ pub enum TdmMode {
     },
 }
 
-/// An admission filter: accepts or rejects a slot configuration on behalf
-/// of a fabric with internal blocking (§6).
-pub type AdmissionFilter = Box<dyn Fn(&BitMatrix) -> bool>;
-
 /// A register in the preloaded-stream backend.
 #[derive(Debug, Clone, Copy)]
 struct StreamSlot {
@@ -148,12 +144,10 @@ pub struct TdmSim {
     phase_flushes: u64,
     ws_lookups: u64,
     ws_hits: u64,
-    /// Optional admission filter for fabrics with internal blocking
-    /// (§6): a slot configuration is only committed if this accepts it.
-    admission: Option<AdmissionFilter>,
-    /// Optional per-stage router (multi-stage fabrics): every established
-    /// connection must also thread a path through the stage graph, and
-    /// every release returns its lines. `None` is the flat crossbar.
+    /// Optional slot router for fabrics with internal blocking (§6:
+    /// stage graphs, the multi-hop torus): every established connection
+    /// must also claim its fabric resources, and every release returns
+    /// them. `None` is the flat crossbar.
     router: Option<Box<dyn SlotRouter>>,
     /// Optional fault-injection runtime; `None` (also for an empty plan)
     /// takes exactly the unfaulted code path.
@@ -459,7 +453,6 @@ impl TdmSim {
             phase_flushes: 0,
             ws_lookups: 0,
             ws_hits: 0,
-            admission: None,
             router: None,
             faults: None,
             fault_restores: Vec::new(),
@@ -489,32 +482,16 @@ impl TdmSim {
         self
     }
 
-    /// Constrains dynamic scheduling to configurations accepted by
-    /// `admit` — typically an internally blocking fabric's validity check,
-    /// e.g. `|cfg| omega.is_valid(cfg)` (§6). The filter must be
-    /// subset-closed; preloaded patterns are the caller's responsibility.
-    pub fn with_admission(mut self, admit: impl Fn(&BitMatrix) -> bool + 'static) -> Self {
-        assert!(
-            self.has_dynamic,
-            "the admission filter applies to dynamic scheduling only"
-        );
-        assert!(
-            self.router.is_none(),
-            "a stage router already gates admission; pick one mechanism"
-        );
-        self.admission = Some(Box::new(admit));
-        self
-    }
-
-    /// Attaches a per-stage router: the scheduler runs the multi-stage
-    /// scheduling pass, admitting a connection only when a path through
-    /// every stage of the fabric is free in the slot, and releasing stage
-    /// by stage on teardown. On the one-stage crossbar graph this is
-    /// byte-identical (statistics and trace) to plain dynamic scheduling.
+    /// Attaches a slot router: the scheduler admits a connection only
+    /// when the router can claim its fabric resources in the slot (a
+    /// path through every stage of a stage graph, the links of a torus
+    /// route), and returns them on teardown. On the one-stage crossbar
+    /// graph this is byte-identical (statistics and trace) to plain
+    /// dynamic scheduling.
     ///
     /// # Panics
     /// Panics unless the mode is pure [`TdmMode::Dynamic`] (preloaded
-    /// registers bypass the router) or if an admission filter is attached.
+    /// registers bypass the router).
     pub fn with_router(mut self, router: Box<dyn SlotRouter>) -> Self {
         assert!(
             self.has_dynamic,
@@ -526,10 +503,6 @@ impl TdmSim {
                 "preloaded registers bypass the stage router"
             );
         }
-        assert!(
-            self.admission.is_none(),
-            "an admission filter is already attached; pick one mechanism"
-        );
         self.router = Some(router);
         self
     }
@@ -1615,28 +1588,12 @@ impl TdmSim {
         // dynamic scheduling, trace included.
         let routed = self.router.as_deref().is_some_and(|r| r.stages() > 1);
         let mut router = self.router.as_deref_mut();
-        let report = {
-            // Grant-blocking faults join the (§6) admission filter: both
-            // are subset-closed, so their conjunction is too.
-            let fault_admit = self.faults.as_ref().filter(|f| f.any_grant_blocked());
-            if let Some(rt) = router.as_deref_mut() {
-                // Multi-stage scheduling pass: every establishment must
-                // also thread the stage graph.
-                match fault_admit {
-                    Some(f) => scheduler.pass_routed(&r, rt, |cfg| f.admits(cfg)),
-                    None => scheduler.pass_routed(&r, rt, |_| true),
-                }
-            } else {
-                match (&self.admission, fault_admit) {
-                    (Some(admit), Some(f)) => {
-                        scheduler.pass_admitted(&r, |cfg| f.admits(cfg) && admit(cfg))
-                    }
-                    (Some(admit), None) => scheduler.pass_admitted(&r, admit),
-                    (None, Some(f)) => scheduler.pass_admitted(&r, |cfg| f.admits(cfg)),
-                    (None, None) => scheduler.pass(&r),
-                }
-            }
-        };
+        // Grant-blocking faults are a stateless admission mask beside the
+        // (§6) fabric router; both are subset-closed.
+        let fault_admit = self.faults.as_ref().filter(|f| f.any_grant_blocked());
+        let report = scheduler.pass_admitted(&r, router.as_deref_mut(), |cfg| {
+            fault_admit.is_none_or(|f| f.admits(cfg))
+        });
         // Fault post-processing on the pass outcome: what the NIC/fabric
         // actually observes may differ from what the SL array computed.
         let mut established = report.established.clone();
@@ -1654,9 +1611,9 @@ impl TdmSim {
                         let cfg = scheduler.config(slot);
                         let free = cfg.iter_row_ones(u).next().is_none()
                             && (0..cfg.rows()).all(|rr| !cfg.get(rr, v));
-                        // The routed pass already freed the stage lines;
-                        // a stuck release only stands its ground if the
-                        // path (or another) is still re-threadable.
+                        // The routed pass already freed the fabric
+                        // resources; a stuck release only stands its
+                        // ground if the router can claim them again.
                         if free
                             && router
                                 .as_deref_mut()

@@ -5,10 +5,12 @@
 //! cargo run --release --example multihop_torus
 //! ```
 
-use pms::fabric::{Fabric, TorusNetwork};
+use pms::fabric::TorusNetwork;
+use pms::multistage::TorusRouter;
+use pms::sched::{Scheduler, SchedulerConfig};
 use pms::sim::{PredictorKind, TdmMode, TdmSim};
 use pms::workloads::uniform;
-use pms::{FabricScheduler, SimParams};
+use pms::SimParams;
 
 fn main() {
     // 4x4 switches x 2 hosts = 32 processors.
@@ -36,14 +38,24 @@ fn main() {
     // Random permutation demand across the torus.
     let demand = pms::workloads::permutation(n, 64, 1, 9);
     let requests = demand.message_table();
+    let r = pms::BitMatrix::from_pairs(n, n, requests.iter().map(|m| (m.src, m.dst)));
     for k in [1usize, 2, 4, 8] {
-        let mut fs = FabricScheduler::new(TorusNetwork::new(4, 4, 2), k);
-        let r = pms::BitMatrix::from_pairs(n, n, requests.iter().map(|m| (m.src, m.dst)));
-        fs.settle(&r, 256);
-        fs.check_invariants();
+        // Routed passes until a full slot cycle changes nothing.
+        let mut sched = Scheduler::new(SchedulerConfig::new(n, k));
+        let mut router = TorusRouter::new(torus.clone(), k);
+        let (mut passes, mut quiet) = (0, 0);
+        while passes < 256 && quiet < k {
+            let rep = sched.pass_admitted(&r, Some(&mut router), |_| true);
+            passes += 1;
+            quiet = if rep.established.is_empty() && rep.released.is_empty() {
+                quiet + 1
+            } else {
+                0
+            };
+        }
         let established = requests
             .iter()
-            .filter(|m| fs.established(m.src, m.dst))
+            .filter(|m| sched.established(m.src, m.dst))
             .count();
         println!(
             "K={k}: {established}/{} connections of a random permutation routed \
@@ -55,24 +67,19 @@ fn main() {
     println!("\n== full simulation over the torus ==");
     let w = uniform(n, 64, 10, 4);
     let params = SimParams::default().with_ports(n);
-    let crossbar = TdmSim::new(
-        &w,
-        &params,
-        TdmMode::Dynamic {
-            predictor: PredictorKind::Drop,
-        },
-    )
-    .run();
-    let torus_net = TorusNetwork::new(4, 4, 2);
-    let multihop = TdmSim::new(
-        &w,
-        &params,
-        TdmMode::Dynamic {
-            predictor: PredictorKind::Drop,
-        },
-    )
-    .with_admission(move |cfg| torus_net.is_valid(cfg))
-    .run();
+    let dynamic = || {
+        TdmSim::new(
+            &w,
+            &params,
+            TdmMode::Dynamic {
+                predictor: PredictorKind::Drop,
+            },
+        )
+    };
+    let crossbar = dynamic().run();
+    let multihop = dynamic()
+        .with_router(Box::new(TorusRouter::new(torus, params.tdm_slots)))
+        .run();
     println!(
         "crossbar : {:5.1}% efficiency, makespan {} ns",
         crossbar.efficiency(0.8) * 100.0,

@@ -1,9 +1,14 @@
 //! # pms — Predictive Multiplexed Switching
 //!
 //! Reproduction of *"Switch Design to Enable Predictive Multiplexed
-//! Switching in Multiprocessor Networks"* (IPPS 2005). This root crate
-//! re-exports [`pms_core`] — see the README for the architecture overview
-//! and `EXPERIMENTS.md` for the paper-versus-measured record.
+//! Switching in Multiprocessor Networks"* (IPPS 2005): a circuit-switched
+//! multiprocessor interconnect in which Time Division Multiplexing lets
+//! the network *cache* an application's communication working set. This
+//! root crate re-exports the sub-crates and provides [`PmsSystem`], a
+//! cycle-level model of one interconnect (fabric + scheduler + TDM
+//! counter + predictor) with a hardware-shaped API — see the README for
+//! the architecture overview and `EXPERIMENTS.md` for the
+//! paper-versus-measured record.
 //!
 //! ```
 //! use pms::{SystemBuilder, Paradigm, PredictorKind, SimParams};
@@ -22,7 +27,27 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+mod system;
+
+pub use system::{PmsSystem, SystemBuilder};
 
 pub use pms_analyze as analyze;
-pub use pms_core::*;
+pub use pms_bitmat as bitmat;
+pub use pms_compile as compile;
+pub use pms_fabric as fabric;
 pub use pms_faults as faults;
+pub use pms_multistage as multistage;
+pub use pms_predict as predict;
+pub use pms_sched as sched;
+pub use pms_sim as sim;
+pub use pms_trace as trace;
+pub use pms_workloads as workloads;
+
+pub use pms_bitmat::{BitMatrix, BitVec};
+pub use pms_fabric::{Crossbar, FabricState, Technology};
+pub use pms_predict::{ConnectionPredictor, TimeoutPredictor};
+pub use pms_sched::{PassReport, Scheduler, SchedulerConfig, TdmCounter};
+pub use pms_sim::{Paradigm, PredictorKind, SimParams, SimStats, TdmMode};
+pub use pms_workloads::Workload;

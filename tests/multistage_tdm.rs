@@ -10,7 +10,8 @@
 //!   slot on the Omega network, and blocking costs makespan but never
 //!   correctness.
 
-use pms::fabric::{Fabric, OmegaNetwork};
+use pms::multistage::{MultistageRouter, StageGraph};
+use pms::sched::SlotRouter;
 use pms::sim::{MsTopology, Paradigm};
 use pms::trace::{TraceEvent, Tracer};
 use pms::workloads::{permutation, uniform, Program, Workload};
@@ -65,7 +66,7 @@ fn crossbar_stage_graph_is_byte_identical_to_dynamic_tdm() {
 #[test]
 fn omega_blocking_spreads_a_permutation_over_slots() {
     let n = 8;
-    let net = OmegaNetwork::new(n);
+    let graph = StageGraph::omega(n);
     // Find an Omega-invalid full permutation by scanning Lehmer codes —
     // deterministic and robust against fabric parameter tweaks.
     let nth_permutation = |mut code: usize| -> Vec<(usize, usize)> {
@@ -82,9 +83,11 @@ fn omega_blocking_spreads_a_permutation_over_slots() {
     let perm = (0..40_320)
         .map(nth_permutation)
         .find(|pairs| {
-            let cfg = pms::BitMatrix::from_pairs(n, n, pairs.iter().copied());
-            // No self-sends (the workload model forbids them) and blocked.
-            pairs.iter().all(|&(u, v)| u != v) && !net.is_valid(&cfg)
+            // No self-sends (the workload model forbids them) and blocked
+            // within a single slot.
+            let mut router = MultistageRouter::new(graph.clone(), 1);
+            pairs.iter().all(|&(u, v)| u != v)
+                && !pairs.iter().all(|&(u, v)| router.try_admit(0, u, v))
         })
         .expect("some derangement must block on omega");
     let mut programs = vec![Program::new(); n];
@@ -134,31 +137,6 @@ fn omega_blocking_costs_makespan_never_correctness() {
         omega.makespan_ns,
         crossbar.makespan_ns
     );
-}
-
-/// The stage-graph Omega paradigm agrees with the §6 admission-filter
-/// treatment of the same fabric on delivery (the mechanisms differ —
-/// whole-configuration validity vs per-connection path search — but both
-/// deliver everything).
-#[test]
-fn omega_stage_graph_agrees_with_admission_filter_on_delivery() {
-    use pms::sim::{TdmMode, TdmSim};
-    let n = 16;
-    let w = uniform(n, 64, 12, 7);
-    let params = SimParams::default().with_ports(n);
-    let net = OmegaNetwork::new(n);
-    let filtered = TdmSim::new(
-        &w,
-        &params,
-        TdmMode::Dynamic {
-            predictor: PredictorKind::Drop,
-        },
-    )
-    .with_admission(move |cfg| net.is_valid(cfg))
-    .run();
-    let routed = mstdm(MsTopology::Omega, PredictorKind::Drop).run(&w, &params);
-    assert_eq!(filtered.delivered_bytes, routed.delivered_bytes);
-    assert_eq!(filtered.delivered_messages, routed.delivered_messages);
 }
 
 #[test]

@@ -1,46 +1,53 @@
-//! Integration: the full TDM simulator over an internally blocking Omega
-//! fabric (§6 "fabrics other than crossbars"), via the scheduler's
-//! admission filter.
+//! Integration: the full TDM simulator over internally blocking fabrics
+//! (§6 "fabrics other than crossbars") — an Omega stage graph and the
+//! multi-hop torus — each attached as a slot router.
 
-use pms::fabric::{Fabric, OmegaNetwork};
+use pms::fabric::TorusNetwork;
+use pms::multistage::{MultistageRouter, StageGraph, TorusRouter};
 use pms::sim::{PredictorKind, TdmMode, TdmSim};
 use pms::workloads::{permutation, uniform};
-use pms::SimParams;
+use pms::{SimParams, Workload};
+
+fn dynamic(w: &Workload, params: &SimParams, predictor: PredictorKind) -> TdmSim {
+    TdmSim::new(w, params, TdmMode::Dynamic { predictor })
+}
+
+fn omega(n: usize, params: &SimParams) -> Box<MultistageRouter> {
+    Box::new(MultistageRouter::new(
+        StageGraph::omega(n),
+        params.tdm_slots,
+    ))
+}
+
+fn torus(params: &SimParams) -> Box<TorusRouter> {
+    Box::new(TorusRouter::new(
+        TorusNetwork::new(4, 4, 2),
+        params.tdm_slots,
+    ))
+}
 
 #[test]
 fn tdm_over_omega_delivers_everything() {
     let n = 16;
     let w = permutation(n, 64, 6, 3);
     let params = SimParams::default().with_ports(n);
-    let omega = OmegaNetwork::new(n);
-    let stats = TdmSim::new(
-        &w,
-        &params,
-        TdmMode::Dynamic {
-            predictor: PredictorKind::Drop,
-        },
-    )
-    .with_admission(move |cfg| omega.is_valid(cfg))
-    .run();
+    let stats = dynamic(&w, &params, PredictorKind::Drop)
+        .with_router(omega(n, &params))
+        .run();
     assert_eq!(stats.delivered_messages as usize, w.message_count());
     assert_eq!(stats.delivered_bytes, w.total_bytes());
 }
 
 #[test]
 fn omega_blocking_costs_throughput_versus_crossbar() {
-    // The same random traffic on a crossbar (no admission filter) and on
-    // an Omega fabric: internal blocking must cost makespan, never
-    // correctness.
+    // The same random traffic on a crossbar (no router) and on an Omega
+    // fabric: internal blocking must cost makespan, never correctness.
     let n = 16;
     let w = uniform(n, 64, 12, 7);
     let params = SimParams::default().with_ports(n);
-    let mode = || TdmMode::Dynamic {
-        predictor: PredictorKind::Drop,
-    };
-    let crossbar = TdmSim::new(&w, &params, mode()).run();
-    let omega_net = OmegaNetwork::new(n);
-    let omega = TdmSim::new(&w, &params, mode())
-        .with_admission(move |cfg| omega_net.is_valid(cfg))
+    let crossbar = dynamic(&w, &params, PredictorKind::Drop).run();
+    let omega = dynamic(&w, &params, PredictorKind::Drop)
+        .with_router(omega(n, &params))
         .run();
     assert_eq!(crossbar.delivered_bytes, omega.delivered_bytes);
     assert!(
@@ -57,59 +64,39 @@ fn omega_admission_is_deterministic() {
     let w = uniform(n, 64, 8, 11);
     let params = SimParams::default().with_ports(n);
     let run = || {
-        let omega = OmegaNetwork::new(n);
-        TdmSim::new(
-            &w,
-            &params,
-            TdmMode::Dynamic {
-                predictor: PredictorKind::Timeout(400),
-            },
-        )
-        .with_admission(move |cfg| omega.is_valid(cfg))
-        .run()
+        dynamic(&w, &params, PredictorKind::Timeout(400))
+            .with_router(omega(n, &params))
+            .run()
     };
     assert_eq!(run(), run());
 }
 
 #[test]
 fn tdm_over_multihop_torus_delivers_everything() {
-    use pms::fabric::{Fabric, TorusNetwork};
-    let torus = TorusNetwork::new(4, 4, 2);
-    let n = torus.ports();
+    let n = TorusNetwork::new(4, 4, 2).ports();
     let w = uniform(n, 64, 8, 21);
     let params = SimParams::default().with_ports(n);
-    let stats = TdmSim::new(
-        &w,
-        &params,
-        TdmMode::Dynamic {
-            predictor: PredictorKind::Drop,
-        },
-    )
-    .with_admission(move |cfg| torus.is_valid(cfg))
-    .run();
+    let stats = dynamic(&w, &params, PredictorKind::Drop)
+        .with_router(torus(&params))
+        .run();
     assert_eq!(stats.delivered_messages as usize, w.message_count());
     assert_eq!(stats.delivered_bytes, w.total_bytes());
 }
 
 #[test]
 fn torus_intra_switch_traffic_is_unconstrained() {
-    use pms::fabric::{Fabric, TorusNetwork};
     // Local pairs use no inter-switch links: the torus behaves exactly
     // like a crossbar for them.
-    let torus = TorusNetwork::new(4, 4, 2);
-    let n = torus.ports();
+    let n = TorusNetwork::new(4, 4, 2).ports();
     let mut programs = vec![pms::workloads::Program::new(); n];
     for s in 0..16 {
         programs[2 * s].send(2 * s + 1, 512);
     }
-    let w = pms::Workload::new("local", n, programs);
+    let w = Workload::new("local", n, programs);
     let params = SimParams::default().with_ports(n);
-    let mode = || TdmMode::Dynamic {
-        predictor: PredictorKind::Drop,
-    };
-    let crossbar = TdmSim::new(&w, &params, mode()).run();
-    let multihop = TdmSim::new(&w, &params, mode())
-        .with_admission(move |cfg| torus.is_valid(cfg))
+    let crossbar = dynamic(&w, &params, PredictorKind::Drop).run();
+    let multihop = dynamic(&w, &params, PredictorKind::Drop)
+        .with_router(torus(&params))
         .run();
     assert_eq!(crossbar.makespan_ns, multihop.makespan_ns);
 }
