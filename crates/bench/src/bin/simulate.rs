@@ -254,26 +254,6 @@ fn build_paradigm(a: &Args) -> Paradigm {
     }
 }
 
-/// Maps the paradigm flag to a [`TdmMode`] for direct [`TdmSim`]
-/// construction (needed by `--phase-detector`, which is a `TdmSim`
-/// builder method, not reachable through [`Paradigm`]).
-fn tdm_mode(a: &Args) -> TdmMode {
-    match build_paradigm(a) {
-        Paradigm::DynamicTdm(predictor) => TdmMode::Dynamic { predictor },
-        Paradigm::HybridTdm {
-            preload_slots,
-            predictor,
-        } => TdmMode::Hybrid {
-            preload_slots,
-            predictor,
-        },
-        _ => {
-            eprintln!("--phase-detector needs a dynamic TDM paradigm (dynamic or hybrid0-2)");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     let workload = build_workload(&args);
@@ -337,7 +317,16 @@ fn main() {
     };
     let wall_start = std::time::Instant::now();
     let (stats, mut tracer) = if args.phase_detector {
-        TdmSim::new(&workload, &params, tdm_mode(&args))
+        // The phase detector is a `TdmSim` builder, not reachable through
+        // `Paradigm`, and needs dynamically scheduled registers.
+        let mode = match paradigm.tdm_mode() {
+            Some(mode @ (TdmMode::Dynamic { .. } | TdmMode::Hybrid { .. })) => mode,
+            _ => {
+                eprintln!("--phase-detector needs a dynamic TDM paradigm (dynamic or hybrid0-2)");
+                std::process::exit(2);
+            }
+        };
+        TdmSim::new(&workload, &params, mode)
             .with_phase_detector(PhaseDetectorConfig {
                 window: 8,
                 miss_threshold: 0.75,

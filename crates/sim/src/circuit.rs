@@ -13,27 +13,25 @@
 //! by the next pass after their request drops — exactly the Table 1
 //! release rule.
 
-use crate::engine::{Effect, Engine};
-use crate::faultrt::{FaultRt, NicOutcome};
-use crate::message::MsgState;
+use crate::engine::Effect;
+use crate::faultrt::NicOutcome;
 use crate::params::SimParams;
+use crate::simcore::{Sim, SimCore, Switch};
 use crate::stats::SimStats;
 use crate::voq::Voqs;
-use pms_bitmat::BitMatrix;
-use pms_faults::{FaultKind, FaultPlan};
-use pms_par::ShardPool;
+use pms_faults::FaultKind;
 use pms_sched::{Scheduler, SchedulerConfig};
-use pms_trace::{span::SpanTracker, EvictCause, SpanPhase, TraceEvent, Tracer};
+use pms_trace::{EvictCause, SpanPhase};
 use pms_workloads::Workload;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The circuit-switching simulator.
-pub struct CircuitSim {
-    params: SimParams,
-    workload_name: String,
-    msgs: Vec<MsgState>,
-    engine: Engine,
+pub type CircuitSim = Sim<Circuit>;
+
+/// The degree-1 scheduled crossbar behind [`CircuitSim`]. Circuit
+/// switching has no TDM slots, so its records are stamped `slot = 0`.
+pub struct Circuit {
     voqs: Voqs,
     scheduler: Scheduler,
     /// Time from which each established circuit may carry data
@@ -43,88 +41,33 @@ pub struct CircuitSim {
     /// circuit must be torn down (and re-requested) before the next message
     /// flows — pure per-message circuit switching (§5).
     pending_release: HashSet<(usize, usize)>,
-    undelivered: usize,
-    /// Optional fault-injection runtime; `None` (also for an empty plan)
-    /// takes exactly the unfaulted code path.
-    faults: Option<FaultRt>,
-    msg_retries: u64,
-    msgs_abandoned: u64,
-    /// Event sink; circuit switching has no TDM slots, so records are
-    /// stamped `slot = 0`.
-    tracer: Tracer,
-    spans: SpanTracker,
-    /// Worker lanes shared by the engine, scheduler, and request scans;
-    /// a single lane runs the exact sequential path.
-    pool: Arc<ShardPool>,
 }
 
 impl CircuitSim {
     /// Builds the simulator for a workload.
     pub fn new(workload: &Workload, params: &SimParams) -> Self {
-        let table = workload.message_table();
-        let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
-        let pool = Arc::new(ShardPool::new(params.threads));
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(Arc::clone(&pool));
+        let core = SimCore::new(workload, params);
         let mut scheduler = Scheduler::new(SchedulerConfig::new(params.ports, 1));
-        scheduler.set_pool(Arc::clone(&pool));
-        assert_eq!(
-            workload.ports, params.ports,
-            "workload/params port mismatch"
-        );
-        Self {
-            params: params.clone(),
-            workload_name: workload.name.clone(),
-            msgs,
-            engine,
+        scheduler.set_pool(Arc::clone(&core.pool));
+        let switch = Circuit {
             voqs: Voqs::new(params.ports),
             scheduler,
             usable_from: HashMap::new(),
             pending_release: HashSet::new(),
-            undelivered: 0,
-            faults: None,
-            msg_retries: 0,
-            msgs_abandoned: 0,
-            tracer: Tracer::Null,
-            spans: SpanTracker::new(),
-            pool,
-        }
+        };
+        Sim { core, switch }
     }
+}
 
-    /// Attaches a deterministic fault plan. An empty plan is a strict
-    /// no-op: the simulator takes exactly the unfaulted code path and
-    /// produces byte-identical statistics and traces.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultRt::new(self.params.ports, plan, self.msgs.len());
-        self
-    }
-
-    /// Attaches an event tracer; retrieve it via
-    /// [`run_traced`](Self::run_traced).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Runs to completion and returns the statistics.
-    pub fn run(self) -> SimStats {
-        self.run_traced().0
-    }
-
-    /// Like [`run`](Self::run) but also returns the tracer and its
-    /// collected records.
-    pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        let window = self.params.sched_ns;
+impl Switch for Circuit {
+    fn run(&mut self, core: &mut SimCore) -> (u64, u32) {
+        let window = core.params.sched_ns;
         let mut t = 0u64;
         loop {
-            assert!(
-                t <= self.params.max_sim_ns,
-                "circuit simulation exceeded {} ns (deadlock?)",
-                self.params.max_sim_ns
-            );
-            self.poll_engine(t);
-            self.poll_faults(t);
-            if self.engine.all_done() && self.undelivered == 0 {
+            core.check_horizon(t, "circuit");
+            self.poll_engine(core, t);
+            self.poll_faults(core, t);
+            if core.done() {
                 break;
             }
             // Idle skip: with every VOQ empty and a quiescent scheduler
@@ -135,402 +78,150 @@ impl CircuitSim {
             // form and jump to the window whose entry poll next observes
             // an engine wake-up or fault transition. Idle windows emit no
             // events either way, so traced runs stay byte-identical.
-            if self.params.idle_skip && self.undelivered == 0 && self.scheduler.is_idle_quiescent()
+            if core.params.idle_skip && core.undelivered == 0 && self.scheduler.is_idle_quiescent()
             {
-                if let Some(w) = self.engine.next_wake() {
-                    let mut stop = w;
-                    if let Some(c) = self.faults.as_ref().and_then(|f| f.next_change()) {
-                        stop = stop.min(c);
-                    }
-                    if stop > t {
-                        let n = (stop - 1 - t) / window + 1;
-                        self.scheduler.skip_quiescent_passes(n);
-                        t += n * window;
-                        continue;
-                    }
+                if let Some(stop) = core.idle_horizon().filter(|&stop| stop > t) {
+                    let n = (stop - 1 - t) / window + 1;
+                    self.scheduler.skip_quiescent_passes(n);
+                    t += n * window;
+                    continue;
                 }
             }
             // Data flows on circuits established before this window.
-            self.transfer_window(t, t + window);
-            // One SL pass at the end of the window; newly established
-            // circuits become usable one grant-propagation later.
-            let visible = self.request_matrix(t + window);
-            let report = {
-                let fault_admit = self.faults.as_ref().filter(|f| f.any_grant_blocked());
-                match fault_admit {
-                    Some(f) => self
-                        .scheduler
-                        .pass_admitted(&visible, None, |cfg| f.admits(cfg)),
-                    None => self.scheduler.pass(&visible),
-                }
-            };
-            // Fault post-processing: what the NIC observes may differ
-            // from what the SL array computed.
-            let mut established = report.established.clone();
-            let mut released = report.released.clone();
-            let mut dropped: Vec<(usize, usize, u32)> = Vec::new();
-            if let Some(f) = &mut self.faults {
-                if let Some(slot) = report.slot {
-                    // Never-release cells: the circuit stays closed until
-                    // the fault clears (unless the pass re-used the ports).
-                    released.retain(|&(u, v)| {
-                        if f.stuck_release(u, v) {
-                            let cfg = self.scheduler.config(slot);
-                            let free = cfg.iter_row_ones(u).next().is_none()
-                                && (0..cfg.rows()).all(|rr| !cfg.get(rr, v));
-                            if free {
-                                self.scheduler.restore(slot, u, v);
-                                return false;
-                            }
-                        }
-                        true
-                    });
-                    // Dropped grant lines: the NIC never learns of the
-                    // circuit; revoke it and back the request off.
-                    established.retain(|&(u, v)| {
-                        if f.grant_drop(u, v) {
-                            let (attempt, _) = f.grant_dropped(u, v, t + window);
-                            self.scheduler.revoke(slot, u, v);
-                            self.scheduler.clear_latch(u, v);
-                            dropped.push((u, v, attempt));
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            }
-            for &(u, v, attempt) in &dropped {
-                self.msg_retries += 1;
-                if self.tracer.enabled() {
-                    let msg = self.voqs.front(u, v).map_or(u32::MAX, |m| m as u32);
-                    self.tracer.emit(
-                        t + window,
-                        0,
-                        TraceEvent::MsgRetried {
-                            src: u as u32,
-                            dst: v as u32,
-                            msg,
-                            attempt,
-                        },
-                    );
-                }
-            }
-            // Circuit switching passes every window; only non-trivial
-            // passes are worth a record.
-            let active =
-                !(established.is_empty() && released.is_empty() && report.denied.is_empty());
-            if self.tracer.enabled() && active {
-                self.tracer.emit(
-                    t + window,
-                    0,
-                    TraceEvent::SchedPass {
-                        passes: self.scheduler.stats().passes,
-                        ripple_depth: report.ripple_depth as u32,
-                        established: established.len() as u32,
-                        released: released.len() as u32,
-                        denied: (report.denied.len() + report.admission_denied.len()) as u32,
-                    },
-                );
-            }
-            for &(u, v) in &established {
-                self.usable_from
-                    .insert((u, v), t + window + self.params.request_wire_ns);
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        t + window,
-                        0,
-                        TraceEvent::ConnEstablished {
-                            src: u as u32,
-                            dst: v as u32,
-                            slot_idx: 0,
-                        },
-                    );
-                    self.spans
-                        .conn_start(&mut self.tracer, t + window, 0, u as u32, v as u32);
-                    // Establishment ends the head message's `arrival`;
-                    // `align` then covers grant propagation until the
-                    // first byte streams in `transfer_window`.
-                    if let Some(head) = self.voqs.front(u, v) {
-                        self.spans.msg_advance(
-                            &mut self.tracer,
-                            t + window,
-                            0,
-                            head as u32,
-                            SpanPhase::Admit,
-                        );
-                        self.spans.msg_advance(
-                            &mut self.tracer,
-                            t + window,
-                            0,
-                            head as u32,
-                            SpanPhase::Align,
-                        );
-                    }
-                }
-            }
-            for &(u, v) in &released {
-                self.usable_from.remove(&(u, v));
-                self.pending_release.remove(&(u, v));
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        t + window,
-                        0,
-                        TraceEvent::ConnEvicted {
-                            src: u as u32,
-                            dst: v as u32,
-                            cause: EvictCause::Drop,
-                        },
-                    );
-                    self.spans
-                        .conn_end(&mut self.tracer, t + window, 0, u as u32, v as u32);
-                }
-            }
+            self.transfer_window(core, t, t + window);
+            self.pass(core, t + window);
             t += window;
         }
-        let mut stats = SimStats::from_messages("circuit", self.workload_name, &self.msgs);
+        (t, 0)
+    }
+
+    fn label(&self) -> String {
+        "circuit".into()
+    }
+
+    fn fill_stats(&self, stats: &mut SimStats) {
         stats.sched_passes = self.scheduler.stats().passes;
         stats.connections_established = self.scheduler.stats().establishes;
-        stats.msg_retries = self.msg_retries;
-        stats.msgs_abandoned = self.msgs_abandoned;
-        let mut spans = std::mem::take(&mut self.spans);
-        let mut tracer = self.tracer;
-        spans.finish(&mut tracer, t, 0);
-        tracer.seal(t, 0);
-        let _ = tracer.finish();
-        (stats, tracer)
     }
+}
 
-    /// Replays fault boundaries up to `t`: trace events plus teardown of
-    /// circuits over links that just died. The NIC's request stays up, so
-    /// a torn circuit re-establishes once the link heals.
-    fn poll_faults(&mut self, t: u64) {
-        let transitions = match &mut self.faults {
-            Some(f) => f.poll(t),
-            None => return,
-        };
-        for tr in transitions {
-            FaultRt::trace_transition(&mut self.tracer, 0, &tr);
-            let (u32u, u32v) = tr.kind.pair();
-            let (u, v) = (u32u as usize, u32v as usize);
-            match tr.kind {
-                FaultKind::LinkDown { .. } | FaultKind::StuckGrant { .. } if tr.injected => {
-                    for s in self.scheduler.slots_of(u, v) {
-                        self.scheduler.revoke(s, u, v);
-                        if self.tracer.enabled() {
-                            self.tracer.emit(
-                                tr.t_ns,
-                                0,
-                                TraceEvent::ConnEvicted {
-                                    src: u as u32,
-                                    dst: v as u32,
-                                    cause: EvictCause::Fault,
-                                },
-                            );
-                        }
-                    }
-                    self.spans
-                        .conn_end(&mut self.tracer, tr.t_ns, 0, u as u32, v as u32);
-                    self.usable_from.remove(&(u, v));
-                    self.pending_release.remove(&(u, v));
-                }
-                FaultKind::GrantDrop { .. } if !tr.injected => {
-                    if let Some(f) = &mut self.faults {
-                        f.clear_drop_state(u, v);
-                    }
-                }
-                // Stuck-release and NIC faults act in the pass/transfer
-                // paths.
-                _ => {}
-            }
-        }
-    }
-
-    fn poll_engine(&mut self, now: u64) {
-        let drained = self.undelivered == 0;
-        for (te, fx) in self.engine.poll(now, drained) {
-            match fx {
-                Effect::Inject(id) => {
-                    let spec = self.msgs[id].spec;
-                    self.msgs[id].enqueued_at = Some(te);
-                    let new_request = self.voqs.push(spec.src, spec.dst, id);
-                    self.undelivered += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            te,
-                            0,
-                            TraceEvent::MsgInjected {
-                                src: spec.src as u32,
-                                dst: spec.dst as u32,
-                                bytes: spec.bytes,
-                                msg: id as u32,
-                            },
-                        );
-                        if new_request {
-                            self.tracer.emit(
-                                te,
-                                0,
-                                TraceEvent::ConnRequested {
-                                    src: spec.src as u32,
-                                    dst: spec.dst as u32,
-                                },
-                            );
-                        }
-                        self.spans.msg_start(
-                            &mut self.tracer,
-                            te,
-                            0,
-                            id as u32,
-                            spec.src as u32,
-                            spec.dst as u32,
-                        );
-                    }
-                }
-                // Circuit switching has no multi-slot state to manage.
-                Effect::Flush | Effect::Preload(_) => {}
-            }
-        }
-    }
-
-    /// The request matrix as the scheduler sees it at time `now`: the
-    /// shared visibility rule, minus circuits awaiting their per-message
-    /// teardown (the handshake restarts after the release).
-    fn request_matrix(&self, now: u64) -> BitMatrix {
-        let mut r = self.voqs.visible_requests_pooled(
-            &self.msgs,
-            self.params.request_wire_ns,
-            now,
-            &self.pool,
-        );
+impl Circuit {
+    /// One SL pass at the end of a window; newly established circuits
+    /// become usable one grant-propagation later.
+    fn pass(&mut self, core: &mut SimCore, at: u64) {
+        // Circuits awaiting their per-message teardown drop their
+        // request: the handshake restarts after the release.
+        let mut visible = core.visible_requests(&self.voqs, at);
         for &(u, v) in &self.pending_release {
-            r.set(u, v, false);
+            visible.set(u, v, false);
         }
-        if let Some(f) = &self.faults {
-            // Grant-drop backoff: the NIC holds its request line down
-            // until the retry timer expires.
-            for (u, v) in r.iter_ones().collect::<Vec<_>>() {
-                if f.request_suppressed(u, v, now) {
-                    r.set(u, v, false);
-                }
+        let pass = core.sl_pass(&mut self.scheduler, &visible, None, &self.voqs, at, 0);
+        // Circuit switching passes every window; only non-trivial passes
+        // are worth a record.
+        if core.tracer.enabled() && pass.active() {
+            let record = pass.event(self.scheduler.stats().passes);
+            core.tracer.emit(at, 0, record);
+        }
+        for &(u, v) in &pass.established {
+            self.usable_from
+                .insert((u, v), at + core.params.request_wire_ns);
+            core.established(at, 0, u, v);
+            // Establishment ends the head message's `arrival`; `align`
+            // then covers grant propagation until the first byte streams
+            // in `transfer_window`.
+            if let Some(head) = self.voqs.front(u, v) {
+                let (spans, tracer) = (&mut core.spans, &mut core.tracer);
+                spans.msg_advance(tracer, at, 0, head as u32, SpanPhase::Admit);
+                spans.msg_advance(tracer, at, 0, head as u32, SpanPhase::Align);
             }
         }
-        r
+        for &(u, v) in &pass.released {
+            self.usable_from.remove(&(u, v));
+            self.pending_release.remove(&(u, v));
+            core.evicted(at, 0, u, v, EvictCause::Drop);
+        }
+    }
+
+    /// Replays fault boundaries up to `t`: teardown of circuits over
+    /// links that just died. The NIC's request stays up, so a torn
+    /// circuit re-establishes once the link heals. Stuck-release and NIC
+    /// faults act in the pass/transfer paths.
+    fn poll_faults(&mut self, core: &mut SimCore, t: u64) {
+        for tr in core.fault_transitions(t) {
+            let (u, v) = core.fault_boundary(&tr, 0);
+            if tr.injected
+                && matches!(
+                    tr.kind,
+                    FaultKind::LinkDown { .. } | FaultKind::StuckGrant { .. }
+                )
+            {
+                core.break_pair(&mut self.scheduler, None, tr.t_ns, u, v);
+                self.usable_from.remove(&(u, v));
+                self.pending_release.remove(&(u, v));
+            }
+        }
+    }
+
+    fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
+        for (te, fx) in core.poll_engine(now) {
+            // Circuit switching has no multi-slot state to flush or
+            // preload.
+            if let Effect::Inject(id) = fx {
+                let spec = core.msgs[id].spec;
+                let new_request = self.voqs.push(spec.src, spec.dst, id);
+                core.inject(id, te, 0, new_request);
+            }
+        }
     }
 
     /// Streams data over every usable circuit during `[from, to)`.
-    fn transfer_window(&mut self, from: u64, to: u64) {
-        let rate = self.params.link.bytes_per_ns();
-        let path = self.params.link.path_latency_lvds_ns();
+    fn transfer_window(&mut self, core: &mut SimCore, from: u64, to: u64) {
+        let rate = core.params.link.bytes_per_ns();
+        let path = core.params.link.path_latency_lvds_ns();
         let pairs: Vec<(usize, usize)> = self.scheduler.b_star().iter_ones().collect();
         for (u, v) in pairs {
             if self.pending_release.contains(&(u, v)) {
                 continue; // circuit is logically torn down
             }
-            if self.faults.as_ref().is_some_and(|f| !f.link_ok(u, v)) {
+            if !core.link_ok(u, v) {
                 continue; // dead link carries no data
             }
             let start = match self.usable_from.get(&(u, v)) {
                 Some(&s) if s < to => s.max(from),
                 _ => continue,
             };
-            let mut cursor = start;
-            if let Some(head) = self.voqs.front(u, v) {
-                let enq = self.msgs[head].enqueued_at.expect("queued => enqueued");
-                let ready = self
-                    .faults
-                    .as_ref()
-                    .map_or(enq, |f| enq.max(f.msg_ready_at(head)));
-                if ready > cursor {
-                    continue; // head not yet in the NIC (or backing off)
+            let Some(head) = self.voqs.front(u, v) else {
+                continue;
+            };
+            if core.ready_at(head) > start {
+                continue; // head not yet in the NIC (or backing off)
+            }
+            let remaining = core.msgs[head].remaining;
+            let budget_bytes = ((to - start) as f64 * rate).floor() as u32;
+            if budget_bytes == 0 {
+                continue;
+            }
+            core.spans
+                .msg_advance(&mut core.tracer, start, 0, head as u32, SpanPhase::Transfer);
+            if remaining > budget_bytes {
+                core.msgs[head].remaining = remaining - budget_bytes;
+                continue;
+            }
+            let done = start + (remaining as f64 / rate).ceil() as u64 + path;
+            match core.complete(head, u, done, 0) {
+                NicOutcome::Deliver => {
+                    self.voqs.pop(u, v);
+                    core.trace_delivery(head, 0);
+                    // Per-message circuit switching: the NIC drops the
+                    // request; the circuit is torn down by the next pass.
+                    self.pending_release.insert((u, v));
                 }
-                let remaining = self.msgs[head].remaining;
-                let budget_bytes = ((to - cursor) as f64 * rate).floor() as u32;
-                if budget_bytes == 0 {
-                    continue;
-                }
-                self.spans.msg_advance(
-                    &mut self.tracer,
-                    cursor,
-                    0,
-                    head as u32,
-                    SpanPhase::Transfer,
-                );
-                if remaining <= budget_bytes {
-                    let dur = (remaining as f64 / rate).ceil() as u64;
-                    cursor += dur;
-                    let done = cursor + path;
-                    let outcome = self
-                        .faults
-                        .as_mut()
-                        .map_or(NicOutcome::Deliver, |f| f.nic_completion(head, u, done));
-                    let spec = self.msgs[head].spec;
-                    match outcome {
-                        NicOutcome::Deliver => {
-                            self.msgs[head].remaining = 0;
-                            self.msgs[head].delivered_at = Some(done);
-                            self.voqs.pop(u, v);
-                            self.undelivered -= 1;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(
-                                    done,
-                                    0,
-                                    TraceEvent::MsgDelivered {
-                                        src: spec.src as u32,
-                                        dst: spec.dst as u32,
-                                        bytes: spec.bytes,
-                                        msg: head as u32,
-                                        latency_ns: self.msgs[head].latency_ns(),
-                                    },
-                                );
-                                self.spans.msg_end(&mut self.tracer, done, 0, head as u32);
-                            }
-                            // Per-message circuit switching: the NIC drops
-                            // the request; the circuit is torn down by the
-                            // next pass.
-                            self.pending_release.insert((u, v));
-                        }
-                        NicOutcome::Retry { attempt, .. } => {
-                            // Corrupted frame: the request stays up, the
-                            // circuit stays closed, and the whole message
-                            // retransmits after backoff.
-                            self.msgs[head].remaining = spec.bytes;
-                            self.msg_retries += 1;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(
-                                    done,
-                                    0,
-                                    TraceEvent::MsgRetried {
-                                        src: spec.src as u32,
-                                        dst: spec.dst as u32,
-                                        msg: head as u32,
-                                        attempt,
-                                    },
-                                );
-                            }
-                        }
-                        NicOutcome::Abandon { retries } => {
-                            self.msgs[head].remaining = 0;
-                            self.voqs.pop(u, v);
-                            self.undelivered -= 1;
-                            self.msgs_abandoned += 1;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(
-                                    done,
-                                    0,
-                                    TraceEvent::MsgAbandoned {
-                                        src: spec.src as u32,
-                                        dst: spec.dst as u32,
-                                        msg: head as u32,
-                                        retries,
-                                    },
-                                );
-                                self.spans.msg_end(&mut self.tracer, done, 0, head as u32);
-                            }
-                            self.pending_release.insert((u, v));
-                        }
-                    }
-                } else {
-                    self.msgs[head].remaining = remaining - budget_bytes;
+                // Corrupted frame: the request stays up, the circuit stays
+                // closed, and the whole message retransmits after backoff.
+                NicOutcome::Retry { .. } => {}
+                NicOutcome::Abandon { .. } => {
+                    self.voqs.pop(u, v);
+                    self.pending_release.insert((u, v));
                 }
             }
         }

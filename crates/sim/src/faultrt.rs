@@ -13,7 +13,6 @@
 //! polling at different cadences stamp identical fault events.
 
 use pms_faults::{FaultPlan, FaultState, RetryPolicy, Transition};
-use pms_trace::{TraceEvent, Tracer};
 
 /// What the NIC does with a message whose transmission just finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,37 +81,6 @@ impl FaultRt {
         self.state.next_change()
     }
 
-    /// Emits the trace event for a fault boundary, stamped at the
-    /// scheduled boundary time.
-    pub fn trace_transition(tracer: &mut Tracer, slot: u32, tr: &Transition) {
-        if !tracer.enabled() {
-            return;
-        }
-        let (src, dst) = tr.kind.pair();
-        let class = tr.kind.class();
-        let ev = if tr.injected {
-            TraceEvent::FaultInjected {
-                fault: tr.fault,
-                class,
-                src,
-                dst,
-            }
-        } else {
-            TraceEvent::FaultCleared {
-                fault: tr.fault,
-                class,
-                src,
-                dst,
-            }
-        };
-        tracer.emit(tr.t_ns, slot, ev);
-    }
-
-    /// Any fault currently active?
-    pub fn any_active(&self) -> bool {
-        self.state.any_active()
-    }
-
     /// Is any grant-blocking fault active (i.e. should passes go through
     /// the fault admission mask)?
     pub fn any_grant_blocked(&self) -> bool {
@@ -132,11 +100,6 @@ impl FaultRt {
     /// Is the grant line for `u -> v` dropping grants?
     pub fn grant_drop(&self, u: usize, v: usize) -> bool {
         self.state.grant_drop(u, v)
-    }
-
-    /// Is `port`'s NIC corrupting completions?
-    pub fn nic_faulty(&self, port: usize) -> bool {
-        self.state.nic_faulty(port)
     }
 
     /// Admission closure body: `config ⊆ grant_mask`.
@@ -194,11 +157,6 @@ impl FaultRt {
         let i = u * self.ports + v;
         self.drop_attempts[i] = 0;
         self.suppress_until[i] = 0;
-    }
-
-    /// The plan's retry policy.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
     }
 }
 

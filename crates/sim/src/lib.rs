@@ -13,12 +13,15 @@
 //! scheduler, 100 ns TDM slots carrying up to 80 B (64 B usable payload),
 //! 128 B worms of 8 B flits.
 //!
-//! Four switching paradigms share the NIC/program machinery:
+//! Every simulator is a [`Sim`]: one shared core (message table, program
+//! engine, NIC completion and retry, fault replay, trace and span
+//! plumbing, and the run entry points) driving a paradigm's switch model:
 //!
 //! * [`wormhole::WormholeSim`] — input-buffered wormhole crossbar;
 //! * [`circuit::CircuitSim`] — pure circuit switching (TDM degree 1);
 //! * [`tdm::TdmSim`] — multiplexed switching with dynamic scheduling,
-//!   compiled preloading, or the hybrid split of Figure 5.
+//!   compiled preloading, or the hybrid split of Figure 5;
+//! * [`multihop::MultihopWormholeSim`] — buffered wormhole on a torus.
 //!
 //! All simulators are deterministic: integer nanosecond timestamps, no
 //! wall-clock or unseeded randomness anywhere.
@@ -33,6 +36,7 @@ pub mod guard;
 pub mod message;
 pub mod multihop;
 pub mod params;
+mod simcore;
 pub mod stats;
 pub mod tdm;
 pub mod voq;
@@ -45,12 +49,16 @@ pub use guard::GuardBand;
 pub use message::MsgState;
 pub use multihop::MultihopWormholeSim;
 pub use params::{LinkTiming, SimParams};
+pub use simcore::Sim;
 pub use stats::SimStats;
 pub use tdm::{PredictorKind, TdmMode, TdmSim};
 pub use wormhole::{WormholeQueueing, WormholeSim};
 
+use pms_faults::FaultPlan;
 use pms_multistage::{MultistageRouter, StageGraph};
+use pms_trace::Tracer;
 use pms_workloads::Workload;
+use simcore::Switch;
 
 /// Stage-graph topology selector for [`Paradigm::MultistageTdm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +168,7 @@ impl Paradigm {
 
     /// Runs the workload under this paradigm and returns the statistics.
     pub fn run(&self, workload: &Workload, params: &SimParams) -> SimStats {
-        self.run_traced(workload, params, pms_trace::Tracer::Null).0
+        self.run_traced(workload, params, Tracer::Null).0
     }
 
     /// Runs the workload with the given event tracer attached; returns the
@@ -181,9 +189,9 @@ impl Paradigm {
         &self,
         workload: &Workload,
         params: &SimParams,
-        tracer: pms_trace::Tracer,
-    ) -> (SimStats, pms_trace::Tracer) {
-        self.run_faulted(workload, params, pms_faults::FaultPlan::new(), tracer)
+        tracer: Tracer,
+    ) -> (SimStats, Tracer) {
+        self.run_faulted(workload, params, FaultPlan::new(), tracer)
     }
 
     /// Runs the workload with a deterministic fault plan injected; see
@@ -194,61 +202,47 @@ impl Paradigm {
         &self,
         workload: &Workload,
         params: &SimParams,
-        plan: pms_faults::FaultPlan,
-        tracer: pms_trace::Tracer,
-    ) -> (SimStats, pms_trace::Tracer) {
-        match self {
-            Paradigm::Wormhole => WormholeSim::new(workload, params)
-                .with_faults(plan)
-                .with_tracer(tracer)
-                .run_traced(),
-            Paradigm::Circuit => CircuitSim::new(workload, params)
-                .with_faults(plan)
-                .with_tracer(tracer)
-                .run_traced(),
-            Paradigm::DynamicTdm(pred) => {
-                TdmSim::new(workload, params, TdmMode::Dynamic { predictor: *pred })
-                    .with_faults(plan)
-                    .with_tracer(tracer)
-                    .run_traced()
+        plan: FaultPlan,
+        tracer: Tracer,
+    ) -> (SimStats, Tracer) {
+        fn go<S: Switch>(sim: Sim<S>, plan: FaultPlan, tracer: Tracer) -> (SimStats, Tracer) {
+            sim.with_faults(plan).with_tracer(tracer).run_traced()
+        }
+        let Some(mode) = self.tdm_mode() else {
+            return match self {
+                Paradigm::Wormhole => go(WormholeSim::new(workload, params), plan, tracer),
+                _ => go(CircuitSim::new(workload, params), plan, tracer),
+            };
+        };
+        let sim = TdmSim::new(workload, params, mode);
+        let sim = match self {
+            Paradigm::MultistageTdm { topology, .. } => {
+                let router = MultistageRouter::new(topology.build(params.ports), params.tdm_slots);
+                sim.with_router(Box::new(router))
+                    .with_mode_label(self.label())
             }
-            Paradigm::PreloadTdm => TdmSim::new(workload, params, TdmMode::Preload)
-                .with_faults(plan)
-                .with_tracer(tracer)
-                .run_traced(),
+            _ => sim,
+        };
+        go(sim, plan, tracer)
+    }
+
+    /// The [`TdmMode`] a multiplexed paradigm runs ([`None`] for wormhole
+    /// and circuit switching). A multistage paradigm runs dynamic
+    /// scheduling behind its stage router.
+    pub fn tdm_mode(&self) -> Option<TdmMode> {
+        match *self {
+            Paradigm::Wormhole | Paradigm::Circuit => None,
+            Paradigm::DynamicTdm(predictor) | Paradigm::MultistageTdm { predictor, .. } => {
+                Some(TdmMode::Dynamic { predictor })
+            }
+            Paradigm::PreloadTdm => Some(TdmMode::Preload),
             Paradigm::HybridTdm {
                 preload_slots,
                 predictor,
-            } => TdmSim::new(
-                workload,
-                params,
-                TdmMode::Hybrid {
-                    preload_slots: *preload_slots,
-                    predictor: *predictor,
-                },
-            )
-            .with_faults(plan)
-            .with_tracer(tracer)
-            .run_traced(),
-            Paradigm::MultistageTdm {
-                topology,
+            } => Some(TdmMode::Hybrid {
+                preload_slots,
                 predictor,
-            } => {
-                let graph = topology.build(params.ports);
-                let router = MultistageRouter::new(graph, params.tdm_slots);
-                TdmSim::new(
-                    workload,
-                    params,
-                    TdmMode::Dynamic {
-                        predictor: *predictor,
-                    },
-                )
-                .with_router(Box::new(router))
-                .with_mode_label(self.label())
-                .with_faults(plan)
-                .with_tracer(tracer)
-                .run_traced()
-            }
+            }),
         }
     }
 }

@@ -17,15 +17,14 @@
 //!
 //! [`TorusNetwork`]: pms_fabric::TorusNetwork
 
-use crate::engine::{Effect, Engine};
-use crate::message::MsgState;
+use crate::engine::Effect;
 use crate::params::SimParams;
+use crate::simcore::{EventQueue, Sim, SimCore, Switch};
 use crate::stats::SimStats;
 use pms_fabric::TorusNetwork;
-use pms_trace::{span::SpanTracker, SpanPhase, TraceEvent, Tracer};
+use pms_trace::SpanPhase;
 use pms_workloads::Workload;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A worm in flight.
 #[derive(Debug, Clone, Copy)]
@@ -50,16 +49,15 @@ enum Ev {
 }
 
 /// Multi-hop wormhole simulator over a [`TorusNetwork`].
-pub struct MultihopWormholeSim {
-    params: SimParams,
-    torus: TorusNetwork,
-    workload_name: String,
-    msgs: Vec<MsgState>,
+pub type MultihopWormholeSim = Sim<MultihopWormhole>;
+
+/// The buffered torus of switches behind [`MultihopWormholeSim`]. It has
+/// no TDM slots, so its records are stamped `slot = 0`, and it models no
+/// faults: running it with a fault plan attached panics.
+pub struct MultihopWormhole {
     /// Precomputed route (link ids) per message.
     routes: Vec<Vec<usize>>,
-    engine: Engine,
-    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: u64,
+    events: EventQueue<Ev>,
     /// Per source host: worms awaiting first transmission (FIFO).
     source_fifo: Vec<VecDeque<Worm>>,
     source_busy: Vec<bool>,
@@ -69,156 +67,97 @@ pub struct MultihopWormholeSim {
     /// Per destination host: worms waiting on the switch-to-host link.
     dest_queue: Vec<VecDeque<Worm>>,
     dest_busy: Vec<bool>,
-    undelivered: usize,
     hops_traversed: u64,
-    /// Event sink; multi-hop wormhole has no TDM slots, so records are
-    /// stamped `slot = 0`.
-    tracer: Tracer,
-    spans: SpanTracker,
 }
 
 impl MultihopWormholeSim {
     /// Builds the simulator.
     ///
     /// # Panics
-    /// Panics if the workload's port count does not match the torus.
+    /// Panics if the workload's port count does not match the torus or
+    /// the parameters.
     pub fn new(workload: &Workload, params: &SimParams, torus: TorusNetwork) -> Self {
         assert_eq!(
             workload.ports,
             torus.ports(),
             "workload/torus port mismatch"
         );
-        let table = workload.message_table();
-        let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
-        let routes: Vec<Vec<usize>> = table.iter().map(|m| torus.route(m.src, m.dst)).collect();
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(std::sync::Arc::new(pms_par::ShardPool::new(params.threads)));
-        let links = torus.links();
-        let hosts = torus.ports();
-        Self {
-            params: params.clone(),
-            torus,
-            workload_name: workload.name.clone(),
-            msgs,
+        let core = SimCore::new(workload, params);
+        let routes = core
+            .msgs
+            .iter()
+            .map(|m| torus.route(m.spec.src, m.spec.dst))
+            .collect();
+        let (links, hosts) = (torus.links(), torus.ports());
+        let switch = MultihopWormhole {
             routes,
-            engine,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             source_fifo: vec![VecDeque::new(); hosts],
             source_busy: vec![false; hosts],
             link_queue: vec![VecDeque::new(); links],
             link_busy: vec![false; links],
             dest_queue: vec![VecDeque::new(); hosts],
             dest_busy: vec![false; hosts],
-            undelivered: 0,
             hops_traversed: 0,
-            tracer: Tracer::Null,
-            spans: SpanTracker::new(),
-        }
+        };
+        Sim { core, switch }
     }
+}
 
-    fn push_event(&mut self, t: u64, ev: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, ev)));
-    }
-
-    /// Attaches an event tracer; retrieve it via
-    /// [`run_traced`](Self::run_traced).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Runs to completion.
-    pub fn run(self) -> SimStats {
-        self.run_traced().0
-    }
-
-    /// Like [`run`](Self::run) but also returns the tracer and its
-    /// collected records.
-    pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        self.poll_engine(0);
+impl Switch for MultihopWormhole {
+    fn run(&mut self, core: &mut SimCore) -> (u64, u32) {
+        assert!(
+            core.faults.is_none(),
+            "the multi-hop wormhole simulator models no faults"
+        );
+        self.poll_engine(core, 0);
         let mut end_t = 0;
-        while let Some(Reverse((t, _, ev))) = self.events.pop() {
+        while let Some((t, ev)) = self.events.pop() {
             end_t = end_t.max(t);
-            assert!(
-                t <= self.params.max_sim_ns,
-                "multihop simulation exceeded {} ns (deadlock?)",
-                self.params.max_sim_ns
-            );
+            core.check_horizon(t, "multihop");
             match ev {
-                Ev::EngineWake => self.poll_engine(t),
-                Ev::SourceDone(h) => self.source_done(h, t),
-                Ev::LinkDone(l) => self.link_done(l, t),
-                Ev::DestDone(h) => self.dest_done(h, t),
+                Ev::EngineWake => self.poll_engine(core, t),
+                Ev::SourceDone(h) => self.source_done(core, h, t),
+                Ev::LinkDone(l) => self.link_done(core, l, t),
+                Ev::DestDone(h) => self.dest_done(core, h, t),
             }
         }
         assert!(
-            self.engine.all_done() && self.undelivered == 0,
+            core.done(),
             "multihop simulation stalled with {} undelivered",
-            self.undelivered
+            core.undelivered
         );
-        let mut stats =
-            SimStats::from_messages("multihop-wormhole", self.workload_name, &self.msgs);
+        (end_t, 0)
+    }
+
+    fn label(&self) -> String {
+        "multihop-wormhole".into()
+    }
+
+    fn fill_stats(&self, stats: &mut SimStats) {
         stats.sched_passes = self.hops_traversed;
-        let mut spans = std::mem::take(&mut self.spans);
-        let mut tracer = self.tracer;
-        spans.finish(&mut tracer, 0, 0);
-        tracer.seal(end_t, 0);
-        let _ = tracer.finish();
-        (stats, tracer)
     }
+}
 
-    fn poll_engine(&mut self, now: u64) {
-        let drained = self.undelivered == 0;
-        for (t, fx) in self.engine.poll(now, drained) {
-            match fx {
-                Effect::Inject(id) => self.inject(id, t),
-                Effect::Flush | Effect::Preload(_) => {}
+impl MultihopWormhole {
+    fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
+        for (t, fx) in core.poll_engine(now) {
+            if let Effect::Inject(id) = fx {
+                core.inject(id, t, 0, true);
+                self.queue_worms(core, id, t);
             }
         }
-        if let Some(w) = self.engine.next_wake() {
-            if w > now {
-                self.push_event(w, Ev::EngineWake);
-            }
+        if let Some(w) = core.engine_wake_after(now) {
+            self.events.push(w, Ev::EngineWake);
         }
     }
 
-    fn inject(&mut self, id: usize, t: u64) {
-        let spec = self.msgs[id].spec;
-        self.msgs[id].enqueued_at = Some(t);
-        self.undelivered += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                t,
-                0,
-                TraceEvent::MsgInjected {
-                    src: spec.src as u32,
-                    dst: spec.dst as u32,
-                    bytes: spec.bytes,
-                    msg: id as u32,
-                },
-            );
-            self.tracer.emit(
-                t,
-                0,
-                TraceEvent::ConnRequested {
-                    src: spec.src as u32,
-                    dst: spec.dst as u32,
-                },
-            );
-            self.spans.msg_start(
-                &mut self.tracer,
-                t,
-                0,
-                id as u32,
-                spec.src as u32,
-                spec.dst as u32,
-            );
-        }
+    /// Cuts message `id` into worms at its source host.
+    fn queue_worms(&mut self, core: &SimCore, id: usize, t: u64) {
+        let spec = core.msgs[id].spec;
         let mut left = spec.bytes;
         while left > 0 {
-            let chunk = left.min(self.params.worm_max_bytes);
+            let chunk = left.min(core.params.worm_max_bytes);
             left -= chunk;
             self.source_fifo[spec.src].push_back(Worm {
                 msg: id,
@@ -227,46 +166,46 @@ impl MultihopWormholeSim {
                 hop: 0,
             });
         }
-        self.try_source(spec.src, t);
+        self.try_source(core, spec.src, t);
     }
 
     /// Serves the source host's injection link.
-    fn try_source(&mut self, h: usize, now: u64) {
+    fn try_source(&mut self, core: &SimCore, h: usize, now: u64) {
         if self.source_busy[h] || self.source_fifo[h].is_empty() {
             return;
         }
         self.source_busy[h] = true;
         let worm = self.source_fifo[h].front().copied().expect("non-empty");
         // Host-to-switch serialization + wire.
-        let dur = self.params.worm_stream_ns(worm.bytes) + self.params.link.wire_ns;
-        self.push_event(now + dur, Ev::SourceDone(h));
+        let dur = core.params.worm_stream_ns(worm.bytes) + core.params.link.wire_ns;
+        self.events.push(now + dur, Ev::SourceDone(h));
     }
 
-    fn source_done(&mut self, h: usize, now: u64) {
+    fn source_done(&mut self, core: &mut SimCore, h: usize, now: u64) {
         self.source_busy[h] = false;
         let worm = self.source_fifo[h].pop_front().expect("a worm was sending");
         // The head worm reaching the first switch buffer ends `arrival`;
         // `admit` then covers the wait for per-hop link arbitration.
-        self.spans
-            .msg_advance(&mut self.tracer, now, 0, worm.msg as u32, SpanPhase::Admit);
-        self.forward(worm, now);
-        self.try_source(h, now);
+        core.spans
+            .msg_advance(&mut core.tracer, now, 0, worm.msg as u32, SpanPhase::Admit);
+        self.forward(core, worm, now);
+        self.try_source(core, h, now);
     }
 
     /// Routes a worm onward from its current switch buffer.
-    fn forward(&mut self, worm: Worm, now: u64) {
+    fn forward(&mut self, core: &mut SimCore, worm: Worm, now: u64) {
         let route = &self.routes[worm.msg];
         if worm.hop >= route.len() {
-            self.deliver(worm, now);
+            self.deliver(core, worm, now);
             return;
         }
         let link = route[worm.hop];
         self.link_queue[link].push_back(worm);
-        self.try_link(link, now);
+        self.try_link(core, link, now);
     }
 
     /// Starts the next worm on a link if it is idle.
-    fn try_link(&mut self, link: usize, now: u64) {
+    fn try_link(&mut self, core: &mut SimCore, link: usize, now: u64) {
         if self.link_busy[link] || self.link_queue[link].is_empty() {
             return;
         }
@@ -274,43 +213,37 @@ impl MultihopWormholeSim {
         let worm = self.link_queue[link].front().copied().expect("non-empty");
         // First link grant: no slot alignment exists in a buffered fabric,
         // so `align` is zero-length and `transfer` runs to delivery.
-        self.spans
-            .msg_advance(&mut self.tracer, now, 0, worm.msg as u32, SpanPhase::Align);
-        self.spans.msg_advance(
-            &mut self.tracer,
-            now,
-            0,
-            worm.msg as u32,
-            SpanPhase::Transfer,
-        );
+        let (spans, tracer) = (&mut core.spans, &mut core.tracer);
+        spans.msg_advance(tracer, now, 0, worm.msg as u32, SpanPhase::Align);
+        spans.msg_advance(tracer, now, 0, worm.msg as u32, SpanPhase::Transfer);
         // Per-hop arbitration (the switch schedules the head flit) + the
         // worm streaming across one inter-switch wire.
-        let dur = self.params.sched_ns
-            + self.params.worm_stream_ns(worm.bytes)
-            + self.params.link.wire_ns;
-        self.push_event(now + dur, Ev::LinkDone(link));
+        let dur = core.params.sched_ns
+            + core.params.worm_stream_ns(worm.bytes)
+            + core.params.link.wire_ns;
+        self.events.push(now + dur, Ev::LinkDone(link));
     }
 
-    fn link_done(&mut self, link: usize, now: u64) {
+    fn link_done(&mut self, core: &mut SimCore, link: usize, now: u64) {
         self.link_busy[link] = false;
         let mut worm = self.link_queue[link]
             .pop_front()
             .expect("a worm was crossing");
         self.hops_traversed += 1;
         worm.hop += 1;
-        self.forward(worm, now);
-        self.try_link(link, now);
+        self.forward(core, worm, now);
+        self.try_link(core, link, now);
     }
 
     /// Queues a worm on its destination's switch-to-host link — the final
     /// shared resource: fan-in from several links serializes here.
-    fn deliver(&mut self, worm: Worm, now: u64) {
-        let dst = self.msgs[worm.msg].spec.dst;
+    fn deliver(&mut self, core: &mut SimCore, worm: Worm, now: u64) {
+        let dst = core.msgs[worm.msg].spec.dst;
         self.dest_queue[dst].push_back(worm);
-        self.try_dest(dst, now);
+        self.try_dest(core, dst, now);
     }
 
-    fn try_dest(&mut self, dst: usize, now: u64) {
+    fn try_dest(&mut self, core: &mut SimCore, dst: usize, now: u64) {
         if self.dest_busy[dst] || self.dest_queue[dst].is_empty() {
             return;
         }
@@ -318,51 +251,31 @@ impl MultihopWormholeSim {
         let worm = self.dest_queue[dst].front().copied().expect("non-empty");
         // Local (hopless) deliveries never cross a link: the delivery link
         // grant is their first data movement.
-        self.spans.msg_advance(
-            &mut self.tracer,
+        core.spans.msg_advance(
+            &mut core.tracer,
             now,
             0,
             worm.msg as u32,
             SpanPhase::Transfer,
         );
         // Final switch-to-host wire (the worm streams at line rate).
-        let dur = self.params.worm_stream_ns(worm.bytes) + self.params.link.wire_ns;
-        self.push_event(now + dur, Ev::DestDone(dst));
+        let dur = core.params.worm_stream_ns(worm.bytes) + core.params.link.wire_ns;
+        self.events.push(now + dur, Ev::DestDone(dst));
     }
 
-    fn dest_done(&mut self, dst: usize, now: u64) {
+    fn dest_done(&mut self, core: &mut SimCore, dst: usize, now: u64) {
         self.dest_busy[dst] = false;
         let worm = self.dest_queue[dst]
             .pop_front()
             .expect("a worm was arriving");
         if worm.last {
-            let tail = self.params.link.s2p_ns + self.params.nic_cycle_ns;
-            self.msgs[worm.msg].delivered_at = Some(now + tail);
-            self.undelivered -= 1;
-            if self.tracer.enabled() {
-                let spec = self.msgs[worm.msg].spec;
-                self.tracer.emit(
-                    now + tail,
-                    0,
-                    TraceEvent::MsgDelivered {
-                        src: spec.src as u32,
-                        dst: spec.dst as u32,
-                        bytes: spec.bytes,
-                        msg: worm.msg as u32,
-                        latency_ns: self.msgs[worm.msg].latency_ns(),
-                    },
-                );
-                self.spans
-                    .msg_end(&mut self.tracer, now + tail, 0, worm.msg as u32);
-            }
-            self.poll_engine(now);
+            let tail = core.params.link.s2p_ns + core.params.nic_cycle_ns;
+            let src = core.msgs[worm.msg].spec.src;
+            core.complete(worm.msg, src, now + tail, 0);
+            core.trace_delivery(worm.msg, 0);
+            self.poll_engine(core, now);
         }
-        self.try_dest(dst, now);
-    }
-
-    /// The torus this simulator routes over.
-    pub fn torus(&self) -> &TorusNetwork {
-        &self.torus
+        self.try_dest(core, dst, now);
     }
 }
 

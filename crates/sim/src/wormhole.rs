@@ -16,16 +16,15 @@
 //! granted worm occupies the output for the 80 ns scheduling of its head
 //! flit plus 10 ns per flit. Blocked worms wait in FIFO arrival order.
 
-use crate::engine::{Effect, Engine};
-use crate::faultrt::{FaultRt, NicOutcome};
-use crate::message::MsgState;
+use crate::engine::Effect;
+use crate::faultrt::NicOutcome;
 use crate::params::SimParams;
+use crate::simcore::{EventQueue, Sim, SimCore, Switch};
 use crate::stats::SimStats;
-use pms_faults::{FaultKind, FaultPlan};
-use pms_trace::{span::SpanTracker, EvictCause, SpanPhase, TraceEvent, Tracer};
+use pms_faults::FaultKind;
+use pms_trace::{EvictCause, SpanPhase};
 use pms_workloads::Workload;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Input-queue organization of the wormhole switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,13 +65,14 @@ enum Ev {
 }
 
 /// The wormhole-routing simulator.
-pub struct WormholeSim {
-    params: SimParams,
-    workload_name: String,
-    msgs: Vec<MsgState>,
-    engine: Engine,
-    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: u64,
+pub type WormholeSim = Sim<Wormhole>;
+
+/// The input-buffered wormhole crossbar behind [`WormholeSim`]. It has no
+/// TDM slots, so its records are stamped `slot = 0`. Under a fault plan a
+/// worm already granted drains to completion; faults take effect at the
+/// next grant decision.
+pub struct Wormhole {
+    events: EventQueue<Ev>,
     queueing: WormholeQueueing,
     /// Per input, per destination: worms awaiting upload. `SingleFifo`
     /// uses index 0 only.
@@ -92,22 +92,12 @@ pub struct WormholeSim {
     out_waiters: Vec<VecDeque<usize>>,
     /// Per output: busy until this time.
     out_busy: Vec<u64>,
-    undelivered: usize,
     grants: u64,
-    /// Optional fault-injection runtime; `None` (also for an empty plan)
-    /// takes exactly the unfaulted code path.
-    faults: Option<FaultRt>,
     /// Per output: the input whose path is held open by a stuck-release
     /// fault (the worm drained but the cross-point cannot open).
     held: Vec<Option<usize>>,
     /// The fault boundary a `FaultWake` event is already scheduled for.
     fault_wake_at: Option<u64>,
-    msg_retries: u64,
-    msgs_abandoned: u64,
-    /// Event sink; a wormhole switch has no TDM slots, so records are
-    /// stamped `slot = 0`.
-    tracer: Tracer,
-    spans: SpanTracker,
 }
 
 impl WormholeSim {
@@ -123,23 +113,14 @@ impl WormholeSim {
         params: &SimParams,
         queueing: WormholeQueueing,
     ) -> Self {
-        let table = workload.message_table();
-        let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(std::sync::Arc::new(pms_par::ShardPool::new(params.threads)));
+        let core = SimCore::new(workload, params);
         let n = params.ports;
-        assert_eq!(workload.ports, n, "workload/params port mismatch");
         let lanes = match queueing {
             WormholeQueueing::SingleFifo => 1,
             WormholeQueueing::Voq => n,
         };
-        Self {
-            params: params.clone(),
-            workload_name: workload.name.clone(),
-            msgs,
-            engine,
-            events: BinaryHeap::new(),
-            seq: 0,
+        let switch = Wormhole {
+            events: EventQueue::new(),
             queueing,
             queues: vec![vec![VecDeque::new(); lanes]; n],
             rr: vec![0; n],
@@ -149,149 +130,79 @@ impl WormholeSim {
             waiting: vec![false; n],
             out_waiters: vec![VecDeque::new(); n],
             out_busy: vec![0; n],
-            undelivered: 0,
             grants: 0,
-            faults: None,
             held: vec![None; n],
             fault_wake_at: None,
-            msg_retries: 0,
-            msgs_abandoned: 0,
-            tracer: Tracer::Null,
-            spans: SpanTracker::new(),
-        }
+        };
+        Sim { core, switch }
     }
+}
 
-    /// Attaches a deterministic fault plan. An empty plan is a strict
-    /// no-op (byte-identical stats and traces). A worm already granted
-    /// drains to completion; faults take effect at the next grant
-    /// decision.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultRt::new(self.params.ports, plan, self.msgs.len());
-        self
-    }
-
-    fn push_event(&mut self, t: u64, ev: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, ev)));
-    }
-
-    /// Attaches an event tracer; retrieve it via
-    /// [`run_traced`](Self::run_traced).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Runs to completion and returns the statistics.
-    pub fn run(self) -> SimStats {
-        self.run_traced().0
-    }
-
-    /// Like [`run`](Self::run) but also returns the tracer and its
-    /// collected records.
-    pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        self.poll_faults(0);
-        self.poll_engine(0);
+impl Switch for Wormhole {
+    fn run(&mut self, core: &mut SimCore) -> (u64, u32) {
+        self.poll_faults(core, 0);
+        self.poll_engine(core, 0);
         let mut end_t = 0;
-        while let Some(Reverse((t, _, ev))) = self.events.pop() {
+        while let Some((t, ev)) = self.events.pop() {
             end_t = end_t.max(t);
-            if self.engine.all_done() && self.undelivered == 0 {
+            if core.done() {
                 // Only stale wake-ups remain (fault boundaries can extend
                 // far past the last delivery).
                 break;
             }
-            assert!(
-                t <= self.params.max_sim_ns,
-                "wormhole simulation exceeded {} ns (deadlock?)",
-                self.params.max_sim_ns
-            );
-            self.poll_faults(t);
+            core.check_horizon(t, "wormhole");
+            self.poll_faults(core, t);
             match ev {
-                Ev::EngineWake => self.poll_engine(t),
-                Ev::UploadDone(u) => self.upload_done(u, t),
-                Ev::DrainDone(u, v) => self.drain_done(u, v, t),
+                Ev::EngineWake => self.poll_engine(core, t),
+                Ev::UploadDone(u) => self.upload_done(core, u, t),
+                Ev::DrainDone(u, v) => self.drain_done(core, u, v, t),
                 // Handled by the poll_faults above.
                 Ev::FaultWake => {}
-                Ev::GrantRetry(u) => self.try_grant(u, t),
-                Ev::Reinject(msg) => self.reinject(msg, t),
+                Ev::GrantRetry(u) => self.try_grant(core, u, t),
+                Ev::Reinject(msg) => self.queue_worms(core, msg, t),
             }
         }
         assert!(
-            self.engine.all_done() && self.undelivered == 0,
+            core.done(),
             "wormhole simulation stalled with {} undelivered messages",
-            self.undelivered
+            core.undelivered
         );
-        let mut stats = SimStats::from_messages("wormhole", self.workload_name, &self.msgs);
+        // A path a stuck release still holds closes at the last span
+        // event, not at the stale wake-up that ended the loop.
+        core.spans.finish(&mut core.tracer, 0, 0);
+        (end_t, 0)
+    }
+
+    fn label(&self) -> String {
+        "wormhole".into()
+    }
+
+    fn fill_stats(&self, stats: &mut SimStats) {
         stats.sched_passes = self.grants;
-        stats.msg_retries = self.msg_retries;
-        stats.msgs_abandoned = self.msgs_abandoned;
-        let mut spans = std::mem::take(&mut self.spans);
-        let mut tracer = self.tracer;
-        spans.finish(&mut tracer, 0, 0);
-        tracer.seal(end_t, 0);
-        let _ = tracer.finish();
-        (stats, tracer)
     }
+}
 
-    fn poll_engine(&mut self, now: u64) {
-        let drained = self.undelivered == 0;
-        let effects = self.engine.poll(now, drained);
-        for (t, fx) in effects {
-            match fx {
-                Effect::Inject(id) => self.inject(id, t),
-                // A wormhole network has no connection state to flush or
-                // preload; the commands are no-ops here.
-                Effect::Flush | Effect::Preload(_) => {}
+impl Wormhole {
+    fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
+        for (t, fx) in core.poll_engine(now) {
+            // A wormhole network has no connection state to flush or
+            // preload; those commands are no-ops here.
+            if let Effect::Inject(id) = fx {
+                core.inject(id, t, 0, true);
+                self.queue_worms(core, id, t);
             }
         }
-        if let Some(wake) = self.engine.next_wake() {
-            if wake > now {
-                self.push_event(wake, Ev::EngineWake);
-            }
+        if let Some(wake) = core.engine_wake_after(now) {
+            self.events.push(wake, Ev::EngineWake);
         }
-    }
-
-    fn inject(&mut self, id: usize, t: u64) {
-        let spec = self.msgs[id].spec;
-        self.msgs[id].enqueued_at = Some(t);
-        self.undelivered += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                t,
-                0,
-                TraceEvent::MsgInjected {
-                    src: spec.src as u32,
-                    dst: spec.dst as u32,
-                    bytes: spec.bytes,
-                    msg: id as u32,
-                },
-            );
-            self.tracer.emit(
-                t,
-                0,
-                TraceEvent::ConnRequested {
-                    src: spec.src as u32,
-                    dst: spec.dst as u32,
-                },
-            );
-            self.spans.msg_start(
-                &mut self.tracer,
-                t,
-                0,
-                id as u32,
-                spec.src as u32,
-                spec.dst as u32,
-            );
-        }
-        self.queue_worms(id, t);
     }
 
     /// Cuts message `id` into worms of at most `worm_max_bytes` and
     /// queues them at its source input.
-    fn queue_worms(&mut self, id: usize, t: u64) {
-        let spec = self.msgs[id].spec;
+    fn queue_worms(&mut self, core: &SimCore, id: usize, t: u64) {
+        let spec = core.msgs[id].spec;
         let mut left = spec.bytes;
-        let max = self.params.worm_max_bytes;
+        let max = core.params.worm_max_bytes;
         let lane = match self.queueing {
             WormholeQueueing::SingleFifo => 0,
             WormholeQueueing::Voq => spec.dst,
@@ -305,57 +216,29 @@ impl WormholeSim {
                 last: left == 0,
             });
         }
-        self.try_upload(spec.src, t);
+        self.try_upload(core, spec.src, t);
     }
 
-    /// A NIC-corrupted message retransmits from scratch after backoff.
-    fn reinject(&mut self, msg: usize, t: u64) {
-        self.msgs[msg].remaining = self.msgs[msg].spec.bytes;
-        self.queue_worms(msg, t);
-    }
-
-    /// Replays fault boundaries up to `now`: trace events, releasing
-    /// stuck outputs, resetting grant-drop backoff, and re-kicking every
-    /// input after a clear (a fault-blocked input has nothing else to
-    /// wake it).
-    fn poll_faults(&mut self, now: u64) {
-        let transitions = match &mut self.faults {
-            Some(f) => f.poll(now),
-            None => return,
-        };
+    /// Replays fault boundaries up to `now`: releasing stuck outputs and
+    /// re-kicking every input after a clear (a fault-blocked input has
+    /// nothing else to wake it).
+    fn poll_faults(&mut self, core: &mut SimCore, now: u64) {
         let mut kick = false;
-        for tr in transitions {
-            FaultRt::trace_transition(&mut self.tracer, 0, &tr);
-            let (u32u, u32v) = tr.kind.pair();
-            let (u, v) = (u32u as usize, u32v as usize);
+        for tr in core.fault_transitions(now) {
+            let (u, v) = core.fault_boundary(&tr, 0);
+            if tr.injected {
+                continue;
+            }
             match tr.kind {
-                FaultKind::LinkDown { .. } | FaultKind::StuckGrant { .. } if !tr.injected => {
-                    kick = true;
-                }
-                FaultKind::GrantDrop { .. } if !tr.injected => {
-                    if let Some(f) = &mut self.faults {
-                        f.clear_drop_state(u, v);
-                    }
-                    kick = true;
-                }
-                FaultKind::StuckRelease { .. } if !tr.injected => {
-                    let still_stuck = self.faults.as_ref().is_some_and(|f| f.stuck_release(u, v));
+                FaultKind::LinkDown { .. }
+                | FaultKind::StuckGrant { .. }
+                | FaultKind::GrantDrop { .. } => kick = true,
+                FaultKind::StuckRelease { .. } => {
+                    let still_stuck = core.faults.as_ref().is_some_and(|f| f.stuck_release(u, v));
                     if self.held[v] == Some(u) && !still_stuck {
                         self.held[v] = None;
                         self.out_busy[v] = now;
-                        if self.tracer.enabled() {
-                            self.tracer.emit(
-                                tr.t_ns,
-                                0,
-                                TraceEvent::ConnEvicted {
-                                    src: u as u32,
-                                    dst: v as u32,
-                                    cause: EvictCause::Fault,
-                                },
-                            );
-                            self.spans
-                                .conn_end(&mut self.tracer, tr.t_ns, 0, u as u32, v as u32);
-                        }
+                        core.evicted(tr.t_ns, 0, u, v, EvictCause::Fault);
                         kick = true;
                     }
                 }
@@ -363,38 +246,38 @@ impl WormholeSim {
             }
         }
         if kick {
-            for u in 0..self.params.ports {
-                self.try_grant(u, now);
-                self.try_upload(u, now);
+            for u in 0..core.params.ports {
+                self.try_grant(core, u, now);
+                self.try_upload(core, u, now);
             }
         }
-        self.schedule_fault_wake();
+        self.schedule_fault_wake(core);
     }
 
     /// Keeps one `FaultWake` event pending for the next fault boundary so
     /// the event loop cannot sleep through it.
-    fn schedule_fault_wake(&mut self) {
-        let Some(c) = self.faults.as_ref().and_then(|f| f.next_change()) else {
+    fn schedule_fault_wake(&mut self, core: &SimCore) {
+        let Some(c) = core.next_fault() else {
             return;
         };
         if self.fault_wake_at != Some(c) {
             self.fault_wake_at = Some(c);
-            self.push_event(c, Ev::FaultWake);
+            self.events.push(c, Ev::FaultWake);
         }
     }
 
     /// Starts uploading the next worm if the link is idle and the staging
     /// buffer has room (double buffering: one draining + one waiting).
-    fn try_upload(&mut self, u: usize, now: u64) {
+    fn try_upload(&mut self, core: &SimCore, u: usize, now: u64) {
         if self.uploading[u].is_some() || self.staged[u].len() >= 2 {
             return;
         }
         let Some(worm) = self.next_worm(u, now) else {
             return;
         };
-        let dur = self.params.worm_stream_ns(worm.bytes);
+        let dur = core.params.worm_stream_ns(worm.bytes);
         self.uploading[u] = Some(worm);
-        self.push_event(now + dur, Ev::UploadDone(u));
+        self.events.push(now + dur, Ev::UploadDone(u));
     }
 
     /// Picks the next worm to upload from input `u`'s queues.
@@ -424,15 +307,15 @@ impl WormholeSim {
         }
     }
 
-    fn upload_done(&mut self, u: usize, now: u64) {
+    fn upload_done(&mut self, core: &mut SimCore, u: usize, now: u64) {
         let worm = self.uploading[u].take().expect("upload must be in flight");
         self.staged[u].push_back(worm);
-        self.try_grant(u, now);
-        self.try_upload(u, now);
+        self.try_grant(core, u, now);
+        self.try_upload(core, u, now);
     }
 
     /// Requests the output port for input `u`'s staged head worm.
-    fn try_grant(&mut self, u: usize, now: u64) {
+    fn try_grant(&mut self, core: &mut SimCore, u: usize, now: u64) {
         if self.draining[u].is_some() || self.staged[u].is_empty() {
             return;
         }
@@ -445,10 +328,9 @@ impl WormholeSim {
             WormholeQueueing::Voq => self.staged[u].len(),
         };
         let pick = (0..candidates).find(|&i| {
-            let worm = self.staged[u][i];
-            let v = self.msgs[worm.msg].spec.dst;
+            let v = core.msgs[self.staged[u][i].msg].spec.dst;
             self.out_busy[v] <= now
-                && self.faults.as_ref().is_none_or(|f| {
+                && core.faults.as_ref().is_none_or(|f| {
                     // Dead links cannot be granted; grant-drop backoff
                     // keeps the request line down until the timer expires.
                     f.link_ok(u, v) && !f.request_suppressed(u, v, now)
@@ -459,164 +341,68 @@ impl WormholeSim {
             // (at most one registration at a time). Fault-blocked inputs
             // are re-kicked by `poll_faults` when the fault clears.
             if !self.waiting[u] {
-                let head = self.staged[u][0];
-                let v = self.msgs[head.msg].spec.dst;
+                let v = core.msgs[self.staged[u][0].msg].spec.dst;
                 self.waiting[u] = true;
                 self.out_waiters[v].push_back(u);
             }
             return;
         };
-        {
-            let worm = self.staged[u][i];
-            let v = self.msgs[worm.msg].spec.dst;
-            if self.faults.as_ref().is_some_and(|f| f.grant_drop(u, v)) {
-                // The switch would commit the connection but the grant
-                // line eats the notification: the worm stays staged and
-                // the NIC retries after exponential backoff.
-                let (attempt, resume_at) = self
-                    .faults
-                    .as_mut()
-                    .expect("checked above")
-                    .grant_dropped(u, v, now);
-                self.msg_retries += 1;
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        now,
-                        0,
-                        TraceEvent::MsgRetried {
-                            src: u as u32,
-                            dst: v as u32,
-                            msg: worm.msg as u32,
-                            attempt,
-                        },
-                    );
-                }
-                self.push_event(resume_at, Ev::GrantRetry(u));
-                return;
-            }
+        let worm = self.staged[u][i];
+        let v = core.msgs[worm.msg].spec.dst;
+        if let Some(f) = core.faults.as_mut().filter(|f| f.grant_drop(u, v)) {
+            // The switch would commit the connection but the grant line
+            // eats the notification: the worm stays staged and the NIC
+            // retries after exponential backoff.
+            let (attempt, resume_at) = f.grant_dropped(u, v, now);
+            core.retried(now, 0, u, v, worm.msg as u32, attempt);
+            self.events.push(resume_at, Ev::GrantRetry(u));
+            return;
         }
-        let worm = self.staged[u].remove(i).expect("index in range");
-        let v = self.msgs[worm.msg].spec.dst;
+        self.staged[u].remove(i);
         // Grant: 80 ns to schedule the head flit, then one flit per 10 ns.
         self.grants += 1;
         self.draining[u] = Some(worm);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                now,
-                0,
-                TraceEvent::ConnEstablished {
-                    src: u as u32,
-                    dst: v as u32,
-                    slot_idx: 0,
-                },
-            );
-            self.spans
-                .conn_start(&mut self.tracer, now, 0, u as u32, v as u32);
-            // The grant ends `arrival`; `admit` is the 80 ns head-flit
-            // schedule; no slot alignment exists, so `align` is zero-length
-            // and `transfer` starts as the worm begins to drain. Later
-            // worms of the same message no-op (monotone advance).
-            let msg = worm.msg as u32;
-            let drain = now + self.params.sched_ns;
-            self.spans
-                .msg_advance(&mut self.tracer, now, 0, msg, SpanPhase::Admit);
-            self.spans
-                .msg_advance(&mut self.tracer, drain, 0, msg, SpanPhase::Align);
-            self.spans
-                .msg_advance(&mut self.tracer, drain, 0, msg, SpanPhase::Transfer);
-        }
-        let end = now + self.params.sched_ns + self.params.worm_stream_ns(worm.bytes);
+        core.established(now, 0, u, v);
+        // The grant ends `arrival`; `admit` is the 80 ns head-flit
+        // schedule; no slot alignment exists, so `align` is zero-length
+        // and `transfer` starts as the worm begins to drain. Later worms
+        // of the same message no-op (monotone advance).
+        let msg = worm.msg as u32;
+        let drain = now + core.params.sched_ns;
+        let (spans, tracer) = (&mut core.spans, &mut core.tracer);
+        spans.msg_advance(tracer, now, 0, msg, SpanPhase::Admit);
+        spans.msg_advance(tracer, drain, 0, msg, SpanPhase::Align);
+        spans.msg_advance(tracer, drain, 0, msg, SpanPhase::Transfer);
+        let end = drain + core.params.worm_stream_ns(worm.bytes);
         self.out_busy[v] = end;
-        self.push_event(end, Ev::DrainDone(u, v));
+        self.events.push(end, Ev::DrainDone(u, v));
     }
 
-    fn drain_done(&mut self, u: usize, v: usize, now: u64) {
+    fn drain_done(&mut self, core: &mut SimCore, u: usize, v: usize, now: u64) {
         let worm = self.draining[u].take().expect("a worm was draining");
         // A never-release SL cell keeps the cross-point closed: the output
         // stays occupied (and its eviction untraced) until the fault
         // clears in `poll_faults`.
-        let stuck = self.faults.as_ref().is_some_and(|f| f.stuck_release(u, v));
+        let stuck = core.faults.as_ref().is_some_and(|f| f.stuck_release(u, v));
         if stuck {
             self.held[v] = Some(u);
             self.out_busy[v] = u64::MAX;
-        } else if self.tracer.enabled() {
+        } else {
             // The crossbar path is held only for the worm's drain.
-            self.tracer.emit(
-                now,
-                0,
-                TraceEvent::ConnEvicted {
-                    src: u as u32,
-                    dst: v as u32,
-                    cause: EvictCause::Drop,
-                },
-            );
-            self.spans
-                .conn_end(&mut self.tracer, now, 0, u as u32, v as u32);
+            core.evicted(now, 0, u, v, EvictCause::Drop);
         }
         if worm.last {
             // Tail latency: second wire hop + deserialization + NIC receive.
             let tail =
-                self.params.link.wire_ns + self.params.link.s2p_ns + self.params.nic_cycle_ns;
-            let outcome = self.faults.as_mut().map_or(NicOutcome::Deliver, |f| {
-                f.nic_completion(worm.msg, u, now + tail)
-            });
-            let spec = self.msgs[worm.msg].spec;
-            match outcome {
-                NicOutcome::Deliver => {
-                    self.msgs[worm.msg].delivered_at = Some(now + tail);
-                    self.undelivered -= 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            now + tail,
-                            0,
-                            TraceEvent::MsgDelivered {
-                                src: spec.src as u32,
-                                dst: spec.dst as u32,
-                                bytes: spec.bytes,
-                                msg: worm.msg as u32,
-                                latency_ns: self.msgs[worm.msg].latency_ns(),
-                            },
-                        );
-                        self.spans
-                            .msg_end(&mut self.tracer, now + tail, 0, worm.msg as u32);
-                    }
+                core.params.link.wire_ns + core.params.link.s2p_ns + core.params.nic_cycle_ns;
+            match core.complete(worm.msg, u, now + tail, 0) {
+                NicOutcome::Deliver => core.trace_delivery(worm.msg, 0),
+                // Corrupted serialization: the whole message goes again
+                // after backoff.
+                NicOutcome::Retry { resume_at, .. } => {
+                    self.events.push(resume_at, Ev::Reinject(worm.msg))
                 }
-                NicOutcome::Retry { resume_at, attempt } => {
-                    // Corrupted serialization: the whole message goes
-                    // again after backoff.
-                    self.msg_retries += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            now + tail,
-                            0,
-                            TraceEvent::MsgRetried {
-                                src: spec.src as u32,
-                                dst: spec.dst as u32,
-                                msg: worm.msg as u32,
-                                attempt,
-                            },
-                        );
-                    }
-                    self.push_event(resume_at, Ev::Reinject(worm.msg));
-                }
-                NicOutcome::Abandon { retries } => {
-                    self.undelivered -= 1;
-                    self.msgs_abandoned += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            now + tail,
-                            0,
-                            TraceEvent::MsgAbandoned {
-                                src: spec.src as u32,
-                                dst: spec.dst as u32,
-                                msg: worm.msg as u32,
-                                retries,
-                            },
-                        );
-                        self.spans
-                            .msg_end(&mut self.tracer, now + tail, 0, worm.msg as u32);
-                    }
-                }
+                NicOutcome::Abandon { .. } => {}
             }
         }
         if !stuck {
@@ -626,13 +412,13 @@ impl WormholeSim {
             let waiters: Vec<usize> = self.out_waiters[v].drain(..).collect();
             for w in waiters {
                 self.waiting[w] = false;
-                self.try_grant(w, now);
+                self.try_grant(core, w, now);
             }
         }
-        self.try_grant(u, now);
-        self.try_upload(u, now);
+        self.try_grant(core, u, now);
+        self.try_upload(core, u, now);
         // Deliveries may release a barrier.
-        self.poll_engine(now);
+        self.poll_engine(core, now);
     }
 }
 
