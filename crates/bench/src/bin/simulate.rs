@@ -65,6 +65,14 @@ fn die(msg: String) -> ! {
     std::process::exit(1);
 }
 
+/// An impossible geometry (port, slot or preload count the pattern or
+/// paradigm cannot take): one line and the usage exit code, never a
+/// panic.
+fn bad_geometry(msg: String) -> ! {
+    eprintln!("simulate: {msg}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         pattern: "ordered-mesh".into(),
@@ -142,6 +150,9 @@ fn parse_args() -> Args {
         );
         usage()
     }
+    if args.slots == 0 {
+        bad_geometry("--slots needs at least 1 TDM slot, got 0".into())
+    }
     if args.flight.is_some() && args.serve.is_some() {
         eprintln!("--serve needs the full shared record buffer; it cannot be combined with --flight-recorder");
         usage()
@@ -186,7 +197,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn build_workload(a: &Args) -> Workload {
+/// Builds the `--pattern` workload, or says why `--ports` does not fit it.
+fn build_workload(a: &Args) -> Result<Workload, String> {
     // `dir:<path>` loads per-processor command files (as written by the
     // dump_cmdfiles tool) instead of generating a pattern.
     if let Some(dir) = a.pattern.strip_prefix("dir:") {
@@ -206,33 +218,78 @@ fn build_workload(a: &Args) -> Workload {
                     .unwrap_or_else(|e| die(format!("cannot read {}: {e}", p.display())))
             })
             .collect();
-        return Workload::from_command_files(format!("dir:{dir}"), &files)
+        let w = Workload::from_command_files(format!("dir:{dir}"), &files)
             .unwrap_or_else(|(p, e)| die(format!("processor {p}: {e}")));
+        if w.ports != a.ports {
+            return Err(format!(
+                "{dir} holds {} processors, but --ports is {}",
+                w.ports, a.ports
+            ));
+        }
+        return Ok(w);
     }
-    let mesh = || MeshSpec::for_ports(a.ports);
-    match a.pattern.as_str() {
-        "scatter" => scatter(a.ports, a.bytes),
-        "gather" => gather(a.ports, a.bytes),
-        "ring" => ring(a.ports, a.bytes, 4),
-        "uniform" => uniform(a.ports, a.bytes, 16, a.seed),
-        "hotspot" => hotspot(a.ports, a.bytes, 16, 0.5, a.seed),
-        "permutation" => permutation(a.ports, a.bytes, 8, a.seed),
-        "butterfly" => butterfly(a.ports, a.bytes),
+    let (pattern, ports) = (a.pattern.as_str(), a.ports);
+    let need = |what: &str| {
+        Err(format!(
+            "--pattern {pattern} needs {what}, got --ports {ports}"
+        ))
+    };
+    let min_ports = if pattern == "hotspot" { 3 } else { 2 };
+    if ports < min_ports {
+        return need(&format!("at least {min_ports} ports"));
+    }
+    let mesh = || MeshSpec::try_for_ports(ports).map_err(|e| format!("--pattern {pattern}: {e}"));
+    Ok(match pattern {
+        "scatter" => scatter(ports, a.bytes),
+        "gather" => gather(ports, a.bytes),
+        "ring" => ring(ports, a.bytes, 4),
+        "uniform" => uniform(ports, a.bytes, 16, a.seed),
+        "hotspot" => hotspot(ports, a.bytes, 16, 0.5, a.seed),
+        "permutation" => permutation(ports, a.bytes, 8, a.seed),
+        "butterfly" if !ports.is_power_of_two() => return need("a power-of-two port count"),
+        "butterfly" => butterfly(ports, a.bytes),
         "transpose" => {
-            let m = (a.ports as f64).sqrt() as usize;
-            assert_eq!(m * m, a.ports, "transpose needs a square port count");
+            let m = ports.isqrt();
+            if m * m != ports {
+                return need("a square port count");
+            }
             transpose(m, a.bytes, 2)
         }
         "stencil3d" => {
-            let s = (a.ports as f64).cbrt().round() as usize;
-            assert_eq!(s * s * s, a.ports, "stencil3d needs a cubic port count");
+            let s = (ports as f64).cbrt().round() as usize;
+            if s * s * s != ports {
+                return need("a cubic port count of at least 8");
+            }
             stencil3d(s, s, s, a.bytes, 2)
         }
-        "ordered-mesh" => ordered_mesh(mesh(), a.bytes, 4, 500, 100),
-        "random-mesh" => random_mesh(mesh(), a.bytes, 4, 500, 100, a.seed),
-        "two-phase" => two_phase(mesh(), a.bytes, 16, 500, 100, a.seed),
+        "ordered-mesh" => ordered_mesh(mesh()?, a.bytes, 4, 500, 100),
+        "random-mesh" => random_mesh(mesh()?, a.bytes, 4, 500, 100, a.seed),
+        "two-phase" => two_phase(mesh()?, a.bytes, 16, 500, 100, a.seed),
         _ => usage(),
+    })
+}
+
+/// A hybrid paradigm preloads its registers from the workload's pattern
+/// table: it needs that many slots and that many preloadable
+/// configurations.
+fn check_preloads(a: &Args, paradigm: &Paradigm, workload: &Workload) -> Result<(), String> {
+    let Paradigm::HybridTdm { preload_slots, .. } = *paradigm else {
+        return Ok(());
+    };
+    let (name, slots) = (&a.paradigm, a.slots);
+    if preload_slots > slots {
+        return Err(format!(
+            "--paradigm {name} preloads {preload_slots} slots, but --slots is {slots}"
+        ));
     }
+    let configs: usize = workload.patterns.iter().map(Vec::len).sum();
+    if configs < preload_slots {
+        return Err(format!(
+            "--paradigm {name} preloads {preload_slots} of the pattern's configurations, but --pattern {} provides {configs}",
+            a.pattern
+        ));
+    }
+    Ok(())
 }
 
 fn build_paradigm(a: &Args) -> Paradigm {
@@ -256,8 +313,9 @@ fn build_paradigm(a: &Args) -> Paradigm {
 
 fn main() {
     let args = parse_args();
-    let workload = build_workload(&args);
+    let workload = build_workload(&args).unwrap_or_else(|e| bad_geometry(e));
     let paradigm = build_paradigm(&args);
+    check_preloads(&args, &paradigm, &workload).unwrap_or_else(|e| bad_geometry(e));
     let params = SimParams::default()
         .with_ports(args.ports)
         .with_tdm_slots(args.slots)

@@ -162,6 +162,19 @@ impl BitMatrix {
         &self.words[r * self.row_words..(r + 1) * self.row_words]
     }
 
+    /// ORs row `src` of `other` into row `r` (word-parallel).
+    ///
+    /// # Panics
+    /// Panics if the column counts differ or a row is out of range.
+    pub fn or_row_from(&mut self, r: usize, other: &BitMatrix, src: usize) {
+        assert_eq!(self.cols, other.cols, "column count mismatch");
+        assert!(r < self.rows, "row {r} out of range");
+        let row = &mut self.words[r * self.row_words..(r + 1) * self.row_words];
+        for (a, &b) in row.iter_mut().zip(other.row_words(src)) {
+            *a |= b;
+        }
+    }
+
     /// Number of `u64` words backing each row of the packed storage.
     #[inline]
     pub fn words_per_row(&self) -> usize {

@@ -1,14 +1,17 @@
 //! Per-stage TDM scheduling over a [`StageGraph`]: the multi-stage
 //! scheduling pass.
 //!
-//! The router shadows the scheduler's `K` registers with `S x K`
-//! per-stage configuration matrices `B_s^(0..K-1)` plus per-layer line
-//! occupancy. Admitting a connection for a slot is a depth-first path
-//! search through the stage graph under that slot's availability —
-//! candidate lines at each hop come from word-parallel `pms-bitmat`
-//! operations (`reach-row AND NOT used`) — and commits atomically: either
-//! every stage gets its cross-point or nothing changes. Releases walk the
-//! stored path stage by stage.
+//! The router shadows the scheduler's `K` registers with one stored
+//! path per admitted connection plus per-layer line occupancy; the
+//! per-stage configuration `B_s^(k)` of slot `k` is the set of
+//! `(path[s], path[s + 1])` hops of that slot's paths. Admitting a
+//! connection for a slot is a depth-first path search through the stage
+//! graph under that slot's availability — candidate lines at each hop
+//! come from word slices (`live-link row AND NOT used AND reaches v`,
+//! where the last term is a static reach-to-output closure that prunes
+//! every branch that could never arrive at `v`) — and commits
+//! atomically: either every layer gets its line or nothing changes.
+//! Releases walk the stored path layer by layer.
 //!
 //! Faults reach the router through a per-stage link mask that starts as
 //! the stage's reach matrix and loses bits as internal links fail.
@@ -28,8 +31,11 @@ pub struct MultistageRouter {
     /// Per-stage live links, `reach AND link-health`: a stage accepts a
     /// configuration iff it is a partial permutation inside its mask.
     masks: Vec<BitMatrix>,
-    /// `B_s^(k)`: the configuration matrix of stage `s` in slot `k`.
-    stage_cfgs: Vec<Vec<BitMatrix>>,
+    /// `to_output[l - 1]` for inner layer `l` (`1..S`): bit `(v, a)` is
+    /// set iff line `a` of layer `l` reaches output `v` over the stage
+    /// graph's links. Static: failed links only remove paths, so the
+    /// closure stays a superset of what the live masks can reach.
+    to_output: Vec<BitMatrix>,
     /// `used[slot][layer]`: lines occupied by admitted paths.
     used: Vec<Vec<BitVec>>,
     /// `(slot, u, v) -> ` full line path (layer `0..=S`).
@@ -48,7 +54,7 @@ impl MultistageRouter {
         let s_count = graph.num_stages();
         Self {
             masks: (0..s_count).map(|s| graph.reach(s).clone()).collect(),
-            stage_cfgs: vec![vec![BitMatrix::square(w); slots]; s_count],
+            to_output: reach_to_output(&graph),
             used: vec![vec![BitVec::new(w); s_count + 1]; slots],
             paths: HashMap::new(),
             graph,
@@ -64,11 +70,6 @@ impl MultistageRouter {
     /// Number of TDM slots `K`.
     pub fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// The configuration matrix `B_s^(k)` of stage `s` in slot `k`.
-    pub fn stage_config(&self, stage: usize, slot: usize) -> &BitMatrix {
-        &self.stage_cfgs[stage][slot]
     }
 
     /// The path `u -> v` currently holds in `slot`, as one line per layer
@@ -126,7 +127,7 @@ impl MultistageRouter {
         let mut path = vec![0usize; s_count + 1];
         path[0] = u;
         path[s_count] = v;
-        // Each DFS frame builds one candidate row of the layer's width.
+        // Each DFS layer reads one candidate row of the layer's width.
         prof.add_words(((s_count + 1) * self.graph.width().div_ceil(64)) as u64);
         if self.dfs(slot, 0, u, v, &mut path) {
             Some(path)
@@ -136,38 +137,38 @@ impl MultistageRouter {
     }
 
     /// Extends the path from `line` (a free line of layer `stage`) toward
-    /// `v`, backtracking over the word-parallel candidate sets.
+    /// `v`, backtracking over the word-parallel candidate sets in
+    /// ascending line order. Pruning by `to_output` drops only branches
+    /// that could never complete, so the first path found is the one an
+    /// unpruned search finds.
     fn dfs(&self, slot: usize, stage: usize, line: usize, v: usize, path: &mut [usize]) -> bool {
-        let last = self.graph.num_stages() - 1;
-        // Candidate next lines: reachable over live links, not yet used.
-        let mut cand = self.masks[stage].row(line);
-        cand.and_not_assign(&self.used[slot][stage + 1]);
-        if stage == last {
-            return cand.get(v);
+        let used = &self.used[slot][stage + 1];
+        if stage == self.graph.num_stages() - 1 {
+            return self.masks[stage].get(line, v) && !used.get(v);
         }
-        for b in cand.iter_ones() {
-            path[stage + 1] = b;
-            if self.dfs(slot, stage + 1, b, v, path) {
-                return true;
+        // Candidate next lines: reachable over live links, not yet used,
+        // and still able to reach `v`.
+        let live = self.masks[stage].row_words(line);
+        let reaches = self.to_output[stage].row_words(v);
+        for (wi, ((&m, &u), &r)) in live.iter().zip(used.words()).zip(reaches).enumerate() {
+            let mut cand = m & !u & r;
+            while cand != 0 {
+                let b = wi * u64::BITS as usize + cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                path[stage + 1] = b;
+                if self.dfs(slot, stage + 1, b, v, path) {
+                    return true;
+                }
             }
         }
         false
     }
 
-    /// Debug-checks the router's invariants: every stage configuration is
-    /// a partial permutation over live links, and configurations agree
-    /// with the stored paths and line occupancy.
+    /// Debug-checks the router's invariants: every stage configuration
+    /// the stored paths imply is a partial permutation over live links,
+    /// and line occupancy agrees with the paths.
     pub fn check_invariants(&self) {
         let s_count = self.graph.num_stages();
-        for (stage, mask) in self.masks.iter().enumerate() {
-            for (slot, cfg) in self.stage_cfgs[stage].iter().enumerate() {
-                let dead = BitMatrix::zip2_with(cfg, mask, |c, m| c & !m);
-                assert!(
-                    cfg.is_partial_permutation() && dead.all_zero(),
-                    "stage {stage} slot {slot} configuration invalid"
-                );
-            }
-        }
         let mut cfgs = vec![vec![BitMatrix::square(self.graph.width()); self.slots]; s_count];
         let mut used = vec![vec![BitVec::new(self.graph.width()); s_count + 1]; self.slots];
         for (&(slot, u, v), path) in &self.paths {
@@ -180,7 +181,15 @@ impl MultistageRouter {
                 cfgs[stage][slot].set(path[stage], path[stage + 1], true);
             }
         }
-        assert_eq!(cfgs, self.stage_cfgs, "stage configs out of sync");
+        for (stage, mask) in self.masks.iter().enumerate() {
+            for (slot, cfg) in cfgs[stage].iter().enumerate() {
+                let dead = BitMatrix::zip2_with(cfg, mask, |c, m| c & !m);
+                assert!(
+                    cfg.is_partial_permutation() && dead.all_zero(),
+                    "stage {stage} slot {slot} configuration invalid"
+                );
+            }
+        }
         assert_eq!(used, self.used, "line occupancy out of sync");
     }
 }
@@ -209,9 +218,6 @@ impl SlotRouter for MultistageRouter {
         for (layer, &line) in path.iter().enumerate() {
             self.used[slot][layer].set(line, true);
         }
-        for stage in 0..self.graph.num_stages() {
-            self.stage_cfgs[stage][slot].set(path[stage], path[stage + 1], true);
-        }
         self.paths.insert((slot, u, v), path);
         true
     }
@@ -224,10 +230,31 @@ impl SlotRouter for MultistageRouter {
         for (layer, &line) in path.iter().enumerate() {
             self.used[slot][layer].set(line, false);
         }
-        for stage in 0..self.graph.num_stages() {
-            self.stage_cfgs[stage][slot].set(path[stage], path[stage + 1], false);
-        }
     }
+}
+
+/// The static reach-to-output closure of every inner layer, indexed
+/// `layer - 1` and stored transposed (row `v` holds the lines that reach
+/// output `v`). Built back to front: a line reaches whatever the lines
+/// in its reach row reach, and the last inner layer reaches exactly its
+/// stage's reach row.
+fn reach_to_output(graph: &StageGraph) -> Vec<BitMatrix> {
+    let s_count = graph.num_stages();
+    if s_count == 1 {
+        return Vec::new();
+    }
+    let mut closures = vec![graph.reach(s_count - 1).clone()];
+    for layer in (1..s_count - 1).rev() {
+        let next = closures.last().expect("seeded with the last layer");
+        let mut from = BitMatrix::square(graph.width());
+        for a in 0..graph.width() {
+            for b in graph.reach(layer).iter_row_ones(a) {
+                from.or_row_from(a, next, b);
+            }
+        }
+        closures.push(from);
+    }
+    closures.iter().rev().map(BitMatrix::transpose).collect()
 }
 
 #[cfg(test)]
@@ -432,5 +459,94 @@ mod tests {
             "one slot per cross-leaf connection"
         );
         router.check_invariants();
+    }
+
+    /// Reference search: the same depth-first order over `live row AND
+    /// NOT used`, without reach-to-output pruning.
+    fn unpruned_search(
+        r: &MultistageRouter,
+        slot: usize,
+        u: usize,
+        v: usize,
+    ) -> Option<Vec<usize>> {
+        fn dfs(
+            r: &MultistageRouter,
+            slot: usize,
+            stage: usize,
+            v: usize,
+            path: &mut [usize],
+        ) -> bool {
+            let mut cand = r.masks[stage].row(path[stage]);
+            cand.and_not_assign(&r.used[slot][stage + 1]);
+            if stage == r.graph.num_stages() - 1 {
+                return cand.get(v);
+            }
+            for b in cand.iter_ones() {
+                path[stage + 1] = b;
+                if dfs(r, slot, stage + 1, v, path) {
+                    return true;
+                }
+            }
+            false
+        }
+        let s_count = r.graph.num_stages();
+        let mut path = vec![0; s_count + 1];
+        (path[0], path[s_count]) = (u, v);
+        dfs(r, slot, 0, v, &mut path).then_some(path)
+    }
+
+    #[test]
+    fn pruned_search_finds_the_unpruned_path() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let graphs = [
+            StageGraph::omega(16),
+            StageGraph::butterfly(16),
+            StageGraph::fat_tree(16, 4, 1),
+            StageGraph::fat_tree(16, 4, 2),
+        ];
+        let mut found = 0;
+        for graph in graphs {
+            let (n, width) = (graph.ports(), graph.width());
+            for round in 0..24 {
+                let mut r = MultistageRouter::new(graph.clone(), 2);
+                // Failed stage links, some of them on live paths later.
+                for _ in 0..round % 6 {
+                    let s = rand(graph.num_stages());
+                    let a = rand(width);
+                    if let Some(b) = graph.reach(s).iter_row_ones(a).nth(rand(2)) {
+                        r.fail_stage_link(s, a, b);
+                    }
+                }
+                // Random occupancy: admit a random share of pairs.
+                for _ in 0..rand(2 * n) {
+                    let (slot, u, v) = (rand(2), rand(n), rand(n));
+                    if r.path_of(slot, u, v).is_none() {
+                        r.try_admit(slot, u, v);
+                    }
+                }
+                r.check_invariants();
+                for slot in 0..2 {
+                    for u in 0..n {
+                        for v in 0..n {
+                            let want = unpruned_search(&r, slot, u, v);
+                            found += usize::from(want.is_some());
+                            assert_eq!(
+                                r.search(slot, u, v),
+                                want,
+                                "{} {slot} {u}->{v}",
+                                graph.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found > 0, "some searches must succeed");
     }
 }

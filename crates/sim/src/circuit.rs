@@ -50,7 +50,7 @@ impl CircuitSim {
         let mut scheduler = Scheduler::new(SchedulerConfig::new(params.ports, 1));
         scheduler.set_pool(Arc::clone(&core.pool));
         let switch = Circuit {
-            voqs: Voqs::new(params.ports),
+            voqs: Voqs::new(params.ports, core.msgs.len()),
             scheduler,
             usable_from: HashMap::new(),
             pending_release: HashSet::new(),

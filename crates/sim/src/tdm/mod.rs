@@ -288,7 +288,7 @@ impl TdmSim {
         }
         let switch = Tdm {
             mode_label,
-            voqs: Voqs::new(core.params.ports),
+            voqs: Voqs::new(core.params.ports, core.msgs.len()),
             backend,
             patterns: workload.patterns.clone(),
             preload_loads: initial_loads,

@@ -20,16 +20,26 @@ impl MeshSpec {
     ///
     /// # Panics
     /// Panics if `n` has no factorization `rows * cols` with both > 1
-    /// (i.e. `n` prime or < 4).
+    /// (i.e. `n` prime or < 4); [`try_for_ports`](Self::try_for_ports)
+    /// reports that as an error instead.
     pub fn for_ports(n: usize) -> Self {
+        Self::try_for_ports(n).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`for_ports`](Self::for_ports), or an error naming `n` when it
+    /// has no 2D factorization.
+    pub fn try_for_ports(n: usize) -> Result<Self, String> {
         let mut rows = (n as f64).sqrt() as usize;
         while rows > 1 && !n.is_multiple_of(rows) {
             rows -= 1;
         }
-        assert!(rows > 1 && n / rows > 1, "no 2D mesh for {n} processors");
-        Self {
-            rows,
-            cols: n / rows,
+        if rows > 1 && n / rows > 1 {
+            Ok(Self {
+                rows,
+                cols: n / rows,
+            })
+        } else {
+            Err(format!("no 2D mesh for {n} processors"))
         }
     }
 
@@ -443,6 +453,20 @@ mod tests {
     #[should_panic(expected = "no 2D mesh")]
     fn prime_ports_rejected() {
         MeshSpec::for_ports(13);
+    }
+
+    #[test]
+    fn try_for_ports_reports_unfactorable_counts() {
+        for n in [0, 1, 2, 3, 13] {
+            assert_eq!(
+                MeshSpec::try_for_ports(n),
+                Err(format!("no 2D mesh for {n} processors"))
+            );
+        }
+        assert_eq!(
+            MeshSpec::try_for_ports(4),
+            Ok(MeshSpec { rows: 2, cols: 2 })
+        );
     }
 
     #[test]
