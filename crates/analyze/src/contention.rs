@@ -264,18 +264,23 @@ fn setup_attribution(records: &[TraceRecord]) -> SetupAttribution {
     }
 }
 
-fn hol_stalls(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolReport {
-    // Message lifecycle: injection time/source/destination, delivery
-    // latency.
-    struct Life {
-        t_inj: u64,
-        src: u32,
-        dst: u32,
-        latency: Option<u64>,
-        t_del: u64,
-    }
+/// Message lifecycle: injection time/source/destination, delivery
+/// latency.
+struct Life {
+    t_inj: u64,
+    src: u32,
+    dst: u32,
+    latency: Option<u64>,
+    t_del: u64,
+}
+
+/// Each message id's final lifecycle (a re-injected id overwrites its
+/// earlier one, and a delivery updates whichever injection is current),
+/// the injection order of ids (duplicates included), and the median
+/// delivery latency.
+fn lifecycles(records: &[TraceRecord]) -> (HashMap<u32, Life>, Vec<u32>, u64) {
     let mut lives: HashMap<u32, Life> = HashMap::new();
-    let mut order: Vec<u32> = Vec::new(); // injection order
+    let mut order: Vec<u32> = Vec::new();
     for rec in records {
         match rec.event {
             TraceEvent::MsgInjected { src, dst, msg, .. } => {
@@ -305,6 +310,20 @@ fn hol_stalls(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolRep
     let mut lats: Vec<u64> = lives.values().filter_map(|l| l.latency).collect();
     lats.sort_unstable();
     let median = lats.get(lats.len() / 2).copied().unwrap_or(0);
+    (lives, order, median)
+}
+
+/// Flags slow messages and sorts the suspects worst first. `blockers`
+/// counts, for the message at injection-order position `i`, the earlier
+/// positions whose message blocked it.
+fn collect_stalls(
+    lives: &HashMap<u32, Life>,
+    order: &[u32],
+    median: u64,
+    factor: f64,
+    max_stalls: usize,
+    mut blockers: impl FnMut(usize, &Life) -> u32,
+) -> HolReport {
     let threshold = (median as f64 * factor) as u64;
     let mut stalls: Vec<HolStall> = Vec::new();
     for (i, &msg) in order.iter().enumerate() {
@@ -313,15 +332,7 @@ fn hol_stalls(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolRep
         if median == 0 || latency <= threshold {
             continue;
         }
-        // Earlier injections from the same source, to a different
-        // destination, still undelivered when this message arrived.
-        let blockers = order[..i]
-            .iter()
-            .filter(|&&e| {
-                let b = &lives[&e];
-                b.src == m.src && b.dst != m.dst && b.t_inj <= m.t_inj && b.t_del > m.t_inj
-            })
-            .count() as u32;
+        let blockers = blockers(i, m);
         if blockers > 0 {
             stalls.push(HolStall {
                 msg,
@@ -342,9 +353,45 @@ fn hol_stalls(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolRep
     }
 }
 
+fn hol_stalls(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolReport {
+    let (lives, order, median) = lifecycles(records);
+    // Injection-order positions grouped by source, ascending, with the
+    // blocker-test fields copied out of the `Life` each position's id
+    // resolves to (its last injection). A slow message scans only its
+    // own source's earlier injections: O(M) plus, per slow message, the
+    // number of earlier injections from its source.
+    struct Inj {
+        pos: u32,
+        dst: u32,
+        t_inj: u64,
+        t_del: u64,
+    }
+    let mut by_src: HashMap<u32, Vec<Inj>> = HashMap::new();
+    for (pos, msg) in order.iter().enumerate() {
+        let l = &lives[msg];
+        by_src.entry(l.src).or_default().push(Inj {
+            pos: u32::try_from(pos).expect("more than 2^32 injections"),
+            dst: l.dst,
+            t_inj: l.t_inj,
+            t_del: l.t_del,
+        });
+    }
+    collect_stalls(&lives, &order, median, factor, max_stalls, |i, m| {
+        let same_src = &by_src[&m.src];
+        let earlier = &same_src[..same_src.partition_point(|b| (b.pos as usize) < i)];
+        // Earlier injections from the same source, to a different
+        // destination, still undelivered when this message arrived.
+        earlier
+            .iter()
+            .filter(|b| b.dst != m.dst && b.t_inj <= m.t_inj && b.t_del > m.t_inj)
+            .count() as u32
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(t_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -517,5 +564,78 @@ mod tests {
         }
         assert!((share - 1.0).abs() < 0.01, "shares sum to {share}:\n{csv}");
         assert!(csv.contains("service,"), "{csv}");
+    }
+
+    /// The original O(M^2) scan: every earlier injection, whatever its
+    /// source, looked up by id. The per-source index must match it.
+    fn hol_stalls_reference(records: &[TraceRecord], factor: f64, max_stalls: usize) -> HolReport {
+        let (lives, order, median) = lifecycles(records);
+        collect_stalls(&lives, &order, median, factor, max_stalls, |i, m| {
+            order[..i]
+                .iter()
+                .filter(|&&e| {
+                    let b = &lives[&e];
+                    b.src == m.src && b.dst != m.dst && b.t_inj <= m.t_inj && b.t_del > m.t_inj
+                })
+                .count() as u32
+        })
+    }
+
+    #[test]
+    fn duplicate_ids_count_against_their_last_injection() {
+        // msg 7 is injected twice; both order positions read its second
+        // life (src 0 -> dst 2, injected at 30), so the first position
+        // is not a blocker of msg 9 (dst 2) but msg 8 (dst 1) is.
+        let records = vec![
+            inj(0, 7, 0, 1),
+            inj(10, 8, 0, 1),
+            inj(30, 7, 0, 2),
+            inj(40, 9, 0, 2),
+            inj(50, 1, 1, 0),
+            del(150, 1, 1, 0, 100),
+            inj(60, 2, 1, 0),
+            del(160, 2, 1, 0, 100),
+            del(5_000, 9, 0, 2, 4_960),
+        ];
+        let h = hol_stalls(&records, 2.0, 10);
+        assert_eq!(h, hol_stalls_reference(&records, 2.0, 10));
+        assert_eq!(h.messages, 5);
+        let victim = h.stalls.iter().find(|s| s.msg == 9).expect("msg 9 flagged");
+        assert_eq!(victim.blockers, 1, "only msg 8 blocks msg 9");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random injection/delivery streams (several sources, reused
+        /// message ids, out-of-order and equal timestamps, undelivered
+        /// messages) the per-source scan reports exactly what the
+        /// quadratic reference does.
+        #[test]
+        fn per_source_scan_matches_quadratic_reference(
+            events in prop::collection::vec(
+                ((0u8..3, 0u64..40, 0u32..12), (0u32..4, 0u32..4, 0u64..400)),
+                0..120,
+            ),
+            factor_halves in 0u32..6,
+            max_stalls in 0usize..12,
+        ) {
+            let records: Vec<TraceRecord> = events
+                .iter()
+                .map(|&((kind, t, msg), (src, dst, latency))| {
+                    let event = if kind < 2 {
+                        TraceEvent::MsgInjected { src, dst, bytes: 64, msg }
+                    } else {
+                        TraceEvent::MsgDelivered { src, dst, bytes: 64, msg, latency_ns: latency }
+                    };
+                    TraceRecord { t_ns: t * 10, slot: 0, event }
+                })
+                .collect();
+            let factor = factor_halves as f64 * 0.5;
+            prop_assert_eq!(
+                hol_stalls(&records, factor, max_stalls),
+                hol_stalls_reference(&records, factor, max_stalls)
+            );
+        }
     }
 }

@@ -238,7 +238,7 @@ pub fn parse_jsonl(text: &str) -> Result<Replay, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pms_trace::record_json;
+    use pms_trace::{record_json, write_record_line};
 
     fn sample_records() -> Vec<TraceRecord> {
         let mk = |t_ns, slot, event| TraceRecord { t_ns, slot, event };
@@ -450,13 +450,81 @@ mod tests {
     #[test]
     fn every_kind_roundtrips_through_jsonl() {
         let records = sample_records();
-        let text: String = records
-            .iter()
-            .map(|r| record_json(r).render() + "\n")
-            .collect();
+        let mut text = String::new();
+        for r in &records {
+            write_record_line(&mut text, r);
+            text.push('\n');
+        }
         let replay = parse_jsonl(&text).unwrap();
         assert_eq!(replay.records, records);
         assert_eq!(replay.skipped_unknown, 0);
+    }
+
+    /// The line writer renders exactly the `record_json` tree: every
+    /// kind, and every cause, class and phase label.
+    #[test]
+    fn line_writer_matches_record_json() {
+        let mk = |event| TraceRecord {
+            t_ns: 7,
+            slot: 1,
+            event,
+        };
+        let mut records = sample_records();
+        for cause in EvictCause::ALL {
+            records.push(mk(TraceEvent::ConnEvicted {
+                src: 1,
+                dst: 2,
+                cause,
+            }));
+        }
+        for class in FaultClass::ALL {
+            for event in [
+                TraceEvent::FaultInjected {
+                    fault: 3,
+                    class,
+                    src: 1,
+                    dst: 2,
+                },
+                TraceEvent::FaultCleared {
+                    fault: 3,
+                    class,
+                    src: 1,
+                    dst: 2,
+                },
+            ] {
+                records.push(mk(event));
+            }
+        }
+        for cause in RejectCause::ALL {
+            records.push(mk(TraceEvent::RequestRejected {
+                req: 4,
+                tenant: 0,
+                src: 1,
+                dst: 2,
+                cause,
+            }));
+        }
+        for phase in pms_trace::SpanPhase::ALL {
+            records.push(mk(TraceEvent::SpanStart {
+                span: 5,
+                parent: u32::MAX,
+                phase,
+                msg: 6,
+                src: 1,
+                dst: 2,
+            }));
+            records.push(mk(TraceEvent::SpanEnd {
+                span: 5,
+                phase,
+                msg: 6,
+            }));
+        }
+        let mut line = String::new();
+        for rec in &records {
+            line.clear();
+            write_record_line(&mut line, rec);
+            assert_eq!(line, record_json(rec).render());
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //!   alert events carry rule indices, not names, so replay needs no
 //!   rules file.
 //! * `/flight` lines are exactly the [`JsonlTracer`](pms_trace::JsonlTracer)
-//!   stream format (`record_json(rec).render()` + newline), so the dump
+//!   stream format (`write_record_line` + newline), so the dump
 //!   feeds straight into the `analyze` binary.
 
 use pms_analyze::{admission, alerts, build_report, ReportConfig};
-use pms_trace::sink::record_json;
+use pms_trace::sink::write_record_line;
 use pms_trace::{
     prof, series_from_records, Json, MetricsRegistry, SharedTracer, TraceEvent, TraceRecord,
     PROMETHEUS_CONTENT_TYPE,
@@ -329,7 +329,7 @@ fn flight_body(records: &[TraceRecord], query: &str) -> Result<String, String> {
     let start = tail.map_or(0, |n| records.len().saturating_sub(n));
     let mut out = String::new();
     for rec in &records[start..] {
-        out.push_str(&record_json(rec).render());
+        write_record_line(&mut out, rec);
         out.push('\n');
     }
     Ok(out)
@@ -417,7 +417,7 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
 mod tests {
     use super::*;
     use pms_trace::span::SpanTracker;
-    use pms_trace::{TraceSink, Tracer};
+    use pms_trace::{record_json, TraceSink, Tracer};
     use std::io::Read;
 
     /// Blocking mini-client: one GET, returns (status, headers, body).

@@ -547,6 +547,255 @@ impl TraceEvent {
 
     /// Number of distinct event kinds (exporter sanity checks).
     pub const KIND_COUNT: usize = 22;
+
+    /// Calls `f` with each payload field's export name and value, in
+    /// export order. This is the one field list behind every JSONL
+    /// exporter: `record_json` folds it into a `Json` object and
+    /// `write_record_line` renders it straight into a line buffer.
+    pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, Field)) {
+        use Field::{Label, U};
+        match *self {
+            TraceEvent::MsgInjected {
+                src,
+                dst,
+                bytes,
+                msg,
+            } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("bytes", U(bytes.into()));
+                f("msg", U(msg.into()));
+            }
+            TraceEvent::MsgDelivered {
+                src,
+                dst,
+                bytes,
+                msg,
+                latency_ns,
+            } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("bytes", U(bytes.into()));
+                f("msg", U(msg.into()));
+                f("latency_ns", U(latency_ns));
+            }
+            TraceEvent::ConnRequested { src, dst } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+            }
+            TraceEvent::ConnEstablished { src, dst, slot_idx } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("slot_idx", U(slot_idx.into()));
+            }
+            TraceEvent::ConnEvicted { src, dst, cause } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("cause", Label(cause.label()));
+            }
+            TraceEvent::SlotAdvanced { slot_idx } => {
+                f("slot_idx", U(slot_idx.into()));
+            }
+            TraceEvent::SchedPass {
+                passes,
+                ripple_depth,
+                established,
+                released,
+                denied,
+            } => {
+                f("passes", U(passes));
+                f("ripple_depth", U(ripple_depth.into()));
+                f("established", U(established.into()));
+                f("released", U(released.into()));
+                f("denied", U(denied.into()));
+            }
+            TraceEvent::PreloadApplied {
+                slot_idx,
+                connections,
+            } => {
+                f("slot_idx", U(slot_idx.into()));
+                f("connections", U(connections.into()));
+            }
+            TraceEvent::PhaseFlush { cleared } => {
+                f("cleared", U(cleared.into()));
+            }
+            TraceEvent::FaultInjected {
+                fault,
+                class,
+                src,
+                dst,
+            }
+            | TraceEvent::FaultCleared {
+                fault,
+                class,
+                src,
+                dst,
+            } => {
+                f("fault", U(fault.into()));
+                f("class", Label(class.label()));
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+            }
+            TraceEvent::MsgRetried {
+                src,
+                dst,
+                msg,
+                attempt,
+            } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("msg", U(msg.into()));
+                f("attempt", U(attempt.into()));
+            }
+            TraceEvent::MsgAbandoned {
+                src,
+                dst,
+                msg,
+                retries,
+            } => {
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("msg", U(msg.into()));
+                f("retries", U(retries.into()));
+            }
+            TraceEvent::RequestEnqueued {
+                req,
+                tenant,
+                src,
+                dst,
+            } => {
+                f("req", U(req.into()));
+                f("tenant", U(tenant.into()));
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+            }
+            TraceEvent::RequestGranted {
+                req,
+                tenant,
+                src,
+                dst,
+                wait_ns,
+            } => {
+                f("req", U(req.into()));
+                f("tenant", U(tenant.into()));
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("wait_ns", U(wait_ns));
+            }
+            TraceEvent::RequestRejected {
+                req,
+                tenant,
+                src,
+                dst,
+                cause,
+            } => {
+                f("req", U(req.into()));
+                f("tenant", U(tenant.into()));
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+                f("cause", Label(cause.label()));
+            }
+            TraceEvent::BatchAdmitted {
+                batch,
+                capacity,
+                selected,
+                granted,
+                denied,
+                pending,
+            } => {
+                f("batch", U(batch.into()));
+                f("capacity", U(capacity.into()));
+                f("selected", U(selected.into()));
+                f("granted", U(granted.into()));
+                f("denied", U(denied.into()));
+                f("pending", U(pending.into()));
+            }
+            TraceEvent::SpanStart {
+                span,
+                parent,
+                phase,
+                msg,
+                src,
+                dst,
+            } => {
+                f("span", U(span.into()));
+                f("parent", U(parent.into()));
+                f("phase", Label(phase.label()));
+                f("msg", U(msg.into()));
+                f("src", U(src.into()));
+                f("dst", U(dst.into()));
+            }
+            TraceEvent::SpanEnd { span, phase, msg } => {
+                f("span", U(span.into()));
+                f("phase", Label(phase.label()));
+                f("msg", U(msg.into()));
+            }
+            TraceEvent::MetricsSnapshot {
+                seq,
+                delivered,
+                bytes,
+                established,
+                evicted,
+                denied,
+                retries,
+                abandoned,
+                faults_injected,
+                faults_cleared,
+                setups,
+                setup_total_ns,
+                setup_max_ns,
+                passes,
+                enqueued,
+                granted,
+                rejected,
+                batches,
+            } => {
+                f("seq", U(seq.into()));
+                f("delivered", U(delivered.into()));
+                f("bytes", U(bytes));
+                f("established", U(established.into()));
+                f("evicted", U(evicted.into()));
+                f("denied", U(denied.into()));
+                f("retries", U(retries.into()));
+                f("abandoned", U(abandoned.into()));
+                f("faults_injected", U(faults_injected.into()));
+                f("faults_cleared", U(faults_cleared.into()));
+                f("setups", U(setups.into()));
+                f("setup_total_ns", U(setup_total_ns));
+                f("setup_max_ns", U(setup_max_ns));
+                f("passes", U(passes.into()));
+                f("enqueued", U(enqueued.into()));
+                f("granted", U(granted.into()));
+                f("rejected", U(rejected.into()));
+                f("batches", U(batches.into()));
+            }
+            TraceEvent::AlertRaised {
+                rule,
+                seq,
+                value,
+                threshold,
+            } => {
+                f("rule", U(rule.into()));
+                f("seq", U(seq.into()));
+                f("value", U(value));
+                f("threshold", U(threshold));
+            }
+            TraceEvent::AlertCleared { rule, seq } => {
+                f("rule", U(rule.into()));
+                f("seq", U(seq.into()));
+            }
+        }
+    }
+}
+
+/// One exported payload field value (see `TraceEvent::for_each_field`).
+/// Every event payload is an unsigned integer or a closed-set label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// An unsigned integer (every `u32`/`u64` payload field).
+    U(u64),
+    /// A cause, class or phase label (`EvictCause::label` and friends).
+    Label(&'static str),
 }
 
 /// A [`TraceEvent`] stamped with when (simulation ns) and where (active

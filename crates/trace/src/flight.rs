@@ -18,7 +18,7 @@
 
 use crate::event::TraceEvent;
 use crate::json::ParseError;
-use crate::sink::{record_json, RingTracer, TraceSink};
+use crate::sink::{write_record_line, RingTracer, TraceSink};
 use crate::{Json, TraceRecord};
 use std::fmt;
 use std::fs::File;
@@ -161,8 +161,12 @@ impl FlightRecorder {
         ]);
         let mut lines = 1u64;
         let _ = writeln!(out, "{}", marker.render());
+        let mut line = String::new();
         for rec in self.ring.records() {
-            let _ = writeln!(out, "{}", record_json(&rec).render());
+            line.clear();
+            write_record_line(&mut line, &rec);
+            line.push('\n');
+            let _ = out.write_all(line.as_bytes());
             lines += 1;
         }
         self.written += lines;

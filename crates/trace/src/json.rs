@@ -51,6 +51,7 @@ impl Json {
     /// optional surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -171,7 +172,7 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -207,6 +208,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -344,13 +346,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the byte stream is valid UTF-8 by construction).
+                    // Copy the whole run up to the next `"` or `\` (or
+                    // the end of input). Both are ASCII, so the run ends
+                    // on a char boundary of the &str input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -547,6 +552,34 @@ mod tests {
             let parsed_pretty = Json::parse(&v.render_pretty()).unwrap();
             assert_eq!(parsed_pretty, v);
         }
+
+        // A string over 1 MiB mixing multi-byte runs with escaped quotes,
+        // backslashes, `\u` escapes and surrogate pairs: string lexing is
+        // linear, so this parses in milliseconds.
+        let unit_raw = r#"héllo → 🚀 \" \\ \u00e9\ud83d\ude80 ünï "#;
+        let unit_val = "héllo → 🚀 \" \\ é🚀 ünï ";
+        let reps = (1 << 20) / unit_raw.len() + 1;
+        let raw = format!("\"{}\"", unit_raw.repeat(reps));
+        assert!(raw.len() >= 1 << 20);
+        let long = Json::str(unit_val.repeat(reps));
+        assert_eq!(Json::parse(&raw).unwrap(), long);
+        assert_eq!(Json::parse(&long.render()).unwrap(), long);
+
+        // Errors inside or at the end of a multi-byte run keep their
+        // byte offsets: end of input for an unterminated string, just
+        // past the bad escape character for an invalid escape.
+        for text in ["\"abc → 🚀ü", "[\"ok\", \"🚀🚀"] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.offset, text.len(), "{text}");
+            assert_eq!(err.msg, "unterminated string");
+        }
+        let text = "\"ü🚀\\q\"";
+        let err = Json::parse(text).unwrap_err();
+        assert_eq!(err.offset, text.find("\\q").unwrap() + 2);
+        assert_eq!(err.msg, "invalid escape");
+        let unterminated_long = &raw[..raw.len() - 1];
+        let err = Json::parse(unterminated_long).unwrap_err();
+        assert_eq!(err.offset, unterminated_long.len());
     }
 
     #[test]

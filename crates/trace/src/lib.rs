@@ -45,8 +45,8 @@ pub use metrics::{prometheus_name, Histogram, MetricsRegistry, PROMETHEUS_CONTEN
 pub use prof::{KernelSnapshot, ProfKernel, ProfScope};
 pub use shard::{merge_by_key, merge_records};
 pub use sink::{
-    record_json, write_jsonl, JsonlTracer, NullTracer, PipelineTracer, RingTracer, SharedTracer,
-    TraceSink, Tracer, VecTracer,
+    record_json, write_jsonl, write_record_line, JsonlTracer, NullTracer, PipelineTracer,
+    RingTracer, SharedTracer, TraceSink, Tracer, VecTracer,
 };
 pub use span::{SpanTracker, NO_MSG, NO_PARENT};
 pub use timeseries::{

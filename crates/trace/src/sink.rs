@@ -13,8 +13,9 @@
 //!
 //! so with [`Tracer::Null`] no event is even constructed.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{Field, TraceEvent, TraceRecord};
 use crate::json;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -131,6 +132,9 @@ impl TraceSink for VecTracer {
 #[derive(Debug)]
 pub struct JsonlTracer {
     out: BufWriter<File>,
+    /// Reused line buffer: steady-state records render without
+    /// allocating.
+    line: String,
     written: u64,
 }
 
@@ -139,6 +143,7 @@ impl JsonlTracer {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(JsonlTracer {
             out: BufWriter::new(File::create(path)?),
+            line: String::new(),
             written: 0,
         })
     }
@@ -159,9 +164,11 @@ impl TraceSink for JsonlTracer {
     // `Tracer::emit`'s inlined match keeps the hot arms hot.
     #[inline(never)]
     fn record(&mut self, rec: TraceRecord) {
-        let line = record_json(&rec).render();
+        self.line.clear();
+        write_record_line(&mut self.line, &rec);
+        self.line.push('\n');
         // A full disk mid-trace should not take the simulation down.
-        let _ = writeln!(self.out, "{line}");
+        let _ = self.out.write_all(self.line.as_bytes());
         self.written += 1;
     }
 }
@@ -232,7 +239,10 @@ pub fn write_jsonl(path: impl AsRef<Path>, records: &[TraceRecord]) -> io::Resul
     t.flush()
 }
 
-/// Renders one record as a JSON object (used by JSONL and tests).
+/// Renders one record as a JSON object: `kind`, `t_ns`, `slot`, then
+/// the event's payload fields. The reference form of a JSONL line;
+/// [`write_record_line`] renders the same bytes without building the
+/// tree.
 pub fn record_json(rec: &TraceRecord) -> json::Json {
     use json::Json;
     let mut fields: Vec<(String, Json)> = vec![
@@ -240,239 +250,35 @@ pub fn record_json(rec: &TraceRecord) -> json::Json {
         ("t_ns".to_string(), Json::UInt(rec.t_ns)),
         ("slot".to_string(), Json::UInt(rec.slot as u64)),
     ];
-    let mut push = |k: &str, v: Json| fields.push((k.to_string(), v));
-    match rec.event {
-        TraceEvent::MsgInjected {
-            src,
-            dst,
-            bytes,
-            msg,
-        } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("bytes", bytes.into());
-            push("msg", msg.into());
-        }
-        TraceEvent::MsgDelivered {
-            src,
-            dst,
-            bytes,
-            msg,
-            latency_ns,
-        } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("bytes", bytes.into());
-            push("msg", msg.into());
-            push("latency_ns", latency_ns.into());
-        }
-        TraceEvent::ConnRequested { src, dst } => {
-            push("src", src.into());
-            push("dst", dst.into());
-        }
-        TraceEvent::ConnEstablished { src, dst, slot_idx } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("slot_idx", slot_idx.into());
-        }
-        TraceEvent::ConnEvicted { src, dst, cause } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("cause", Json::str(cause.label()));
-        }
-        TraceEvent::SlotAdvanced { slot_idx } => {
-            push("slot_idx", slot_idx.into());
-        }
-        TraceEvent::SchedPass {
-            passes,
-            ripple_depth,
-            established,
-            released,
-            denied,
-        } => {
-            push("passes", passes.into());
-            push("ripple_depth", ripple_depth.into());
-            push("established", established.into());
-            push("released", released.into());
-            push("denied", denied.into());
-        }
-        TraceEvent::PreloadApplied {
-            slot_idx,
-            connections,
-        } => {
-            push("slot_idx", slot_idx.into());
-            push("connections", connections.into());
-        }
-        TraceEvent::PhaseFlush { cleared } => {
-            push("cleared", cleared.into());
-        }
-        TraceEvent::FaultInjected {
-            fault,
-            class,
-            src,
-            dst,
-        }
-        | TraceEvent::FaultCleared {
-            fault,
-            class,
-            src,
-            dst,
-        } => {
-            push("fault", fault.into());
-            push("class", Json::str(class.label()));
-            push("src", src.into());
-            push("dst", dst.into());
-        }
-        TraceEvent::MsgRetried {
-            src,
-            dst,
-            msg,
-            attempt,
-        } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("msg", msg.into());
-            push("attempt", attempt.into());
-        }
-        TraceEvent::MsgAbandoned {
-            src,
-            dst,
-            msg,
-            retries,
-        } => {
-            push("src", src.into());
-            push("dst", dst.into());
-            push("msg", msg.into());
-            push("retries", retries.into());
-        }
-        TraceEvent::RequestEnqueued {
-            req,
-            tenant,
-            src,
-            dst,
-        } => {
-            push("req", req.into());
-            push("tenant", tenant.into());
-            push("src", src.into());
-            push("dst", dst.into());
-        }
-        TraceEvent::RequestGranted {
-            req,
-            tenant,
-            src,
-            dst,
-            wait_ns,
-        } => {
-            push("req", req.into());
-            push("tenant", tenant.into());
-            push("src", src.into());
-            push("dst", dst.into());
-            push("wait_ns", wait_ns.into());
-        }
-        TraceEvent::RequestRejected {
-            req,
-            tenant,
-            src,
-            dst,
-            cause,
-        } => {
-            push("req", req.into());
-            push("tenant", tenant.into());
-            push("src", src.into());
-            push("dst", dst.into());
-            push("cause", Json::str(cause.label()));
-        }
-        TraceEvent::BatchAdmitted {
-            batch,
-            capacity,
-            selected,
-            granted,
-            denied,
-            pending,
-        } => {
-            push("batch", batch.into());
-            push("capacity", capacity.into());
-            push("selected", selected.into());
-            push("granted", granted.into());
-            push("denied", denied.into());
-            push("pending", pending.into());
-        }
-        TraceEvent::SpanStart {
-            span,
-            parent,
-            phase,
-            msg,
-            src,
-            dst,
-        } => {
-            push("span", span.into());
-            push("parent", parent.into());
-            push("phase", Json::str(phase.label()));
-            push("msg", msg.into());
-            push("src", src.into());
-            push("dst", dst.into());
-        }
-        TraceEvent::SpanEnd { span, phase, msg } => {
-            push("span", span.into());
-            push("phase", Json::str(phase.label()));
-            push("msg", msg.into());
-        }
-        TraceEvent::MetricsSnapshot {
-            seq,
-            delivered,
-            bytes,
-            established,
-            evicted,
-            denied,
-            retries,
-            abandoned,
-            faults_injected,
-            faults_cleared,
-            setups,
-            setup_total_ns,
-            setup_max_ns,
-            passes,
-            enqueued,
-            granted,
-            rejected,
-            batches,
-        } => {
-            push("seq", seq.into());
-            push("delivered", delivered.into());
-            push("bytes", bytes.into());
-            push("established", established.into());
-            push("evicted", evicted.into());
-            push("denied", denied.into());
-            push("retries", retries.into());
-            push("abandoned", abandoned.into());
-            push("faults_injected", faults_injected.into());
-            push("faults_cleared", faults_cleared.into());
-            push("setups", setups.into());
-            push("setup_total_ns", setup_total_ns.into());
-            push("setup_max_ns", setup_max_ns.into());
-            push("passes", passes.into());
-            push("enqueued", enqueued.into());
-            push("granted", granted.into());
-            push("rejected", rejected.into());
-            push("batches", batches.into());
-        }
-        TraceEvent::AlertRaised {
-            rule,
-            seq,
-            value,
-            threshold,
-        } => {
-            push("rule", rule.into());
-            push("seq", seq.into());
-            push("value", value.into());
-            push("threshold", threshold.into());
-        }
-        TraceEvent::AlertCleared { rule, seq } => {
-            push("rule", rule.into());
-            push("seq", seq.into());
-        }
-    }
+    rec.event.for_each_field(|k, v| {
+        let v = match v {
+            Field::U(x) => Json::UInt(x),
+            Field::Label(s) => Json::str(s),
+        };
+        fields.push((k.to_string(), v));
+    });
     Json::Object(fields)
+}
+
+/// Appends one record's JSONL line, without the newline, to `out`:
+/// byte for byte `record_json(rec).render()`, rendered straight from
+/// the event's field list with no intermediate tree.
+pub fn write_record_line(out: &mut String, rec: &TraceRecord) {
+    out.push_str("{\"kind\":");
+    json::write_escaped(out, rec.event.kind());
+    let _ = write!(out, ",\"t_ns\":{},\"slot\":{}", rec.t_ns, rec.slot);
+    rec.event.for_each_field(|k, v| {
+        out.push(',');
+        json::write_escaped(out, k);
+        out.push(':');
+        match v {
+            Field::U(x) => {
+                let _ = write!(out, "{x}");
+            }
+            Field::Label(s) => json::write_escaped(out, s),
+        }
+    });
+    out.push('}');
 }
 
 /// A [`TraceSink`] stacking the observability pipeline in front of any
