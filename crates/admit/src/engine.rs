@@ -444,7 +444,7 @@ impl AdmitEngine {
                 ripple_depth: report.ripple_depth as u32,
                 established: report.established.len() as u32,
                 released: report.released.len() as u32,
-                denied: (report.denied.len() + report.admission_denied.len()) as u32,
+                denied: (report.denied + report.admission_denied.len()) as u32,
             },
         );
         for &(src, dst) in &report.established {

@@ -44,13 +44,30 @@ fn bench_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// The change requests of a loaded `paper128` pass: about 70 of the 128
+/// inputs each request about 37 outputs.
+fn paper128_requests() -> BitMatrix {
+    let n = 128;
+    BitMatrix::from_pairs(
+        n,
+        n,
+        (0..70).flat_map(|i| {
+            let u = i * 11 % n;
+            (0..37).map(move |j| (u, (u * 5 + j * 3 + 1) % n))
+        }),
+    )
+}
+
 fn bench_sl_pass_kernel(c: &mut Criterion) {
     // The raw combinational pass, isolated from the scheduler wrapper:
-    // fast word-scanning `sl_pass` vs the gather-and-sort `reference`
+    // the event-driven `sl_pass` vs the gather-and-sort `reference`
     // module vs the fully per-bit grid walk (`pms_bench::naive`). The
-    // sparse case is the idle-heavy steady state the simulators hit most.
+    // sparse case is the idle-heavy steady state the simulators hit most;
+    // the `paper128` case is the loaded pass of the paper's own system,
+    // where nearly every request is a denial.
     use pms_sched::{sl_pass, slarray::reference, Priority};
     let mut group = c.benchmark_group("sl_pass_kernel");
+    let paper_l = paper128_requests();
     for n in [64usize, 128, 256] {
         // Sparse: a handful of change requests across the whole array.
         let sparse_l = BitMatrix::from_pairs(n, n, (0..8).map(|i| (i * n / 8, (i * 13 + 1) % n)));
@@ -58,7 +75,11 @@ fn bench_sl_pass_kernel(c: &mut Criterion) {
         let dense_l = dense_requests(n);
         let b_s = BitMatrix::from_pairs(n, n, (0..n / 3).map(|u| (3 * u % n, (3 * u + 5) % n)));
         let pri = Priority { row: n / 2, col: 7 };
-        for (tag, l) in [("sparse", &sparse_l), ("dense", &dense_l)] {
+        let mut cases = vec![("sparse", &sparse_l), ("dense", &dense_l)];
+        if n == paper_l.rows() {
+            cases.push(("paper128", &paper_l));
+        }
+        for (tag, l) in cases {
             group.bench_with_input(BenchmarkId::new(format!("fast_{tag}"), n), l, |bch, l| {
                 bch.iter(|| black_box(sl_pass(black_box(l), black_box(&b_s), pri)));
             });

@@ -3,7 +3,7 @@
 //!
 //! * bit-matrix reductions — word-parallel `pms-bitmat` kernels vs the
 //!   per-bit references in [`pms_bench::naive`];
-//! * the SL array pass — word-scanning `pms_sched::sl_pass` vs the
+//! * the SL array pass — the event-driven `pms_sched::sl_pass` vs the
 //!   per-bit full-grid walk (and the gather-and-sort `reference` module
 //!   as a secondary point);
 //! * the simulator idle skip — sparse-workload TDM/circuit runs with

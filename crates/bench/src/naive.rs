@@ -102,10 +102,9 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
     let mut col_busy = col_or(b_s);
     let row_busy_init = row_or(b_s);
 
-    let mut toggles = BitMatrix::new(n, n);
     let mut established = Vec::new();
     let mut released = Vec::new();
-    let mut denied = Vec::new();
+    let mut denied = 0usize;
     let mut cells_visited = 0usize;
 
     for du in 0..n {
@@ -125,20 +124,16 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
             });
             col_busy.set(v, out.a_next);
             d = out.d_next;
-            if out.t {
-                toggles.set(u, v, true);
-            }
             match out.action {
                 CellAction::Establish => established.push((u, v)),
                 CellAction::Release => released.push((u, v)),
-                CellAction::Denied => denied.push((u, v)),
+                CellAction::Denied => denied += 1,
                 CellAction::NoChange => unreachable!("only L=1 cells are evaluated"),
             }
         }
     }
 
     SlPassOutput {
-        toggles,
         established,
         released,
         denied,
@@ -188,7 +183,6 @@ mod tests {
             for pri in [Priority::default(), Priority { row: n - 1, col: 3 }] {
                 let naive = sl_pass(&l, &b_s, pri);
                 let fast = pms_sched::sl_pass(&l, &b_s, pri);
-                assert_eq!(naive.toggles, fast.toggles);
                 assert_eq!(naive.established, fast.established);
                 assert_eq!(naive.released, fast.released);
                 assert_eq!(naive.denied, fast.denied);

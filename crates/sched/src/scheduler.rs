@@ -134,8 +134,8 @@ pub struct PassReport {
     pub established: Vec<(usize, usize)>,
     /// Connections released this pass.
     pub released: Vec<(usize, usize)>,
-    /// Requests denied this pass.
-    pub denied: Vec<(usize, usize)>,
+    /// Requests the SL array denied this pass (port unavailable).
+    pub denied: usize,
     /// Establishments revoked by fabric or fault admission (see
     /// [`Scheduler::pass_admitted`]; empty for plain passes). These
     /// requests stay pending and retry on later passes, which target
@@ -154,7 +154,7 @@ impl PassReport {
             slot: None,
             established: Vec::new(),
             released: Vec::new(),
-            denied: Vec::new(),
+            denied: 0,
             admission_denied: Vec::new(),
             ripple_depth: 0,
         }
@@ -506,14 +506,16 @@ impl Scheduler {
             }
         };
         let out = sl_pass(&l, &self.configs[s], self.priority);
-        // Word-parallel commit of the pass: `B^(s) ^= T` (the toggle matrix
-        // covers exactly the established and released pairs).
-        self.configs[s].xor_assign(&out.toggles);
+        // Commit the pass, `B^(s) ^= T`: the toggle matrix is exactly the
+        // established and released pairs.
+        for &(u, v) in out.established.iter().chain(&out.released) {
+            self.configs[s].toggle(u, v);
+        }
         self.recompute_b_star();
         self.stats.passes += 1;
         self.stats.establishes += out.established.len() as u64;
         self.stats.releases += out.released.len() as u64;
-        self.stats.denials += out.denied.len() as u64;
+        self.stats.denials += out.denied as u64;
         if self.cfg.rotate_priority {
             self.priority.row = (self.priority.row + 1) % self.cfg.ports;
             self.priority.col = (self.priority.col + 1) % self.cfg.ports;
@@ -769,7 +771,8 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::new(8, 1).with_rotation(false));
         s.pass(&reqs(8, &[(0, 5)]));
         let rep = s.pass(&reqs(8, &[(0, 5), (1, 5)]));
-        assert_eq!(rep.denied, vec![(1, 5)]);
+        assert_eq!(rep.denied, 1);
+        assert!(!s.established(1, 5));
         // First circuit torn down -> second can establish (release and
         // establish happen in the same pass thanks to the ripple).
         let rep = s.pass(&reqs(8, &[(1, 5)]));

@@ -16,6 +16,15 @@
 //! are evaluated in row order `a, a+1, ... (mod N)` and column order
 //! `b, b+1, ... (mod N)`, which is exactly the acyclic ripple the rotated
 //! initialization induces.
+//!
+//! The software model evaluates the array as an event ripple. A row
+//! changes state only at its first free requested column (it establishes
+//! and claims both ports) or, once its input is busy, at its release cell
+//! (`L ∧ B^(s)` with the output still busy, which frees both). Every
+//! other `L = 1` cell passes its ripples through unchanged and is a
+//! denial, so [`sl_pass`] finds the events with word-parallel searches
+//! and counts the denials by popcount. The cell-by-cell evaluation
+//! through [`sl_cell`] lives on as [`reference::sl_pass`].
 
 use crate::slcell::{sl_cell, CellAction, CellInput};
 use pms_bitmat::BitMatrix;
@@ -31,17 +40,17 @@ pub struct Priority {
     pub col: usize,
 }
 
-/// Result of one SL array pass.
+/// Result of one SL array pass. Commit it by toggling every established
+/// and released pair of `B^(s)` (the set bits of the toggle matrix `T`).
 #[derive(Debug, Clone)]
 pub struct SlPassOutput {
-    /// The toggle matrix `T`: apply `B^(s) ^= T` to commit the pass.
-    pub toggles: BitMatrix,
-    /// Connections established this pass.
+    /// Connections established this pass, in ripple order.
     pub established: Vec<(usize, usize)>,
-    /// Connections released this pass.
+    /// Connections released this pass, in ripple order.
     pub released: Vec<(usize, usize)>,
-    /// Requests denied this pass (port unavailable).
-    pub denied: Vec<(usize, usize)>,
+    /// Requests denied this pass (port unavailable): every `L = 1` cell
+    /// that neither established nor released.
+    pub denied: usize,
     /// Number of `L = 1` cells the availability ripple actually visited —
     /// the dynamic ripple depth of this pass (the worst case is `2N`
     /// cells; see [`SlTimingModel`](crate::SlTimingModel)).
@@ -51,24 +60,26 @@ pub struct SlPassOutput {
 impl SlPassOutput {
     /// True if the pass changed nothing and denied nothing.
     pub fn is_quiescent(&self) -> bool {
-        self.established.is_empty() && self.released.is_empty() && self.denied.is_empty()
+        self.established.is_empty() && self.released.is_empty() && self.denied == 0
     }
 }
 
-/// Storage word width of [`BitMatrix`]/`BitVec` rows (the packed-bit layout
-/// contract `scan_rotated` relies on).
+/// Storage word width of [`BitMatrix`] and
+/// [`BitVec`](pms_bitmat::BitVec) rows (the packed-bit layout contract
+/// the word scans rely on).
 const WORD_BITS: usize = 64;
 
-/// Calls `f` with every set-bit index of `words` in `[lo, hi)`, ascending.
-/// Bits outside the range (including row-padding bits past `hi`) are masked
-/// off word-by-word, so the scan touches only whole `u64` words.
-fn scan_range<F: FnMut(usize)>(words: &[u64], lo: usize, hi: usize, f: &mut F) {
+/// The lowest set bit in `[lo, hi)` of the bit string whose word `wi` is
+/// `word(wi)`. Bits outside the range (including row-padding bits past
+/// `hi`) are masked off word-by-word, so the scan touches only whole
+/// `u64` words and stops at the first word holding a hit.
+fn first_set<F: Fn(usize) -> u64>(lo: usize, hi: usize, word: F) -> Option<usize> {
     if lo >= hi {
-        return;
+        return None;
     }
     let (w_lo, w_hi) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
-    for (wi, &word) in words.iter().enumerate().take(w_hi + 1).skip(w_lo) {
-        let mut w = word;
+    for wi in w_lo..=w_hi {
+        let mut w = word(wi);
         if wi == w_lo {
             w &= u64::MAX << (lo % WORD_BITS);
         }
@@ -78,34 +89,35 @@ fn scan_range<F: FnMut(usize)>(words: &[u64], lo: usize, hi: usize, f: &mut F) {
                 w &= (1u64 << top) - 1;
             }
         }
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            f(wi * WORD_BITS + bit);
+        if w != 0 {
+            return Some(wi * WORD_BITS + w.trailing_zeros() as usize);
         }
     }
-}
-
-/// Calls `f` with every set-bit index of `words` (an `n`-bit row) in the
-/// rotated order `start, start+1, ..., n-1, 0, ..., start-1` — the priority
-/// ripple order — by scanning the two wrap segments word-parallel.
-fn scan_rotated<F: FnMut(usize)>(words: &[u64], n: usize, start: usize, f: &mut F) {
-    scan_range(words, start, n, f);
-    scan_range(words, 0, start, f);
+    None
 }
 
 /// Runs one combinational pass of the SL array for slot matrix `b_s` with
 /// change requests `l` (from [`presched_matrix`](crate::presched_matrix)).
 ///
-/// Returns the toggle matrix and the decoded per-connection actions. The
-/// caller commits the pass by XORing `toggles` into `B^(s)`.
+/// The pass is an event-driven ripple. Along a row the cell array changes
+/// state only at two kinds of cell, so the pass jumps from one to the
+/// next with word-parallel searches instead of evaluating every `L = 1`
+/// cell through [`sl_cell`]:
 ///
-/// Only `L = 1` cells are visited: empty request rows are skipped via a
-/// word-parallel row-occupancy scan and set columns are found with
-/// `trailing_zeros` word iteration, so a sparse pass costs
-/// `O(N²/64 + cells_visited)` instead of `O(N²)`. The visit order — rows
-/// rotated from `priority.row`, columns rotated from `priority.col` — and
-/// every output field, including `cells_visited`, are identical to
+/// * while the row's input is free (`D = 0`), the next event is the first
+///   requested column whose output is free (`L ∧ ¬A`): it establishes and
+///   claims both ports;
+/// * while the input is busy (`D = 1`), the next event is the first
+///   requested column of a connection the row holds in this slot with its
+///   output still busy (`L ∧ B^(s) ∧ A`): it releases and frees both.
+///
+/// Every `L = 1` cell skipped between events is a denial; denials are
+/// counted by popcount, never visited. Rows run in rotated order from
+/// `priority.row` and columns in rotated order from `priority.col`, and
+/// empty request rows are skipped via a word-parallel row-occupancy scan,
+/// so a pass costs `O(N²/64)` plus a few words per event. The result is
+/// exact for any `b_s` — not only partial permutations — and every output
+/// field, including `cells_visited` (the popcount of `L`), equals
 /// [`reference::sl_pass`] (proptest-enforced in `tests/prop.rs`).
 ///
 /// # Panics
@@ -128,49 +140,55 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
     let mut col_busy = b_s.col_or(); // AO
     let row_busy_init = b_s.row_or(); // AI
 
-    let mut toggles = BitMatrix::new(n, n);
     let mut established = Vec::new();
     let mut released = Vec::new();
-    let mut denied = Vec::new();
     let mut cells_visited = 0usize;
     let mut rows_visited = 0usize;
 
-    // Rows with at least one change request, visited in rotated order.
-    let active_rows = l.row_or();
-
     let mut visit_row = |u: usize| {
         rows_visited += 1;
+        let (l_row, b_row) = (l.row_words(u), b_s.row_words(u));
+        cells_visited += l_row.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         let mut d = row_busy_init.get(u);
-        let mut visit_cell = |v: usize| {
-            cells_visited += 1;
-            let out = sl_cell(CellInput {
-                l: true,
-                a: col_busy.get(v),
-                d,
-                b_s: b_s.get(u, v),
-            });
-            col_busy.set(v, out.a_next);
-            d = out.d_next;
-            if out.t {
-                toggles.set(u, v, true);
+        for (lo, hi) in [(priority.col, n), (0, priority.col)] {
+            let mut from = lo;
+            loop {
+                let a = col_busy.words();
+                let next = if d {
+                    first_set(from, hi, |wi| l_row[wi] & b_row[wi] & a[wi])
+                } else {
+                    first_set(from, hi, |wi| l_row[wi] & !a[wi])
+                };
+                let Some(v) = next else { break };
+                if d {
+                    released.push((u, v));
+                } else {
+                    established.push((u, v));
+                }
+                // Establish claims both ports; release frees both.
+                d = !d;
+                col_busy.set(v, d);
+                from = v + 1;
             }
-            match out.action {
-                CellAction::Establish => established.push((u, v)),
-                CellAction::Release => released.push((u, v)),
-                CellAction::Denied => denied.push((u, v)),
-                CellAction::NoChange => unreachable!("only L=1 cells are visited"),
-            }
-        };
-        scan_rotated(l.row_words(u), n, priority.col, &mut visit_cell);
+        }
     };
-    scan_rotated(active_rows.words(), n, priority.row, &mut visit_row);
+    // Rows with at least one change request, visited in rotated order.
+    let active_rows = l.row_or();
+    for (lo, hi) in [(priority.row, n), (0, priority.row)] {
+        let mut from = lo;
+        while let Some(u) = first_set(from, hi, |wi| active_rows.words()[wi]) {
+            visit_row(u);
+            from = u + 1;
+        }
+    }
 
-    // Words the scans actually touched: the row-occupancy words plus one
-    // row of request words per visited row.
+    // The row-occupancy words plus one row of request words per visited
+    // row (the event searches over that row's `B^(s)` and `A` words are
+    // not counted).
     prof.add_words((n.div_ceil(WORD_BITS) * (1 + rows_visited)) as u64);
 
+    let denied = cells_visited - established.len() - released.len();
     SlPassOutput {
-        toggles,
         established,
         released,
         denied,
@@ -179,20 +197,36 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
 }
 
 /// The original cell-by-cell SL pass, kept verbatim as the semantic
-/// reference for the word-parallel [`sl_pass`](super::sl_pass) — proptests
+/// reference for the event-driven [`sl_pass`](super::sl_pass) — proptests
 /// assert the two produce identical outputs, and the perf harness measures
 /// the speedup between them.
 pub mod reference {
-    use super::{sl_cell, CellAction, CellInput, Priority, SlPassOutput};
+    use super::{sl_cell, CellAction, CellInput, Priority};
     use pms_bitmat::BitMatrix;
 
+    /// Result of one reference pass: every cell decision, spelled out.
+    #[derive(Debug, Clone)]
+    pub struct ReferenceOutput {
+        /// The toggle matrix `T`: apply `B^(s) ^= T` to commit the pass.
+        pub toggles: BitMatrix,
+        /// Connections established this pass, in ripple order.
+        pub established: Vec<(usize, usize)>,
+        /// Connections released this pass, in ripple order.
+        pub released: Vec<(usize, usize)>,
+        /// Requests denied this pass, in ripple order.
+        pub denied: Vec<(usize, usize)>,
+        /// Number of `L = 1` cells the ripple visited.
+        pub cells_visited: usize,
+    }
+
     /// One SL array pass, visiting each request row with a gather-and-sort
-    /// over its columns (the pre-optimization implementation).
+    /// over its columns and evaluating every `L = 1` cell through
+    /// [`sl_cell`] (the pre-optimization implementation).
     ///
     /// # Panics
     /// Panics if `l` and `b_s` are not square matrices of equal size, or if
     /// the priority indices are out of range.
-    pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutput {
+    pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> ReferenceOutput {
         let n = b_s.rows();
         assert_eq!(b_s.cols(), n, "B^(s) must be square");
         assert_eq!((l.rows(), l.cols()), (n, n), "L must match B^(s)");
@@ -245,7 +279,7 @@ pub mod reference {
             }
         }
 
-        SlPassOutput {
+        ReferenceOutput {
             toggles,
             established,
             released,
@@ -261,7 +295,7 @@ mod tests {
     use crate::presched::presched_matrix;
 
     fn commit(b_s: &mut BitMatrix, out: &SlPassOutput) {
-        for (u, v) in out.toggles.iter_ones().collect::<Vec<_>>() {
+        for &(u, v) in out.established.iter().chain(&out.released) {
             b_s.toggle(u, v);
         }
     }
@@ -281,7 +315,7 @@ mod tests {
         let mut b = BitMatrix::square(8);
         let out = pass(&[(0, 1), (1, 2), (7, 0)], &mut b, Priority::default());
         assert_eq!(out.established.len(), 3);
-        assert!(out.released.is_empty() && out.denied.is_empty());
+        assert!(out.released.is_empty() && out.denied == 0);
         assert!(b.get(0, 1) && b.get(1, 2) && b.get(7, 0));
         assert!(b.is_partial_permutation());
     }
@@ -292,7 +326,8 @@ mod tests {
         // Inputs 0 and 3 both want output 5; row 0 has priority.
         let out = pass(&[(0, 5), (3, 5)], &mut b, Priority::default());
         assert_eq!(out.established, vec![(0, 5)]);
-        assert_eq!(out.denied, vec![(3, 5)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(3, 5), "the losing request stays pending");
         assert!(b.is_partial_permutation());
     }
 
@@ -302,7 +337,8 @@ mod tests {
         // Input 2 wants outputs 1 and 6; column 1 wins at default priority.
         let out = pass(&[(2, 1), (2, 6)], &mut b, Priority::default());
         assert_eq!(out.established, vec![(2, 1)]);
-        assert_eq!(out.denied, vec![(2, 6)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(2, 6), "the losing request stays pending");
     }
 
     #[test]
@@ -311,7 +347,8 @@ mod tests {
         // With priority rotated to row 3, input 3 beats input 0.
         let out = pass(&[(0, 5), (3, 5)], &mut b, Priority { row: 3, col: 0 });
         assert_eq!(out.established, vec![(3, 5)]);
-        assert_eq!(out.denied, vec![(0, 5)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(0, 5), "the losing request stays pending");
     }
 
     #[test]
@@ -319,7 +356,8 @@ mod tests {
         let mut b = BitMatrix::square(8);
         let out = pass(&[(2, 1), (2, 6)], &mut b, Priority { row: 0, col: 6 });
         assert_eq!(out.established, vec![(2, 6)]);
-        assert_eq!(out.denied, vec![(2, 1)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(2, 1), "the losing request stays pending");
     }
 
     #[test]
@@ -341,7 +379,8 @@ mod tests {
         // this pass; the release still happens.
         let mut b = BitMatrix::from_pairs(8, 8, [(0, 5)]);
         let out = pass(&[(3, 5)], &mut b, Priority { row: 3, col: 0 });
-        assert_eq!(out.denied, vec![(3, 5)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(3, 5), "the losing request stays pending");
         assert_eq!(out.released, vec![(0, 5)]);
         // A second pass succeeds.
         let out2 = pass(&[(3, 5)], &mut b, Priority { row: 3, col: 0 });
@@ -354,7 +393,8 @@ mod tests {
         // its input (row 3) and output (column 5) are busy.
         let mut b = BitMatrix::from_pairs(8, 8, [(0, 5), (3, 1)]);
         let out = pass(&[(0, 5), (3, 1), (3, 5)], &mut b, Priority::default());
-        assert_eq!(out.denied, vec![(3, 5)]);
+        assert_eq!(out.denied, 1);
+        assert!(!b.get(3, 5), "the losing request stays pending");
         assert!(out.established.is_empty() && out.released.is_empty());
         assert!(!b.get(3, 5), "erratum: spurious toggle would corrupt B");
         assert!(b.is_partial_permutation());
@@ -432,10 +472,13 @@ mod tests {
         ] {
             let fast = sl_pass(&l, &b, priority);
             let refr = reference::sl_pass(&l, &b, priority);
-            assert_eq!(fast.toggles, refr.toggles);
+            let mut committed = b.clone();
+            commit(&mut committed, &fast);
+            committed.xor_assign(&b);
+            assert_eq!(committed, refr.toggles);
             assert_eq!(fast.established, refr.established);
             assert_eq!(fast.released, refr.released);
-            assert_eq!(fast.denied, refr.denied);
+            assert_eq!(fast.denied, refr.denied.len());
             assert_eq!(fast.cells_visited, refr.cells_visited);
         }
     }

@@ -1,9 +1,10 @@
 //! Property-based fuzzing of the scheduler invariants (DESIGN.md §8) and
-//! of the word-scanning SL pass against its per-bit reference.
+//! of the event-driven SL pass against its cell-by-cell reference.
 
 use pms_bitmat::BitMatrix;
 use pms_sched::{
     sl_pass, slarray::reference, BandwidthMode, HoldPolicy, Priority, Scheduler, SchedulerConfig,
+    SlPassOutput,
 };
 use proptest::prelude::*;
 
@@ -43,6 +44,12 @@ fn to_partial_perm(n: usize, pairs: &[(usize, usize)]) -> BitMatrix {
         }
     }
     m
+}
+
+/// The toggle matrix `T` a pass commits: its established and released
+/// pairs.
+fn toggles_of(out: &SlPassOutput, n: usize) -> BitMatrix {
+    BitMatrix::from_pairs(n, n, out.established.iter().chain(&out.released).copied())
 }
 
 fn run_ops(mut sched: Scheduler, n: usize, ops: &[Op]) {
@@ -124,7 +131,7 @@ proptest! {
         sched.check_invariants();
     }
 
-    /// The word-scanning `sl_pass` is bit-for-bit equivalent to the
+    /// The event-driven `sl_pass` is bit-for-bit equivalent to the
     /// per-bit `reference` pass: same actions in the same ripple order,
     /// same priority rotation, same `cells_visited` — across random
     /// sizes including non-multiples of 64 (tail-word handling) and
@@ -148,9 +155,83 @@ proptest! {
         let slow = reference::sl_pass(&l, &b_s, pri);
         prop_assert_eq!(&fast.established, &slow.established, "establish sets differ");
         prop_assert_eq!(&fast.released, &slow.released, "release sets differ");
-        prop_assert_eq!(&fast.denied, &slow.denied, "denied sets differ");
-        prop_assert_eq!(&fast.toggles, &slow.toggles, "toggle matrices differ");
+        prop_assert_eq!(fast.denied, slow.denied.len(), "denial counts differ");
+        prop_assert_eq!(&toggles_of(&fast, n), &slow.toggles, "toggle matrices differ");
         prop_assert_eq!(fast.cells_visited, slow.cells_visited, "cells_visited differs");
+    }
+
+    /// The `paper128` shape: a partial-permutation `B^(s)` and rows that
+    /// request more than half their columns, plus one row — the first in
+    /// priority order — that releases on one side of the column wrap and
+    /// establishes on the other. The event-driven pass must match the
+    /// cell-by-cell reference field for field, and the reference's denial
+    /// list must be exactly `L ∖ (established ∪ released)`.
+    #[test]
+    fn fast_sl_pass_equals_reference_on_dense_rows(
+        ((n, pri_row, pri_col), (b_pairs, dense_rows), (c1_pick, c2_pick, extra)) in
+            (16usize..200).prop_flat_map(|n| {
+                (
+                    (Just(n), 0..n, 1..n),
+                    (
+                        prop::collection::vec((0..n, 0..n), 0..n),
+                        prop::collection::vec((0..n, prop::collection::btree_set(0..n, 0..n / 2)), 1..n),
+                    ),
+                    (0..n, 0..n, prop::collection::btree_set(0..n, 0..n)),
+                )
+            })
+    ) {
+        // The wrap row `u0` is visited first; it holds `c1` in the first
+        // column segment `[pri_col, n)` and wants the free column `c2` in
+        // the second segment `[0, pri_col)`.
+        let u0 = pri_row;
+        let c1 = pri_col + c1_pick % (n - pri_col);
+        let c2 = c2_pick % pri_col;
+        let others: Vec<(usize, usize)> = b_pairs
+            .into_iter()
+            .filter(|&(u, v)| u != u0 && v != c1 && v != c2)
+            .collect();
+        let mut b_s = to_partial_perm(n, &others);
+        b_s.set(u0, c1, true);
+        prop_assert!(b_s.is_partial_permutation());
+
+        let mut l = BitMatrix::square(n);
+        for (u, excluded) in dense_rows.into_iter().filter(|&(u, _)| u != u0) {
+            for v in (0..n).filter(|v| !excluded.contains(v)) {
+                l.set(u, v, true);
+            }
+        }
+        // Row u0: its release cell, its establish cell, and requests the
+        // ripple must deny — columns before the release and after the
+        // establishment (the input is busy) and busy columns between them.
+        let busy = b_s.col_or();
+        l.set(u0, c1, true);
+        l.set(u0, c2, true);
+        for v in extra {
+            let input_busy = (pri_col..c1).contains(&v) || (c2 + 1..pri_col).contains(&v);
+            let between = v > c1 || v < c2;
+            if input_busy || (between && busy.get(v)) {
+                l.set(u0, v, true);
+            }
+        }
+
+        let pri = Priority { row: pri_row, col: pri_col };
+        let fast = sl_pass(&l, &b_s, pri);
+        let slow = reference::sl_pass(&l, &b_s, pri);
+        prop_assert!(slow.released.contains(&(u0, c1)), "no release at ({u0}, {c1})");
+        prop_assert!(slow.established.contains(&(u0, c2)), "no establish at ({u0}, {c2})");
+        prop_assert_eq!(&fast.established, &slow.established, "establish sets differ");
+        prop_assert_eq!(&fast.released, &slow.released, "release sets differ");
+        prop_assert_eq!(fast.denied, slow.denied.len(), "denial counts differ");
+        prop_assert_eq!(&toggles_of(&fast, n), &slow.toggles, "toggle matrices differ");
+        prop_assert_eq!(fast.cells_visited, slow.cells_visited, "cells_visited differs");
+
+        let mut undecided = l.clone();
+        for &(u, v) in slow.established.iter().chain(&slow.released) {
+            undecided.set(u, v, false);
+        }
+        let mut denied = slow.denied.clone();
+        denied.sort_unstable();
+        prop_assert_eq!(denied, undecided.iter_ones().collect::<Vec<_>>(), "denials != L minus actions");
     }
 
     /// Multi-slot marking never breaks per-slot permutation validity.

@@ -50,7 +50,8 @@ impl CircuitSim {
         let mut scheduler = Scheduler::new(SchedulerConfig::new(params.ports, 1));
         scheduler.set_pool(Arc::clone(&core.pool));
         let switch = Circuit {
-            voqs: Voqs::new(params.ports, core.msgs.len()),
+            voqs: Voqs::new(params.ports, core.msgs.len())
+                .with_request_lines(params.request_wire_ns),
             scheduler,
             usable_from: HashMap::new(),
             pending_release: HashSet::new(),
@@ -111,9 +112,10 @@ impl Circuit {
     fn pass(&mut self, core: &mut SimCore, at: u64) {
         // Circuits awaiting their per-message teardown drop their
         // request: the handshake restarts after the release.
+        self.voqs.raise_due(&core.msgs, at);
         let mut visible = core.visible_requests(&self.voqs, at);
         for &(u, v) in &self.pending_release {
-            visible.set(u, v, false);
+            visible.to_mut().set(u, v, false);
         }
         let pass = core.sl_pass(&mut self.scheduler, &visible, None, &self.voqs, at, 0);
         // Circuit switching passes every window; only non-trivial passes

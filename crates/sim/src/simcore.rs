@@ -20,6 +20,7 @@ use pms_par::ShardPool;
 use pms_sched::{PassReport, Scheduler, SlotRouter};
 use pms_trace::{span::SpanTracker, EvictCause, TraceEvent, Tracer};
 use pms_workloads::Workload;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -356,17 +357,20 @@ impl SimCore {
         (u, v)
     }
 
-    /// The request matrix a scheduler sees at `now`: every queue whose
-    /// head was injected at least one request-wire propagation ago, minus
-    /// the request lines the NIC holds down during grant-drop backoff.
-    pub(crate) fn visible_requests(&self, voqs: &Voqs, now: u64) -> BitMatrix {
-        let mut r =
-            voqs.visible_requests_pooled(&self.msgs, self.params.request_wire_ns, now, &self.pool);
+    /// The request matrix a scheduler sees at `now`: the request lines
+    /// `voqs` raised by its last [`Voqs::raise_due`] (every queue whose
+    /// head was injected at least one request-wire propagation ago),
+    /// minus the lines the NIC holds down during grant-drop backoff.
+    /// Without a fault plan this borrows the VOQs' matrix.
+    pub(crate) fn visible_requests<'a>(&self, voqs: &'a Voqs, now: u64) -> Cow<'a, BitMatrix> {
+        let mut r = Cow::Borrowed(voqs.requests());
         if let Some(f) = &self.faults {
-            for (u, v) in r.iter_ones().collect::<Vec<_>>() {
-                if f.request_suppressed(u, v, now) {
-                    r.set(u, v, false);
-                }
+            let hidden: Vec<(usize, usize)> = r
+                .iter_ones()
+                .filter(|&(u, v)| f.request_suppressed(u, v, now))
+                .collect();
+            for (u, v) in hidden {
+                r.to_mut().set(u, v, false);
             }
         }
         r
@@ -525,7 +529,7 @@ pub(crate) struct PassOutcome {
 impl PassOutcome {
     /// Whether the pass established, released or denied anything.
     pub fn active(&self) -> bool {
-        !(self.established.is_empty() && self.released.is_empty() && self.report.denied.is_empty())
+        !(self.established.is_empty() && self.released.is_empty() && self.report.denied == 0)
     }
 
     /// The `SchedPass` record for this pass; `passes` is the scheduler's
@@ -536,7 +540,7 @@ impl PassOutcome {
             ripple_depth: self.report.ripple_depth as u32,
             established: self.established.len() as u32,
             released: self.released.len() as u32,
-            denied: (self.report.denied.len() + self.report.admission_denied.len()) as u32,
+            denied: (self.report.denied + self.report.admission_denied.len()) as u32,
         }
     }
 }

@@ -34,7 +34,6 @@ use crate::stats::SimStats;
 use crate::voq::Voqs;
 use pms_bitmat::BitMatrix;
 use pms_faults::FaultKind;
-use pms_par::split_ranges;
 use pms_predict::{
     ConnectionPredictor, NeverEvict, PhaseDetector, PhaseDetectorConfig, RefCountPredictor,
     TimeoutPredictor,
@@ -136,8 +135,10 @@ pub struct Tdm {
     /// flushes the dynamic working set when the program's communication
     /// pattern shifts.
     phase_detector: Option<PhaseDetector>,
-    /// Whether each message's working-set lookup has been recorded.
-    lookup_recorded: Vec<bool>,
+    /// Raised heads whose request line a grant-drop backoff held down
+    /// when they rose, as `(u, v, head)`: their working-set lookup waits
+    /// for the first pass that sees the line.
+    hidden_heads: Vec<(usize, usize, usize)>,
     phase_flushes: u64,
     ws_lookups: u64,
     ws_hits: u64,
@@ -286,16 +287,23 @@ impl TdmSim {
         if let Backend::Scheduled { scheduler, .. } = &mut backend {
             scheduler.set_pool(Arc::clone(&core.pool));
         }
+        // Only dynamic scheduling reads request lines; a preloaded stream
+        // moves whatever its configurations carry.
+        let voqs = Voqs::new(core.params.ports, core.msgs.len());
         let switch = Tdm {
             mode_label,
-            voqs: Voqs::new(core.params.ports, core.msgs.len()),
+            voqs: if has_dynamic {
+                voqs.with_request_lines(core.params.request_wire_ns)
+            } else {
+                voqs
+            },
             backend,
             patterns: workload.patterns.clone(),
             preload_loads: initial_loads,
             evictions: 0,
             has_dynamic,
             phase_detector: None,
-            lookup_recorded: vec![false; core.msgs.len()],
+            hidden_heads: Vec::new(),
             phase_flushes: 0,
             ws_lookups: 0,
             ws_hits: 0,
@@ -857,49 +865,14 @@ impl Tdm {
         }
     }
 
-    /// Heads newly visible under `r` that have not been classified yet,
-    /// in `(head, u, v)` order by source port then destination.
-    ///
-    /// The pooled path scans disjoint source-port shards and concatenates
-    /// the per-shard vectors in shard order, which is exactly the
-    /// sequential scan order, so the result is identical at any lane
-    /// count.
-    fn pending_lookups(&self, core: &SimCore, r: &BitMatrix) -> Vec<(usize, usize, usize)> {
-        let ports = core.params.ports;
-        let voqs = &self.voqs;
-        let recorded = &self.lookup_recorded;
-        let scan = |range: std::ops::Range<usize>, out: &mut Vec<(usize, usize, usize)>| {
-            for u in range {
-                for v in voqs.nonempty_dests(u) {
-                    let head = voqs.front(u, v).expect("non-empty");
-                    if !recorded[head] && r.get(u, v) {
-                        out.push((head, u, v));
-                    }
-                }
-            }
-        };
-        let pool = &core.pool;
-        if pool.threads() <= 1 || ports < crate::voq::PAR_MIN_PORTS {
-            let mut out = Vec::new();
-            scan(0..ports, &mut out);
-            return out;
-        }
-        type LookupShard = (std::ops::Range<usize>, Vec<(usize, usize, usize)>);
-        let mut shards: Vec<LookupShard> = split_ranges(ports, pool.threads() * 4)
-            .into_iter()
-            .map(|rg| (rg, Vec::new()))
-            .collect();
-        pool.scatter_mut(&mut shards, |_, (rg, out)| scan(rg.clone(), out));
-        shards.into_iter().flat_map(|(_, v)| v).collect()
-    }
-
     /// One 80 ns SL pass on the next dynamic register.
     fn do_pass(&mut self, core: &mut SimCore, t: u64) {
+        self.voqs.raise_due(&core.msgs, t);
         let r = core.visible_requests(&self.voqs, t);
         // Classify each newly visible head message as a working-set hit or
         // miss: the hit rate is the §5 metric, and misses feed the §3.3
         // phase detector when one is attached.
-        let lookups = self.pending_lookups(core, &r);
+        let lookups = take_lookups(&self.voqs, &mut self.hidden_heads, &r);
         let Backend::Scheduled {
             scheduler,
             predictor,
@@ -909,8 +882,7 @@ impl Tdm {
             return;
         };
         let mut flush = false;
-        for &(head, u, v) in &lookups {
-            self.lookup_recorded[head] = true;
+        for &(u, v, head) in &lookups {
             let hit = scheduler.established(u, v);
             self.ws_lookups += 1;
             if hit {
@@ -980,6 +952,38 @@ impl Tdm {
             core.evicted(t, self.cur_slot, u, v, cause);
         }
     }
+}
+
+/// Heads whose request line is visible in `r` for the first time, in
+/// `(u, v, head)` order: the heads the last [`Voqs::raise_due`] raised,
+/// plus earlier ones a grant-drop backoff hid until now. Heads still
+/// hidden stay in `hidden` for a later pass; heads that left their queue
+/// meanwhile are never classified.
+fn take_lookups(
+    voqs: &Voqs,
+    hidden: &mut Vec<(usize, usize, usize)>,
+    r: &BitMatrix,
+) -> Vec<(usize, usize, usize)> {
+    let mut lookups = Vec::new();
+    hidden.retain(|&(u, v, head)| {
+        if voqs.front(u, v) != Some(head) {
+            return false;
+        }
+        let still_hidden = !r.get(u, v);
+        if !still_hidden {
+            lookups.push((u, v, head));
+        }
+        still_hidden
+    });
+    for &(u, v, head) in voqs.raised() {
+        if r.get(u, v) {
+            lookups.push((u, v, head));
+        } else {
+            hidden.push((u, v, head));
+        }
+    }
+    lookups.sort_unstable();
+    lookups
 }
 
 /// Traces a configuration landing in register `slot`: `PreloadApplied`,
@@ -1052,6 +1056,55 @@ mod tests {
     const DYN: TdmMode = TdmMode::Dynamic {
         predictor: PredictorKind::Timeout(400),
     };
+
+    /// A head raised while a grant-drop backoff holds its request line
+    /// down is classified by the first pass that sees the line; a head
+    /// that leaves its queue before that is never classified.
+    #[test]
+    fn hidden_heads_wait_for_their_request_line() {
+        use crate::message::MsgState;
+        use pms_workloads::MsgSpec;
+        let msgs: Vec<MsgState> = [(0, 3), (0, 3), (1, 2)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (src, dst))| {
+                let mut m = MsgState::new(MsgSpec {
+                    id,
+                    src,
+                    dst,
+                    bytes: 8,
+                });
+                m.enqueued_at = Some(0);
+                m
+            })
+            .collect();
+        let mut voqs = Voqs::new(4, 3).with_request_lines(80);
+        for (id, m) in msgs.iter().enumerate() {
+            voqs.push(m.spec.src, m.spec.dst, id);
+        }
+        let mut hidden = Vec::new();
+        voqs.raise_due(&msgs, 80);
+        let mut held = voqs.requests().clone();
+        held.set(0, 3, false);
+        held.set(1, 2, false);
+        assert!(take_lookups(&voqs, &mut hidden, &held).is_empty());
+        assert_eq!(hidden, vec![(0, 3, 0), (1, 2, 2)]);
+
+        voqs.raise_due(&msgs, 160);
+        held.set(1, 2, true);
+        assert_eq!(take_lookups(&voqs, &mut hidden, &held), vec![(1, 2, 2)]);
+        assert_eq!(hidden, vec![(0, 3, 0)]);
+
+        voqs.pop(0, 3);
+        voqs.raise_due(&msgs, 240);
+        let lookups = take_lookups(&voqs, &mut hidden, voqs.requests());
+        assert_eq!(
+            lookups,
+            vec![(0, 3, 1)],
+            "the exposed head, not the popped one"
+        );
+        assert!(hidden.is_empty());
+    }
 
     #[test]
     fn dynamic_single_message_delivers() {

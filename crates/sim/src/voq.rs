@@ -5,22 +5,28 @@
 //! non-empty.
 //!
 //! Like the hardware's request register, the occupancy of every queue is
-//! one bit of a packed `N x N` matrix, so building `R` walks set bits
-//! instead of probing `N^2` queues. The queues themselves are threaded
+//! one bit of a packed `N x N` matrix. The queues themselves are threaded
 //! through the message ids: each pair stores only the tail of a circular
 //! singly-linked list, and one `next` link per message closes the ring.
 //! Memory and per-pass work therefore scale with queued traffic plus an
 //! `N^2`-bit bitmap; the `N^2` tail table is zero-initialized, so its
 //! never-used pages are never touched.
+//!
+//! A queue's request line rises one request-wire propagation after its
+//! head message was enqueued. With request lines enabled
+//! ([`Voqs::with_request_lines`]) the lines are kept incrementally: a
+//! message that becomes a queue head — pushed into an empty queue, or
+//! exposed by a pop — is keyed by the time its line is due onto a
+//! min-heap, and [`Voqs::raise_due`] moves the due heads into a persistent
+//! request matrix. A scheduler pass then costs what changed since the
+//! last pass, not what is queued.
 
 use crate::message::MsgState;
 use pms_bitmat::BitMatrix;
-use pms_par::ShardPool;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Below this port count the O(ports^2 / 64) request scan is cheaper
-/// than a scatter; purely a performance threshold, never visible in
-/// outputs.
-pub(crate) const PAR_MIN_PORTS: usize = 256;
+const LINES_OFF: &str = "request lines are off; build with `with_request_lines`";
 
 /// Virtual output queues for all NICs: one FIFO of message ids per
 /// `(source, destination)` pair.
@@ -35,11 +41,36 @@ pub struct Voqs {
     /// links back to the head.
     next: Vec<u32>,
     queued: usize,
+    /// The request lines, for owners that schedule from them.
+    lines: Option<RequestLines>,
+}
+
+/// Incrementally maintained request lines (see the module docs).
+#[derive(Debug, Clone)]
+struct RequestLines {
+    /// Request-wire propagation: a head's line rises this long after the
+    /// head was enqueued.
+    wire_ns: u64,
+    /// Bit `(u, v)` is set iff queue `(u, v)`'s line is up.
+    visible: BitMatrix,
+    /// Messages that became a queue head since the last
+    /// [`raise_due`](Voqs::raise_due), not yet keyed by their due time:
+    /// a pushed message's `enqueued_at` is stamped after the push, and a
+    /// pop does not see the message table.
+    fresh: Vec<u32>,
+    /// `(due time, head)` min-heap of lines waiting to rise. An entry
+    /// whose message left its queue head before it was due is stale and
+    /// dropped when it surfaces.
+    due: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The heads raised by the last [`raise_due`](Voqs::raise_due), as
+    /// `(u, v, head)` sorted by `(u, v)`.
+    raised: Vec<(usize, usize, usize)>,
 }
 
 impl Voqs {
     /// Creates empty queues for `ports` processors, with links for
-    /// message ids `0..messages` (larger ids grow the link table).
+    /// message ids `0..messages` (larger ids grow the link table). No
+    /// request lines are kept; see [`with_request_lines`](Self::with_request_lines).
     pub fn new(ports: usize, messages: usize) -> Self {
         Self {
             ports,
@@ -47,7 +78,23 @@ impl Voqs {
             tail: vec![0; ports * ports],
             next: vec![0; messages],
             queued: 0,
+            lines: None,
         }
+    }
+
+    /// Keeps the request lines a scheduler reads: each queue's line rises
+    /// `wire_ns` after its head message was enqueued. Call before the
+    /// first push.
+    pub fn with_request_lines(mut self, wire_ns: u64) -> Self {
+        assert_eq!(self.queued, 0, "request lines start from empty queues");
+        self.lines = Some(RequestLines {
+            wire_ns,
+            visible: BitMatrix::square(self.ports),
+            fresh: Vec::new(),
+            due: BinaryHeap::new(),
+            raised: Vec::new(),
+        });
+        self
     }
 
     #[inline]
@@ -73,6 +120,9 @@ impl Voqs {
         if was_empty {
             self.next[msg] = id;
             self.nonempty.set(u, v, true);
+            if let Some(lines) = &mut self.lines {
+                lines.fresh.push(id);
+            }
         } else {
             let last = (self.tail[i] - 1) as usize;
             self.next[msg] = self.next[last];
@@ -92,16 +142,23 @@ impl Voqs {
         }
     }
 
-    /// Removes and returns the head of queue `(u, v)`.
+    /// Removes and returns the head of queue `(u, v)`. The queue's request
+    /// line drops; the exposed head, if any, raises it again once due.
     pub fn pop(&mut self, u: usize, v: usize) -> Option<usize> {
         let i = self.idx(u, v);
         let last = self.tail[i].checked_sub(1)? as usize;
         let head = self.next[last] as usize;
-        if head == last {
+        let exposed = if head == last {
             self.tail[i] = 0;
             self.nonempty.set(u, v, false);
+            None
         } else {
             self.next[last] = self.next[head];
+            Some(self.next[head])
+        };
+        if let Some(lines) = &mut self.lines {
+            lines.visible.set(u, v, false);
+            lines.fresh.extend(exposed);
         }
         self.queued -= 1;
         Some(head)
@@ -137,65 +194,70 @@ impl Voqs {
         self.nonempty.iter_row_ones(u)
     }
 
-    /// Calls `set(v)`, in ascending `v`, for every non-empty queue
-    /// `(u, v)` whose head is visible at `now`.
-    #[inline]
-    fn visible_row(
-        &self,
-        u: usize,
-        msgs: &[MsgState],
-        wire_ns: u64,
-        now: u64,
-        mut set: impl FnMut(usize),
-    ) {
-        for v in self.nonempty_dests(u) {
-            let head = self.front(u, v).expect("non-empty queue");
-            let seen = msgs[head].enqueued_at.expect("queued => enqueued") + wire_ns;
-            if seen <= now {
-                set(v);
-            }
-        }
+    fn lines(&self) -> &RequestLines {
+        self.lines.as_ref().expect(LINES_OFF)
     }
 
-    /// The request matrix `R` as the scheduler sees it at time `now`: a
-    /// queue's request line is visible one `wire_ns` propagation after its
-    /// head message was enqueued. Shared by the circuit and TDM simulators.
-    pub fn visible_requests(&self, msgs: &[MsgState], wire_ns: u64, now: u64) -> BitMatrix {
+    /// Raises every request line due by `now`: each queue whose head was
+    /// enqueued at least one request-wire propagation ago. `now` must not
+    /// decrease between calls. The heads raised by this call are then
+    /// listed by [`raised`](Self::raised).
+    ///
+    /// # Panics
+    /// Panics unless built [`with_request_lines`](Self::with_request_lines).
+    pub fn raise_due(&mut self, msgs: &[MsgState], now: u64) {
+        let lines = self.lines.as_mut().expect(LINES_OFF);
+        for id in lines.fresh.drain(..) {
+            let enq = msgs[id as usize].enqueued_at.expect("queued => enqueued");
+            lines.due.push(Reverse((enq + lines.wire_ns, id)));
+        }
+        lines.raised.clear();
+        while let Some(&Reverse((due, id))) = lines.due.peek() {
+            if due > now {
+                break;
+            }
+            lines.due.pop();
+            let spec = msgs[id as usize].spec;
+            let (u, v, head) = (spec.src, spec.dst, id as usize);
+            let t = self.tail[u * self.ports + v];
+            if t != 0 && self.next[(t - 1) as usize] as usize == head {
+                lines.visible.set(u, v, true);
+                lines.raised.push((u, v, head));
+            }
+        }
+        lines.raised.sort_unstable();
+    }
+
+    /// The request matrix `R` as of the last [`raise_due`](Self::raise_due):
+    /// bit `(u, v)` is set iff queue `(u, v)`'s request line is up.
+    pub fn requests(&self) -> &BitMatrix {
+        &self.lines().visible
+    }
+
+    /// The heads whose request line the last
+    /// [`raise_due`](Self::raise_due) raised, as `(u, v, head)` sorted by
+    /// `(u, v)`. Each message is listed at most once over a run: a
+    /// message becomes a queue head once and stays there until popped.
+    pub fn raised(&self) -> &[(usize, usize, usize)] {
+        &self.lines().raised
+    }
+}
+
+#[cfg(test)]
+impl Voqs {
+    /// The request matrix rebuilt from scratch at `now`: every non-empty
+    /// queue whose head was enqueued at least `wire_ns` ago. The reference
+    /// the incremental [`raise_due`](Self::raise_due) is checked against.
+    fn visible_requests(&self, msgs: &[MsgState], wire_ns: u64, now: u64) -> BitMatrix {
         let mut r = BitMatrix::square(self.ports);
         for u in 0..self.ports {
-            self.visible_row(u, msgs, wire_ns, now, |v| r.set(u, v, true));
-        }
-        r
-    }
-
-    /// [`visible_requests`](Self::visible_requests) sharded over a pool:
-    /// source-port row ranges are scanned concurrently, each shard writing
-    /// its disjoint rows of the packed matrix. The set bits are identical
-    /// to the sequential scan at any thread count.
-    pub fn visible_requests_pooled(
-        &self,
-        msgs: &[MsgState],
-        wire_ns: u64,
-        now: u64,
-        pool: &ShardPool,
-    ) -> BitMatrix {
-        if pool.threads() <= 1 || self.ports < PAR_MIN_PORTS {
-            return self.visible_requests(msgs, wire_ns, now);
-        }
-        let mut r = BitMatrix::square(self.ports);
-        let wpr = r.words_per_row();
-        let rows_per_chunk = self.ports.div_ceil(pool.threads() * 4).max(1);
-        let mut chunks: Vec<(usize, &mut [u64])> =
-            r.row_chunks_mut(rows_per_chunk).enumerate().collect();
-        pool.scatter_mut(&mut chunks, |_, (ci, words)| {
-            let u0 = *ci * rows_per_chunk;
-            for lr in 0..words.len() / wpr {
-                let row = &mut words[lr * wpr..(lr + 1) * wpr];
-                self.visible_row(u0 + lr, msgs, wire_ns, now, |v| {
-                    row[v / u64::BITS as usize] |= 1u64 << (v % u64::BITS as usize);
-                });
+            for v in self.nonempty_dests(u) {
+                let head = self.front(u, v).expect("non-empty queue");
+                if msgs[head].enqueued_at.expect("queued => enqueued") + wire_ns <= now {
+                    r.set(u, v, true);
+                }
             }
-        });
+        }
         r
     }
 }
@@ -203,7 +265,19 @@ impl Voqs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pms_workloads::MsgSpec;
     use std::collections::VecDeque;
+
+    const WIRE_NS: u64 = 80;
+
+    fn msg(id: usize, src: usize, dst: usize) -> MsgState {
+        MsgState::new(MsgSpec {
+            id,
+            src,
+            dst,
+            bytes: 8,
+        })
+    }
 
     #[test]
     fn fifo_per_destination() {
@@ -236,33 +310,40 @@ mod tests {
         assert_eq!(q.total_queued(), 0);
     }
 
+    /// A pop that exposes a head enqueued less than one request-wire
+    /// propagation ago drops the line until the new head is due; the
+    /// line then rises once, listing the new head.
     #[test]
-    fn pooled_visible_requests_matches_sequential() {
-        use pms_workloads::MsgSpec;
-        let ports = PAR_MIN_PORTS + 17; // odd size exercises partial chunks
-        let mut q = Voqs::new(ports, 0);
-        let mut msgs = Vec::new();
-        for u in (0..ports).step_by(3) {
-            for k in 0..4usize {
-                let v = (u + 7 * k + 1) % ports;
-                let id = msgs.len();
-                let mut m = MsgState::new(MsgSpec {
-                    id,
-                    src: u,
-                    dst: v,
-                    bytes: 8,
-                });
-                m.enqueued_at = Some((u as u64 * 13 + k as u64 * 90) % 400);
-                msgs.push(m);
-                q.push(u, v, id);
-            }
+    fn pop_exposing_a_young_head_waits_for_its_wire() {
+        let mut msgs = vec![msg(0, 2, 1), msg(1, 2, 1)];
+        let mut q = Voqs::new(4, 2).with_request_lines(WIRE_NS);
+        msgs[0].enqueued_at = Some(0);
+        q.push(2, 1, 0);
+        q.raise_due(&msgs, 79);
+        assert!(!q.requests().get(2, 1) && q.raised().is_empty());
+        q.raise_due(&msgs, 80);
+        assert!(q.requests().get(2, 1));
+        assert_eq!(q.raised(), &[(2, 1, 0)]);
+        msgs[1].enqueued_at = Some(150);
+        q.push(2, 1, 1);
+        q.raise_due(&msgs, 200);
+        assert!(
+            q.raised().is_empty(),
+            "a queued second message is no new line"
+        );
+        assert_eq!(q.pop(2, 1), Some(0));
+        for now in [200, 229] {
+            q.raise_due(&msgs, now);
+            assert!(!q.requests().get(2, 1), "head 1 is not visible at {now}");
+            assert!(q.raised().is_empty());
+            assert_eq!(*q.requests(), q.visible_requests(&msgs, WIRE_NS, now));
         }
-        let pool = ShardPool::new(4);
-        for now in [0u64, 100, 250, 1_000] {
-            let seq = q.visible_requests(&msgs, 80, now);
-            let par = q.visible_requests_pooled(&msgs, 80, now, &pool);
-            assert_eq!(seq, par, "divergence at now={now}");
-        }
+        q.raise_due(&msgs, 230);
+        assert!(q.requests().get(2, 1));
+        assert_eq!(q.raised(), &[(2, 1, 1)]);
+        assert_eq!(q.pop(2, 1), Some(1));
+        q.raise_due(&msgs, 1_000);
+        assert!(q.requests().all_zero() && q.raised().is_empty());
     }
 
     /// Reference model: one `VecDeque` per pair, probed in full on
@@ -297,13 +378,16 @@ mod tests {
         }
     }
 
-    /// Seeded random push/pop sequences against the dense reference:
-    /// ids arrive out of order, a few hot pairs drain and refill many
-    /// times, and the link table starts smaller than the id space so it
-    /// has to grow. Every query is compared after every operation (the
-    /// request matrices every `scan_every` operations).
+    /// Seeded random push/pop/clock sequences against the dense
+    /// reference: ids arrive out of order, a few hot pairs drain and
+    /// refill many times, and the link table starts smaller than the id
+    /// space so it has to grow. Every message is enqueued at the current
+    /// clock, so pops often expose heads whose line is not yet due. After
+    /// every operation the queue queries, the incremental request matrix
+    /// (against the rebuild scan) and the newly raised heads are compared;
+    /// every `scan_every` operations all queue heads and the rebuild scan
+    /// are checked against the dense model.
     fn differential(ports: usize, ids: usize, capacity: usize, scan_every: usize, seed: u64) {
-        use pms_workloads::MsgSpec;
         use rand::prelude::*;
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -312,43 +396,39 @@ mod tests {
         let hot: Vec<(usize, usize)> = (0..4)
             .map(|_| (rng.gen_range(0..ports), rng.gen_range(0..ports)))
             .collect();
-        let msgs: Vec<MsgState> = (0..ids)
-            .map(|id| {
-                let mut m = MsgState::new(MsgSpec {
-                    id,
-                    src: 0,
-                    dst: 0,
-                    bytes: 8,
-                });
-                m.enqueued_at = Some(rng.gen_range(0..1_000u64));
-                m
-            })
-            .collect();
-        let mut q = Voqs::new(ports, capacity);
+        let mut msgs: Vec<MsgState> = (0..ids).map(|id| msg(id, 0, 0)).collect();
+        let mut q = Voqs::new(ports, capacity).with_request_lines(WIRE_NS);
         let mut dense = DenseVoqs {
             ports,
             queues: vec![VecDeque::new(); ports * ports],
         };
-        let pool = ShardPool::new(3);
+        let mut seen = vec![false; ids];
         let mut next_id = order.iter();
         let mut queued = 0usize;
-        for step in 0..4 * ids {
+        let mut now = 0u64;
+        for step in 0..5 * ids {
             let (u, v) = if rng.gen_bool(0.5) {
                 hot[rng.gen_range(0..hot.len())]
             } else {
                 (rng.gen_range(0..ports), rng.gen_range(0..ports))
             };
-            if rng.gen_bool(0.55) {
-                if let Some(&id) = next_id.next() {
-                    let was_empty = dense.queue(u, v).is_empty();
-                    dense.queue(u, v).push_back(id);
-                    assert_eq!(q.push(u, v, id), was_empty, "step {step}: push edge");
-                    queued += 1;
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    if let Some(&id) = next_id.next() {
+                        msgs[id] = msg(id, u, v);
+                        msgs[id].enqueued_at = Some(now);
+                        let was_empty = dense.queue(u, v).is_empty();
+                        dense.queue(u, v).push_back(id);
+                        assert_eq!(q.push(u, v, id), was_empty, "step {step}: push edge");
+                        queued += 1;
+                    }
                 }
-            } else {
-                let popped = dense.queue(u, v).pop_front();
-                queued -= usize::from(popped.is_some());
-                assert_eq!(q.pop(u, v), popped, "step {step}: pop");
+                5..=7 => {
+                    let popped = dense.queue(u, v).pop_front();
+                    queued -= usize::from(popped.is_some());
+                    assert_eq!(q.pop(u, v), popped, "step {step}: pop");
+                }
+                _ => now += rng.gen_range(1..2 * WIRE_NS),
             }
             assert_eq!(q.total_queued(), queued, "step {step}: total");
             assert_eq!(q.front(u, v), dense.queue(u, v).front().copied());
@@ -359,16 +439,27 @@ mod tests {
                 dense.nonempty_dests(u),
                 "step {step}: request row {u}"
             );
+
+            q.raise_due(&msgs, now);
+            let rebuilt = q.visible_requests(&msgs, WIRE_NS, now);
+            assert_eq!(*q.requests(), rebuilt, "step {step}: request matrix");
+            let newly: Vec<_> = rebuilt
+                .iter_ones()
+                .map(|(a, b)| (a, b, q.front(a, b).expect("visible => queued")))
+                .filter(|&(_, _, h)| !seen[h])
+                .collect();
+            assert_eq!(q.raised(), newly.as_slice(), "step {step}: raised heads");
+            for &(_, _, h) in &newly {
+                seen[h] = true;
+            }
+
             if step % scan_every == 0 {
                 for w in 0..ports * ports {
                     let (a, b) = (w / ports, w % ports);
                     assert_eq!(q.front(a, b), dense.queues[w].front().copied());
                 }
-                let now = rng.gen_range(0..1_200u64);
-                let want = dense.visible_requests(&msgs, 80, now);
-                assert_eq!(q.visible_requests(&msgs, 80, now), want, "step {step}");
-                let pooled = q.visible_requests_pooled(&msgs, 80, now, &pool);
-                assert_eq!(pooled, want, "step {step}: pooled");
+                let want = dense.visible_requests(&msgs, WIRE_NS, now);
+                assert_eq!(rebuilt, want, "step {step}: rebuild scan");
             }
         }
     }
@@ -383,7 +474,51 @@ mod tests {
 
     #[test]
     fn linked_queues_match_dense_reference_above_par_threshold() {
-        // Sharded request scan: only ports >= PAR_MIN_PORTS take it.
-        differential(PAR_MIN_PORTS + 9, 3_000, 0, 97, 6);
+        // A switch above the simulator's parallel thresholds, where the
+        // request matrix spans several words per row.
+        differential(265, 1_200, 0, 97, 6);
+    }
+
+    /// Dynamic TDM under the CI grant-drop plan (a healed link outage and
+    /// a dropped grant line on `0 -> 3`): the working-set lookups taken
+    /// from the raised request lines count exactly what the full rescan
+    /// of every queue head counted.
+    #[test]
+    fn tdm_lookups_under_the_ci_grant_drop_plan() {
+        use crate::{Paradigm, PredictorKind, SimParams};
+        use pms_faults::FaultPlan;
+        use pms_trace::Tracer;
+        use pms_workloads::{scatter, uniform};
+
+        let plan = FaultPlan::parse(
+            "retry budget=2 base=100 max=1000\n\
+             link-down start=500 dur=2000 src=1 dst=2\n\
+             grant-drop start=0 dur=40000 src=0 dst=3\n",
+        )
+        .expect("valid plan");
+        // (workload, predictor, ws_lookups, ws_hits, msg_retries) as the
+        // rescan classification counted them.
+        let cases = [
+            (scatter(16, 256), PredictorKind::Drop, 15, 0, 38),
+            (uniform(16, 64, 16, 7), PredictorKind::Drop, 256, 99, 39),
+            (
+                uniform(16, 64, 16, 7),
+                PredictorKind::Timeout(400),
+                256,
+                99,
+                39,
+            ),
+        ];
+        for (w, predictor, lookups, hits, retries) in cases {
+            let params = SimParams::default().with_ports(16);
+            let (stats, _) = Paradigm::DynamicTdm(predictor).run_faulted(
+                &w,
+                &params,
+                plan.clone(),
+                Tracer::Null,
+            );
+            let got = (stats.ws_lookups, stats.ws_hits, stats.msg_retries);
+            assert_eq!(got, (lookups, hits, retries), "{} {predictor:?}", w.name);
+        }
     }
 }

@@ -24,7 +24,11 @@ use std::time::Instant;
 /// The instrumented hot kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfKernel {
-    /// One SL-array scheduling pass (`pms-sched::sl_pass`).
+    /// One SL-array scheduling pass (`pms-sched::sl_pass`). Its words are
+    /// the row-occupancy words of `L` plus one row of `L` words per
+    /// request row the ripple visits; the event searches over that row's
+    /// `B^(s)` and column-busy words are not counted. Denials are
+    /// popcounted, so the count does not grow with them.
     SlPass = 0,
     /// A word-parallel bit-matrix reduction (`pms-bitmat`).
     BitmatReduce = 1,

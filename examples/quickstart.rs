@@ -19,14 +19,21 @@ fn main() {
 
     println!("== establish a working set ==");
     // Three NICs raise request lines; two of them fight for output 9.
-    sys.request(0, 9);
-    sys.request(7, 9);
-    sys.request(3, 12);
+    let requests = [(0, 9), (7, 9), (3, 12)];
+    for (u, v) in requests {
+        sys.request(u, v);
+    }
     for _ in 0..2 {
         let report = sys.sl_pass();
+        // The pass reports how many requests lost; the registers say
+        // which ones are still waiting for a slot.
+        let waiting: Vec<_> = requests
+            .into_iter()
+            .filter(|&(u, v)| !sys.established(u, v))
+            .collect();
         println!(
-            "SL pass on slot {:?}: established {:?}, denied {:?}",
-            report.slot, report.established, report.denied
+            "SL pass on slot {:?}: established {:?}, denied {} (waiting: {:?})",
+            report.slot, report.established, report.denied, waiting
         );
     }
     assert!(sys.established(0, 9) && sys.established(7, 9) && sys.established(3, 12));
