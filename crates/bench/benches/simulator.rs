@@ -1,11 +1,12 @@
 //! Criterion bench: end-to-end simulator throughput for each switching
 //! paradigm on a fixed 32-processor mesh round — the cost of one Figure-4
-//! grid cell.
+//! grid cell — and on the paper's 128-processor Two Phase cell, where a
+//! program engine that rescans every processor per poll dominated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pms_fabric::TorusNetwork;
 use pms_sim::{MultihopWormholeSim, Paradigm, PredictorKind, SimParams};
-use pms_workloads::{ordered_mesh, uniform, MeshSpec};
+use pms_workloads::{ordered_mesh, two_phase, uniform, MeshSpec};
 use std::hint::black_box;
 
 fn bench_paradigms(c: &mut Criterion) {
@@ -21,6 +22,27 @@ fn bench_paradigms(c: &mut Criterion) {
         Paradigm::DynamicTdm(PredictorKind::Drop),
         Paradigm::PreloadTdm,
     ] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(paradigm.label()),
+            &paradigm,
+            |b, paradigm| {
+                b.iter(|| {
+                    let stats = paradigm.run(black_box(&workload), black_box(&params));
+                    black_box(stats.delivered_bytes)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_two_phase128(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulate_two_phase128");
+    group.sample_size(10);
+    let workload = two_phase(MeshSpec::for_ports(128), 64, 16, 500, 100, 11);
+    let params = SimParams::default().with_ports(128);
+    group.throughput(Throughput::Elements(workload.message_count() as u64));
+    for paradigm in [Paradigm::Wormhole, Paradigm::Circuit] {
         group.bench_with_input(
             BenchmarkId::from_parameter(paradigm.label()),
             &paradigm,
@@ -54,5 +76,5 @@ fn bench_multihop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_paradigms, bench_multihop);
+criterion_group!(benches, bench_paradigms, bench_two_phase128, bench_multihop);
 criterion_main!(benches);

@@ -7,26 +7,35 @@
 //! *and* the network has drained; `flush`/`preload` raise control effects
 //! the paradigm simulator forwards to the scheduler.
 //!
-//! ## Parallel execution
+//! ## Ready-heap scheduling
 //!
-//! Processors are fully independent between barrier releases, so
-//! [`Engine::poll`] shards them across a [`ShardPool`] when one is
-//! attached: each shard advances its processor range and buffers its
-//! effects locally, and the coordinator merges the shard buffers in
-//! canonical `(time, shard, seq)` order ([`pms_trace::shard`]). Because
-//! shards partition processors in index order and each processor's
-//! effects are emitted in nondecreasing time order, that merge is exactly
-//! the stable time sort the sequential path performs — parallel polls are
-//! byte-identical to sequential ones. Barrier release stays on the
-//! coordinator (it is a global O(n) flag scan).
+//! A poll costs what runs, not how many processors exist. The engine
+//! keeps every *runnable* processor (neither finished nor parked at a
+//! barrier) on a min-heap keyed by `(ready_at, proc)`, and counts the
+//! parked and finished ones. [`Engine::all_done`] is `finished == n` and
+//! [`Engine::next_wake`] is a heap peek, both O(1).
+//! [`Engine::poll`] pops only the processors due by `now`, runs them,
+//! and re-pushes the ones still runnable. A barrier can open only when
+//! `parked + finished == n`; the O(n) release loop runs only when one
+//! actually opens, and the released processors run in the next round of
+//! the same poll.
+//!
+//! Effect order is part of every simulator's output, so each round runs
+//! its due processors in ascending *index* order, not heap-pop order:
+//! the due list is a bitmap over processor indices, read low bit first.
+//! The effects of one round are then exactly what a scan over all
+//! processors would emit (processors that are not due emit nothing).
+//! The poll stable-sorts the rounds' concatenated effects by time, so
+//! equal times keep round order, then processor order, then command
+//! order. The full-scan engine this replaced is kept as the test oracle
+//! (`engine::reference`).
 
-use pms_par::{split_ranges, ShardPool};
 use pms_workloads::{Command, MsgSpec, Workload};
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Below this processor count a scatter costs more than the scan; the
-/// threshold only moves work between lanes, never changes results.
-const PAR_MIN_PROCS: usize = 192;
+#[cfg(test)]
+mod reference;
 
 /// A control effect produced by program execution, timestamped with the
 /// exact processor-local time at which the command executed.
@@ -100,8 +109,21 @@ impl Proc {
 pub struct Engine {
     procs: Vec<Proc>,
     nic_cycle_ns: u64,
-    /// Worker lanes for sharded polls; `None` runs the sequential path.
-    pool: Option<Arc<ShardPool>>,
+    /// Runnable processors (neither finished nor parked), keyed by
+    /// `(ready_at, proc)`.
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Processors parked at a barrier.
+    parked: usize,
+    /// Processors that executed their whole program.
+    finished: usize,
+    /// Whether a poll has run. Before the first one every runnable
+    /// processor is due at time 0, so that poll takes them straight from
+    /// the program list and the heap is only built from what stays
+    /// runnable.
+    started: bool,
+    /// The processors due in the current round, one bit per processor,
+    /// kept across polls. Set bits iterate in ascending index order.
+    due: Vec<u64>,
 }
 
 impl Engine {
@@ -114,7 +136,7 @@ impl Engine {
         for m in table {
             msgs_by_src[m.src].push(m.id);
         }
-        let procs = workload
+        let procs: Vec<Proc> = workload
             .programs
             .iter()
             .zip(msgs_by_src)
@@ -128,33 +150,28 @@ impl Engine {
             })
             .collect();
         Self {
+            finished: procs.iter().filter(|p| p.done()).count(),
             procs,
             nic_cycle_ns,
-            pool: None,
-        }
-    }
-
-    /// Attaches the shard pool used to parallelize polls. A single-lane
-    /// pool is ignored — the sequential path is the 1-thread code path.
-    pub fn set_pool(&mut self, pool: Arc<ShardPool>) {
-        if pool.threads() > 1 {
-            self.pool = Some(pool);
+            ready: BinaryHeap::new(),
+            parked: 0,
+            started: false,
+            due: vec![0; n.div_ceil(64)],
         }
     }
 
     /// True when every processor has executed its whole program.
     pub fn all_done(&self) -> bool {
-        self.procs.iter().all(Proc::done)
+        self.finished == self.procs.len()
     }
 
     /// The earliest future time at which a processor has work to run, or
     /// `None` if all are done or blocked on a barrier.
     pub fn next_wake(&self) -> Option<u64> {
-        self.procs
-            .iter()
-            .filter(|p| !p.done() && !p.at_barrier)
-            .map(|p| p.ready_at)
-            .min()
+        if !self.started {
+            return (self.finished < self.procs.len()).then_some(0);
+        }
+        self.ready.peek().map(|&Reverse((t, _))| t)
     }
 
     /// Runs every processor forward to `now`. `network_drained` must be
@@ -168,11 +185,10 @@ impl Engine {
     pub fn poll(&mut self, now: u64, network_drained: bool) -> Vec<(u64, Effect)> {
         let mut effects = Vec::new();
         loop {
-            let progressed = self.execute_all(now, &mut effects);
+            self.run_due(now, &mut effects);
             let drained =
                 network_drained && !effects.iter().any(|(_, e)| matches!(e, Effect::Inject(_)));
-            let released = self.try_release_barrier(now, drained);
-            if !progressed && !released {
+            if !self.try_release_barrier(now, drained) {
                 break;
             }
         }
@@ -180,65 +196,75 @@ impl Engine {
         effects
     }
 
+    /// Runs, in index order, every runnable processor due by `now`, then
+    /// files each as parked, finished, or runnable again.
+    fn run_due(&mut self, now: u64, effects: &mut Vec<(u64, Effect)>) {
+        let mut due = std::mem::take(&mut self.due);
+        let (mut lo, mut hi) = (due.len(), 0);
+        let mut mark = |i: usize| {
+            due[i / 64] |= 1 << (i % 64);
+            lo = lo.min(i / 64);
+            hi = hi.max(i / 64 + 1);
+        };
+        if !self.started {
+            self.started = true;
+            (0..self.procs.len())
+                .filter(|&i| !self.procs[i].done())
+                .for_each(&mut mark);
+        } else {
+            while let Some(&Reverse((t, i))) = self.ready.peek() {
+                if t > now {
+                    break;
+                }
+                self.ready.pop();
+                mark(i);
+            }
+        }
+        for (w, word) in due.iter_mut().enumerate().take(hi).skip(lo) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let p = &mut self.procs[i];
+                p.execute(now, self.nic_cycle_ns, effects);
+                if p.at_barrier {
+                    self.parked += 1;
+                } else if p.done() {
+                    self.finished += 1;
+                } else {
+                    self.push_ready(i);
+                }
+            }
+        }
+        self.due = due;
+    }
+
     /// Releases the barrier if every processor is parked (or finished) and
     /// the network is empty. Returns whether a release happened.
     fn try_release_barrier(&mut self, now: u64, network_drained: bool) -> bool {
-        if !network_drained
-            || !self.procs.iter().any(|p| p.at_barrier)
-            || !self.procs.iter().all(|p| p.at_barrier || p.done())
-        {
+        if !network_drained || self.parked == 0 || self.parked + self.finished < self.procs.len() {
             return false;
         }
-        for p in &mut self.procs {
+        for i in 0..self.procs.len() {
+            let p = &mut self.procs[i];
             if p.at_barrier {
                 p.at_barrier = false;
                 p.pc += 1;
                 p.ready_at = p.ready_at.max(now);
+                if p.done() {
+                    self.finished += 1;
+                } else {
+                    self.push_ready(i);
+                }
             }
         }
+        self.parked = 0;
         true
     }
 
-    /// Executes every processor up to `now`; returns whether any command
-    /// ran. With a pool attached the processor range is sharded and the
-    /// per-shard effect buffers are merged in shard order — which *is*
-    /// processor order, so the result is identical to the sequential scan.
-    fn execute_all(&mut self, now: u64, effects: &mut Vec<(u64, Effect)>) -> bool {
-        let before = effects.len();
-        let nic_cycle_ns = self.nic_cycle_ns;
-        let mut progressed = false;
-        match &self.pool {
-            Some(pool) if self.procs.len() >= PAR_MIN_PROCS => {
-                type ProcShard<'a> = (&'a mut [Proc], Vec<(u64, Effect)>, bool);
-                let ranges = split_ranges(self.procs.len(), pool.threads() * 4);
-                let mut shards: Vec<ProcShard> = Vec::new();
-                let mut rest = self.procs.as_mut_slice();
-                for r in &ranges {
-                    let (head, tail) = rest.split_at_mut(r.len());
-                    rest = tail;
-                    shards.push((head, Vec::new(), false));
-                }
-                pool.scatter_mut(&mut shards, |_, (procs, buf, prog)| {
-                    for p in procs.iter_mut() {
-                        *prog |= p.execute(now, nic_cycle_ns, buf);
-                    }
-                });
-                // Boundary merge: shard buffers in canonical
-                // (time, shard, seq) order; `poll` applies the same
-                // stable time sort to the whole batch afterwards, so
-                // this equals the sequential accumulation exactly.
-                let (bufs, progs): (Vec<_>, Vec<_>) =
-                    shards.into_iter().map(|(_, buf, prog)| (buf, prog)).unzip();
-                progressed = progs.into_iter().any(|p| p);
-                effects.extend(pms_trace::shard::merge_by_key(bufs, |&(t, _)| t));
-            }
-            _ => {
-                for p in &mut self.procs {
-                    progressed |= p.execute(now, nic_cycle_ns, effects);
-                }
-            }
-        }
-        progressed || effects.len() > before
+    /// Puts runnable processor `i` back on the ready heap.
+    fn push_ready(&mut self, i: usize) {
+        self.ready.push(Reverse((self.procs[i].ready_at, i)));
     }
 }
 
@@ -246,6 +272,7 @@ impl Engine {
 mod tests {
     use super::*;
     use pms_workloads::Program;
+    use proptest::prelude::*;
 
     fn wl(programs: Vec<Program>) -> (Workload, Vec<MsgSpec>) {
         let n = programs.len();
@@ -342,40 +369,110 @@ mod tests {
         assert!(e.poll(0, true).is_empty());
     }
 
-    /// A mixed workload (staggered sends, delays, barriers) polled in
-    /// lockstep by a sequential and a sharded engine must produce
-    /// identical effect streams at every step.
-    #[test]
-    fn parallel_poll_is_byte_identical() {
-        let n = PAR_MIN_PROCS + 13; // force the sharded path
-        let programs: Vec<Program> = (0..n)
-            .map(|p| {
-                let mut prog = Program::new();
-                prog.delay((p as u64 * 7) % 90);
-                prog.send((p + 1) % n, 8 + (p as u32 % 56));
-                prog.send((p + 3) % n, 16);
-                prog.barrier();
-                prog.send((p + 2) % n, 32);
-                prog
+    /// One command of a random program. Sends and delays carry raw draws
+    /// that `build` maps onto the other processors and a 10 ns grain
+    /// (the NIC cycle), so effects of different processors often share
+    /// a timestamp.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Send(usize),
+        Delay(u64),
+        Barrier,
+        Flush,
+        Preload(usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0usize..1_000).prop_map(Op::Send),
+            3 => (0u64..12).prop_map(Op::Delay),
+            2 => Just(Op::Barrier),
+            2 => Just(Op::Flush),
+            2 => (0usize..4).prop_map(Op::Preload),
+        ]
+    }
+
+    /// 1 to 300 processors, weighted toward small counts where barriers
+    /// open often.
+    fn programs_strategy() -> impl Strategy<Value = Vec<Vec<Op>>> {
+        prop_oneof![2 => 1usize..9, 1 => 9usize..65, 1 => 65usize..301].prop_flat_map(|n| {
+            prop::collection::vec(prop::collection::vec(op_strategy(), 0..10), n)
+        })
+    }
+
+    /// Poll steps: a time advance (zero repeats the last `now`) and the
+    /// `network_drained` flag. Advances mostly stay on the 10 ns grain,
+    /// so polls often land exactly where a processor is due.
+    fn steps_strategy() -> impl Strategy<Value = Vec<(u64, bool)>> {
+        let advance = prop_oneof![
+            2 => Just(0u64),
+            8 => (1u64..8).prop_map(|k| k * 10),
+            1 => (10u64..200).prop_map(|k| k * 10),
+            1 => 0u64..100,
+        ];
+        prop::collection::vec((advance, (0u8..3).prop_map(|d| d > 0)), 1..60)
+    }
+
+    fn build(ops: &[Vec<Op>]) -> (Workload, Vec<MsgSpec>) {
+        let n = ops.len();
+        let programs = ops
+            .iter()
+            .enumerate()
+            .map(|(src, cmds)| {
+                let mut p = Program::new();
+                for op in cmds {
+                    match *op {
+                        // A lone processor has no one to send to.
+                        Op::Send(_) if n == 1 => p.cmds.push(Command::Flush),
+                        Op::Send(d) => {
+                            p.send((src + 1 + d % (n - 1)) % n, 8);
+                        }
+                        Op::Delay(k) => {
+                            // Mostly NIC-cycle multiples, sometimes odd.
+                            p.delay(if k < 9 { k * 10 } else { k * 7 });
+                        }
+                        Op::Barrier => {
+                            p.barrier();
+                        }
+                        Op::Flush => p.cmds.push(Command::Flush),
+                        Op::Preload(pattern) => p.cmds.push(Command::Preload { pattern }),
+                    }
+                }
+                p
             })
             .collect();
-        let (w, table) = wl(programs);
-        let mut seq = Engine::new(&w, &table, 10);
-        let mut par = Engine::new(&w, &table, 10);
-        par.set_pool(Arc::new(ShardPool::new(4)));
-        for step in 0..200u64 {
-            let t = step * 10;
-            // Pretend the network drains every 4th step so barriers
-            // exercise both gated and released polls.
-            let drained = step % 4 == 0;
-            assert_eq!(
-                seq.poll(t, drained),
-                par.poll(t, drained),
-                "divergence at t={t}"
-            );
-            assert_eq!(seq.next_wake(), par.next_wake());
-            assert_eq!(seq.all_done(), par.all_done());
+        wl(programs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The ready-heap engine and the full-scan reference, driven in
+        /// lockstep through random polls (repeated `now` values and random
+        /// drain flags included), then run to completion, agree on every
+        /// `poll`, `next_wake` and `all_done`.
+        #[test]
+        fn ready_heap_engine_matches_scan_reference(
+            ops in programs_strategy(),
+            steps in steps_strategy(),
+        ) {
+            let (w, table) = build(&ops);
+            let mut fast = Engine::new(&w, &table, 10);
+            let mut scan = reference::ScanEngine::new(&w, &table, 10);
+            prop_assert_eq!(fast.next_wake(), scan.next_wake());
+            prop_assert_eq!(fast.all_done(), scan.all_done());
+            let mut now = 0;
+            // The random steps, then drained polls far enough apart to run
+            // every program to its end.
+            let finish = std::iter::repeat_n((1_000_000, true), 25);
+            for (i, (advance, drained)) in steps.iter().copied().chain(finish).enumerate() {
+                now += advance;
+                let (f, r) = (fast.poll(now, drained), scan.poll(now, drained));
+                prop_assert_eq!(&f, &r, "poll {} at t={} (drained={})", i, now, drained);
+                prop_assert_eq!(fast.next_wake(), scan.next_wake(), "next_wake after poll {}", i);
+                prop_assert_eq!(fast.all_done(), scan.all_done(), "all_done after poll {}", i);
+            }
+            prop_assert!(fast.all_done(), "every program runs to its end");
         }
-        assert!(seq.all_done());
     }
 }

@@ -116,7 +116,10 @@ impl Switch for MultihopWormhole {
             end_t = end_t.max(t);
             core.check_horizon(t, "multihop");
             match ev {
-                Ev::EngineWake => self.poll_engine(core, t),
+                Ev::EngineWake => {
+                    core.engine_woke(t);
+                    self.poll_engine(core, t);
+                }
                 Ev::SourceDone(h) => self.source_done(core, h, t),
                 Ev::LinkDone(l) => self.link_done(core, l, t),
                 Ev::DestDone(h) => self.dest_done(core, h, t),
@@ -147,9 +150,7 @@ impl MultihopWormhole {
                 self.queue_worms(core, id, t);
             }
         }
-        if let Some(w) = core.engine_wake_after(now) {
-            self.events.push(w, Ev::EngineWake);
-        }
+        core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 
     /// Cuts message `id` into worms at its source host.

@@ -94,8 +94,8 @@ pub struct SimParams {
     /// Semantics-preserving: stats and traces are byte-identical with the
     /// flag off (CI enforces this); disable only to A/B the two paths.
     pub idle_skip: bool,
-    /// Worker-lane count for the sharded parallel engine (`1` = the exact
-    /// sequential legacy path, no threads spawned). Purely an execution
+    /// Worker-lane count for the sharded pre-scheduling sweep (`1` = the
+    /// exact sequential path, no threads spawned). Purely an execution
     /// knob: every output — stats, traces, reports, alert streams — is
     /// byte-identical at any thread count (CI and proptests enforce this).
     pub threads: usize,
@@ -155,8 +155,8 @@ impl SimParams {
         self
     }
 
-    /// Overrides the worker-lane count for the sharded parallel engine
-    /// (clamped to at least 1). Outputs are byte-identical at any value;
+    /// Overrides the worker-lane count for the sharded pre-scheduling
+    /// sweep (clamped to at least 1). Outputs are byte-identical at any value;
     /// `1` runs fully inline on the calling thread.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);

@@ -76,7 +76,13 @@ impl<S: Switch> Sim<S> {
     /// records it collected. Spans still open are closed, the snapshot
     /// pipeline is sealed, and JSONL output is flushed before returning.
     pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        let (end, slot) = self.switch.run(&mut self.core);
+        let ended = self.switch.run(&mut self.core);
+        self.finish(ended)
+    }
+
+    /// Collects the statistics and seals the tracer of a run that ended
+    /// at `end`, with closing records stamped `slot`.
+    pub(crate) fn finish(self, (end, slot): (u64, u32)) -> (SimStats, Tracer) {
         let core = self.core;
         let mut stats =
             SimStats::from_messages(self.switch.label(), core.workload_name, &core.msgs);
@@ -97,6 +103,9 @@ pub struct SimCore {
     workload_name: String,
     pub(crate) msgs: Vec<MsgState>,
     pub(crate) engine: Engine,
+    /// Instants with an engine wake-up queued by
+    /// [`queue_engine_wake`](Self::queue_engine_wake) that has not fired.
+    engine_wakes: Vec<u64>,
     /// Injected messages not yet delivered or abandoned.
     pub(crate) undelivered: usize,
     /// Optional fault-injection runtime; `None` (also for an empty plan)
@@ -109,9 +118,9 @@ pub struct SimCore {
     pub(crate) tracer: Tracer,
     /// Causal span emitter (inert while the tracer is disabled).
     pub(crate) spans: SpanTracker,
-    /// Worker lanes shared by the engine, the scheduler, and the per-port
-    /// scans. One lane (`params.threads == 1`) spawns no threads and runs
-    /// the exact sequential code path.
+    /// Worker lanes for the scheduler's pre-scheduling sweep. One lane
+    /// (`params.threads == 1`) spawns no threads and runs the exact
+    /// sequential code path.
     pub(crate) pool: Arc<ShardPool>,
 }
 
@@ -128,13 +137,13 @@ impl SimCore {
         );
         let table = workload.message_table();
         let pool = Arc::new(ShardPool::new(params.threads));
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(Arc::clone(&pool));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         Self {
             params: params.clone(),
             workload_name: workload.name.clone(),
             msgs: table.iter().map(|m| MsgState::new(*m)).collect(),
             engine,
+            engine_wakes: Vec::new(),
             undelivered: 0,
             faults: None,
             msg_retries: 0,
@@ -167,9 +176,31 @@ impl SimCore {
         self.engine.poll(now, drained)
     }
 
-    /// The next engine wake-up strictly after `now`.
-    pub(crate) fn engine_wake_after(&self, now: u64) -> Option<u64> {
-        self.engine.next_wake().filter(|&w| w > now)
+    /// Queues `wake` on `events` for the engine's next wake-up after
+    /// `now`, unless a wake for that instant is already pending. The
+    /// event-driven switches poll the engine on every delivery, so most
+    /// polls find their next wake-up already queued. Only the exact
+    /// instant is deduplicated: a wake a barrier release pulls earlier
+    /// is queued beside the later one, which then fires as a no-op poll.
+    /// So the first wake queued for any instant keeps its place among
+    /// the events due at that instant.
+    pub(crate) fn queue_engine_wake<E: Ord>(
+        &mut self,
+        events: &mut EventQueue<E>,
+        now: u64,
+        wake: E,
+    ) {
+        if let Some(w) = self.engine.next_wake().filter(|&w| w > now) {
+            if !self.engine_wakes.contains(&w) {
+                self.engine_wakes.push(w);
+                events.push(w, wake);
+            }
+        }
+    }
+
+    /// The engine wake-up queued for `t` fired.
+    pub(crate) fn engine_woke(&mut self, t: u64) {
+        self.engine_wakes.retain(|&w| w != t);
     }
 
     /// The next fault boundary, if any.

@@ -98,6 +98,9 @@ pub struct Wormhole {
     held: Vec<Option<usize>>,
     /// The fault boundary a `FaultWake` event is already scheduled for.
     fault_wake_at: Option<u64>,
+    /// The instants of the `EngineWake` events handled, when logging.
+    #[cfg(test)]
+    wake_log: Option<Vec<u64>>,
 }
 
 impl WormholeSim {
@@ -133,6 +136,8 @@ impl WormholeSim {
             grants: 0,
             held: vec![None; n],
             fault_wake_at: None,
+            #[cfg(test)]
+            wake_log: None,
         };
         Sim { core, switch }
     }
@@ -153,7 +158,14 @@ impl Switch for Wormhole {
             core.check_horizon(t, "wormhole");
             self.poll_faults(core, t);
             match ev {
-                Ev::EngineWake => self.poll_engine(core, t),
+                Ev::EngineWake => {
+                    #[cfg(test)]
+                    if let Some(log) = &mut self.wake_log {
+                        log.push(t);
+                    }
+                    core.engine_woke(t);
+                    self.poll_engine(core, t);
+                }
                 Ev::UploadDone(u) => self.upload_done(core, u, t),
                 Ev::DrainDone(u, v) => self.drain_done(core, u, v, t),
                 // Handled by the poll_faults above.
@@ -192,9 +204,7 @@ impl Wormhole {
                 self.queue_worms(core, id, t);
             }
         }
-        if let Some(wake) = core.engine_wake_after(now) {
-            self.events.push(wake, Ev::EngineWake);
-        }
+        core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 
     /// Cuts message `id` into worms of at most `worm_max_bytes` and
@@ -425,7 +435,7 @@ impl Wormhole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pms_workloads::{ordered_mesh, scatter, MeshSpec, Program, Workload};
+    use pms_workloads::{ordered_mesh, scatter, two_phase, MeshSpec, Program, Workload};
 
     fn small_params(ports: usize) -> SimParams {
         SimParams::default().with_ports(ports)
@@ -579,5 +589,29 @@ mod tests {
         let stats = WormholeSim::new(&w, &small_params(8)).run();
         assert_eq!(stats.delivered_bytes, w.total_bytes());
         assert_eq!(stats.delivered_messages as usize, w.message_count());
+    }
+
+    #[test]
+    fn engine_wakes_are_not_duplicated() {
+        // Every worm drain polls the engine; the barrier-separated phases
+        // of Two Phase make those polls land between wake-ups.
+        let w = two_phase(MeshSpec::for_ports(16), 8, 16, 500, 100, 11);
+        let params = small_params(16);
+        let mut sim = WormholeSim::new(&w, &params);
+        sim.switch.wake_log = Some(Vec::new());
+        let ended = sim.switch.run(&mut sim.core);
+        let wakes = sim.switch.wake_log.take().expect("logging");
+        let (stats, _) = sim.finish(ended);
+        let mut instants = wakes.clone();
+        instants.sort_unstable();
+        instants.dedup();
+        assert!(instants.len() > 40, "{} wake instants", instants.len());
+        assert!(
+            wakes.len() <= instants.len(),
+            "{} EngineWake events handled for {} distinct instants",
+            wakes.len(),
+            instants.len()
+        );
+        assert_eq!(stats, WormholeSim::new(&w, &params).run());
     }
 }

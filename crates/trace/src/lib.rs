@@ -31,7 +31,6 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod prof;
-pub mod shard;
 pub mod sink;
 pub mod span;
 pub mod timeseries;
@@ -43,7 +42,6 @@ pub use flight::{parse_flight_dump, FlightConfig, FlightParseError, FlightRecord
 pub use json::{Json, ParseError};
 pub use metrics::{prometheus_name, Histogram, MetricsRegistry, PROMETHEUS_CONTENT_TYPE};
 pub use prof::{KernelSnapshot, ProfKernel, ProfScope};
-pub use shard::{merge_by_key, merge_records};
 pub use sink::{
     record_json, write_jsonl, write_record_line, JsonlTracer, NullTracer, PipelineTracer,
     RingTracer, SharedTracer, TraceSink, Tracer, VecTracer,

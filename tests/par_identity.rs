@@ -1,15 +1,15 @@
 //! Parallel == sequential, byte for byte.
 //!
-//! The sharded engine's contract (DESIGN.md, "Parallel execution model")
-//! is that `threads` is a pure performance knob: every observable output
-//! — the stats JSON, the replayable JSONL trace stream, the full
+//! The parallel execution contract (DESIGN.md, "Parallel execution
+//! model") is that `threads` is a pure performance knob: every observable
+//! output — the stats JSON, the replayable JSONL trace stream, the full
 //! `pms-analyze` report, and the alert stream — must be byte-identical
 //! at any thread count. These tests pin that across thread counts
 //! {1, 2, 4, 8}, all four switching paradigms, with and without a fault
-//! plan, on randomized workloads; plus one deterministic run big enough
-//! to cross the engine's and VOQ scan's parallel thresholds so the
-//! sharded paths (not just the small-run sequential fallbacks) are the
-//! thing being compared.
+//! plan, on randomized workloads; plus one deterministic 256-port run.
+//! The only in-run parallel threshold left is the pre-scheduling sweep's
+//! 512-row gate (`PAR_MIN_ROWS` in `pms-sched::presched`), which no run
+//! here reaches; its sharded path is pinned by presched's own unit test.
 
 use pms_analyze::{build_report, ReportConfig};
 use pms_faults::{FaultKind, FaultPlan};
@@ -171,10 +171,11 @@ proptest! {
     }
 }
 
-/// A run big enough to cross the parallel thresholds (256 procs ≥ the
-/// engine's 192-proc gate, 256 ports ≥ the VOQ scan's 256-port gate), so
-/// at `threads > 1` the sharded paths actually execute and must still
-/// match the 1-thread legacy path byte for byte.
+/// A 256-port run at 1 and 4 threads must match byte for byte. The
+/// name predates the removal of the engine's and the VOQ scan's
+/// thresholds; 256 rows stay below the one that remains (the
+/// pre-scheduling sweep's 512-row gate), so this pins that a multi-lane
+/// pool changes nothing on a run of this size.
 #[test]
 fn large_run_crosses_parallel_thresholds() {
     let workload = uniform(256, 64, 2, 17);
