@@ -9,11 +9,16 @@
 //! *is* the untraced baseline here since it delegates to `run_traced`
 //! with `Tracer::Null`) and that enabling the profiler on top costs at
 //! most 2 % — the gate the `overhead_gate` integration test asserts.
+//!
+//! `jsonl_roundtrip` times the JSONL trace path on its own: rendering a
+//! two-phase run's records with `write_record_line`, and reading the
+//! rendered text back with `parse_jsonl`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pms_analyze::parse_jsonl;
 use pms_sim::{Paradigm, PredictorKind, SimParams};
-use pms_trace::{prof, Tracer};
-use pms_workloads::{ordered_mesh, MeshSpec};
+use pms_trace::{prof, write_record_line, Tracer};
+use pms_workloads::{ordered_mesh, two_phase, MeshSpec};
 use std::hint::black_box;
 
 fn bench_trace_overhead(c: &mut Criterion) {
@@ -61,5 +66,37 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_trace_overhead);
+fn bench_jsonl_roundtrip(c: &mut Criterion) {
+    let mut group = c.benchmark_group("jsonl_roundtrip");
+    group.sample_size(10);
+    let workload = two_phase(MeshSpec::for_ports(56), 64, 2, 500, 100, 11);
+    let params = SimParams::default().with_ports(56);
+    let (_, tracer) =
+        Paradigm::DynamicTdm(PredictorKind::Drop).run_traced(&workload, &params, Tracer::vec());
+    let records = tracer.records();
+    let mut text = String::new();
+    for rec in &records {
+        write_record_line(&mut text, rec);
+        text.push('\n');
+    }
+    group.throughput(Throughput::Elements(records.len() as u64));
+    group.bench_function(format!("write_record_line/{}", records.len()), |b| {
+        let mut line = String::new();
+        b.iter(|| {
+            let mut bytes = 0;
+            for rec in black_box(&records) {
+                line.clear();
+                write_record_line(&mut line, rec);
+                bytes += line.len();
+            }
+            bytes
+        })
+    });
+    group.bench_function(format!("parse_jsonl/{}", records.len()), |b| {
+        b.iter(|| parse_jsonl(black_box(&text)).unwrap().records.len())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_trace_overhead, bench_jsonl_roundtrip);
 criterion_main!(benches);

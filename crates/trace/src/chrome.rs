@@ -4,17 +4,20 @@
 //!
 //! Mapping:
 //!
-//! * every record becomes an instant event (`"ph": "i"`, thread scope)
-//!   named after [`TraceEvent::kind`], with the payload under `args`;
+//! * every record except a span becomes an instant event (`"ph": "i"`,
+//!   thread scope) named after [`TraceEvent::kind`], with `slot` and the
+//!   kind's schema fields ([`crate::KindSchema`]) under `args`;
+//!   `metrics-snapshot` keeps only its headline fields;
 //! * `msg-delivered` additionally emits a complete event (`"ph": "X"`)
 //!   spanning injection to delivery, so message lifetimes render as bars;
-//! * `tid` groups events by actor: the source port for per-message and
-//!   per-connection events, the scheduler pseudo-thread for scheduler
-//!   events. `pid` is always 0.
+//! * `span-start`/`span-end` become duration begin/end events (`"B"`/`"E"`);
+//! * `tid` groups events by actor: the source port for every kind with a
+//!   `src` field, the scheduler pseudo-thread for the others. `pid` is
+//!   always 0.
 //!
 //! Timestamps are microseconds (floats), as the format requires.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{Field, SpanPhase, TraceEvent, TraceRecord};
 use crate::json::Json;
 use std::io;
 use std::path::Path;
@@ -55,186 +58,52 @@ fn instant(rec: &TraceRecord, tid: u64, args: Vec<(&'static str, Json)>) -> Json
     Json::obj(fields)
 }
 
+/// An instant whose args are the event's schema fields. It sits on the
+/// source port's row when the kind has a `src` field, else on the
+/// scheduler pseudo-thread.
+fn schema_instant(rec: &TraceRecord) -> Json {
+    rec.event.with_fields(|kind, values| {
+        let mut tid = SCHED_TID;
+        let args = kind
+            .schema()
+            .fields
+            .iter()
+            .zip(values)
+            .map(|(spec, &value)| {
+                if let ("src", Field::U(src)) = (spec.name, value) {
+                    tid = src;
+                }
+                (spec.name, value.into())
+            })
+            .collect();
+        instant(rec, tid, args)
+    })
+}
+
+/// A span begin (`"B"`) or end (`"E"`) event named after its phase.
+fn span_event(
+    rec: &TraceRecord,
+    ph: &str,
+    phase: SpanPhase,
+    tid: u64,
+    args: Vec<(&'static str, Json)>,
+) -> Json {
+    Json::obj([
+        ("name", Json::str(phase.label())),
+        ("cat", Json::str("span")),
+        ("ph", Json::str(ph)),
+        ("ts", Json::Float(us(rec.t_ns))),
+        ("pid", Json::UInt(0)),
+        ("tid", Json::UInt(tid)),
+        ("args", Json::obj(args)),
+    ])
+}
+
 /// Renders records as a Chrome trace JSON array.
 pub fn chrome_trace_json(records: &[TraceRecord]) -> Json {
     let mut events = Vec::with_capacity(records.len() + records.len() / 4);
     for rec in records {
         match rec.event {
-            TraceEvent::MsgInjected {
-                src,
-                dst,
-                bytes,
-                msg,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("bytes", bytes.into()),
-                        ("msg", msg.into()),
-                    ],
-                ));
-            }
-            TraceEvent::MsgDelivered {
-                src,
-                dst,
-                bytes,
-                msg,
-                latency_ns,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("bytes", bytes.into()),
-                        ("msg", msg.into()),
-                        ("latency_ns", latency_ns.into()),
-                    ],
-                ));
-                // The message's lifetime as a duration bar on its source
-                // port's row.
-                events.push(Json::obj([
-                    ("name", Json::str(format!("msg {msg} -> {dst}"))),
-                    ("cat", Json::str("message")),
-                    ("ph", Json::str("X")),
-                    ("ts", Json::Float(us(rec.t_ns.saturating_sub(latency_ns)))),
-                    ("dur", Json::Float(latency_ns as f64 / 1e3)),
-                    ("pid", Json::UInt(0)),
-                    ("tid", Json::UInt(src as u64)),
-                    (
-                        "args",
-                        Json::obj([("bytes", bytes.into()), ("latency_ns", latency_ns.into())]),
-                    ),
-                ]));
-            }
-            TraceEvent::ConnRequested { src, dst } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![("src", src.into()), ("dst", dst.into())],
-                ));
-            }
-            TraceEvent::ConnEstablished { src, dst, slot_idx } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("slot_idx", slot_idx.into()),
-                    ],
-                ));
-            }
-            TraceEvent::ConnEvicted { src, dst, cause } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("cause", Json::str(cause.label())),
-                    ],
-                ));
-            }
-            TraceEvent::SlotAdvanced { slot_idx } => {
-                events.push(instant(rec, SCHED_TID, vec![("slot_idx", slot_idx.into())]));
-            }
-            TraceEvent::SchedPass {
-                passes,
-                ripple_depth,
-                established,
-                released,
-                denied,
-            } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![
-                        ("passes", passes.into()),
-                        ("ripple_depth", ripple_depth.into()),
-                        ("established", established.into()),
-                        ("released", released.into()),
-                        ("denied", denied.into()),
-                    ],
-                ));
-            }
-            TraceEvent::PreloadApplied {
-                slot_idx,
-                connections,
-            } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![
-                        ("slot_idx", slot_idx.into()),
-                        ("connections", connections.into()),
-                    ],
-                ));
-            }
-            TraceEvent::PhaseFlush { cleared } => {
-                events.push(instant(rec, SCHED_TID, vec![("cleared", cleared.into())]));
-            }
-            TraceEvent::FaultInjected {
-                fault,
-                class,
-                src,
-                dst,
-            }
-            | TraceEvent::FaultCleared {
-                fault,
-                class,
-                src,
-                dst,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("fault", fault.into()),
-                        ("class", Json::str(class.label())),
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                    ],
-                ));
-            }
-            TraceEvent::MsgRetried {
-                src,
-                dst,
-                msg,
-                attempt,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("msg", msg.into()),
-                        ("attempt", attempt.into()),
-                    ],
-                ));
-            }
-            TraceEvent::MsgAbandoned {
-                src,
-                dst,
-                msg,
-                retries,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("msg", msg.into()),
-                        ("retries", retries.into()),
-                    ],
-                ));
-            }
             // Spans render as nested duration events ("B"/"E") named
             // after the phase. Chrome pairs an "E" with the most recent
             // "B" on the same tid, so each message's spans share one row
@@ -249,42 +118,21 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Json {
                 src,
                 dst,
             } => {
-                events.push(Json::obj([
-                    ("name", Json::str(phase.label())),
-                    ("cat", Json::str("span")),
-                    ("ph", Json::str("B")),
-                    ("ts", Json::Float(us(rec.t_ns))),
-                    ("pid", Json::UInt(0)),
-                    ("tid", Json::UInt(span_tid(span, msg))),
-                    (
-                        "args",
-                        Json::obj([
-                            ("span", span.into()),
-                            ("parent", parent.into()),
-                            ("msg", msg.into()),
-                            ("src", src.into()),
-                            ("dst", dst.into()),
-                        ]),
-                    ),
-                ]));
+                let args = vec![
+                    ("span", span.into()),
+                    ("parent", parent.into()),
+                    ("msg", msg.into()),
+                    ("src", src.into()),
+                    ("dst", dst.into()),
+                ];
+                events.push(span_event(rec, "B", phase, span_tid(span, msg), args));
             }
             TraceEvent::SpanEnd { span, phase, msg } => {
-                events.push(Json::obj([
-                    ("name", Json::str(phase.label())),
-                    ("cat", Json::str("span")),
-                    ("ph", Json::str("E")),
-                    ("ts", Json::Float(us(rec.t_ns))),
-                    ("pid", Json::UInt(0)),
-                    ("tid", Json::UInt(span_tid(span, msg))),
-                    (
-                        "args",
-                        Json::obj([("span", span.into()), ("msg", msg.into())]),
-                    ),
-                ]));
+                let args = vec![("span", span.into()), ("msg", msg.into())];
+                events.push(span_event(rec, "E", phase, span_tid(span, msg), args));
             }
-            // Observability-pipeline records render on the scheduler
-            // pseudo-thread; the snapshot keeps only its headline fields
-            // (the full payload lives in the JSONL trace).
+            // The snapshot keeps only its headline fields (the full
+            // payload lives in the JSONL trace).
             TraceEvent::MetricsSnapshot {
                 seq,
                 delivered,
@@ -293,119 +141,41 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Json {
                 retries,
                 ..
             } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![
-                        ("seq", seq.into()),
-                        ("delivered", delivered.into()),
-                        ("bytes", bytes.into()),
-                        ("denied", denied.into()),
-                        ("retries", retries.into()),
-                    ],
-                ));
+                let args = vec![
+                    ("seq", seq.into()),
+                    ("delivered", delivered.into()),
+                    ("bytes", bytes.into()),
+                    ("denied", denied.into()),
+                    ("retries", retries.into()),
+                ];
+                events.push(instant(rec, SCHED_TID, args));
             }
-            TraceEvent::AlertRaised {
-                rule,
-                seq,
-                value,
-                threshold,
-            } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![
-                        ("rule", rule.into()),
-                        ("seq", seq.into()),
-                        ("value", value.into()),
-                        ("threshold", threshold.into()),
-                    ],
-                ));
-            }
-            TraceEvent::AlertCleared { rule, seq } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![("rule", rule.into()), ("seq", seq.into())],
-                ));
-            }
-            // Admission-service records render as instants on the source
-            // port's row (batch epochs on the scheduler pseudo-thread).
-            TraceEvent::RequestEnqueued {
-                req,
-                tenant,
-                src,
-                dst,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("req", req.into()),
-                        ("tenant", tenant.into()),
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                    ],
-                ));
-            }
-            TraceEvent::RequestGranted {
-                req,
-                tenant,
-                src,
-                dst,
-                wait_ns,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("req", req.into()),
-                        ("tenant", tenant.into()),
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("wait_ns", wait_ns.into()),
-                    ],
-                ));
-            }
-            TraceEvent::RequestRejected {
-                req,
-                tenant,
-                src,
-                dst,
-                cause,
-            } => {
-                events.push(instant(
-                    rec,
-                    src as u64,
-                    vec![
-                        ("req", req.into()),
-                        ("tenant", tenant.into()),
-                        ("src", src.into()),
-                        ("dst", dst.into()),
-                        ("cause", Json::str(cause.label())),
-                    ],
-                ));
-            }
-            TraceEvent::BatchAdmitted {
-                batch,
-                capacity,
-                selected,
-                granted,
-                denied,
-                pending,
-            } => {
-                events.push(instant(
-                    rec,
-                    SCHED_TID,
-                    vec![
-                        ("batch", batch.into()),
-                        ("capacity", capacity.into()),
-                        ("selected", selected.into()),
-                        ("granted", granted.into()),
-                        ("denied", denied.into()),
-                        ("pending", pending.into()),
-                    ],
-                ));
+            event => {
+                events.push(schema_instant(rec));
+                if let TraceEvent::MsgDelivered {
+                    src,
+                    dst,
+                    bytes,
+                    msg,
+                    latency_ns,
+                } = event
+                {
+                    // The message's lifetime as a duration bar on its
+                    // source port's row.
+                    events.push(Json::obj([
+                        ("name", Json::str(format!("msg {msg} -> {dst}"))),
+                        ("cat", Json::str("message")),
+                        ("ph", Json::str("X")),
+                        ("ts", Json::Float(us(rec.t_ns.saturating_sub(latency_ns)))),
+                        ("dur", Json::Float(latency_ns as f64 / 1e3)),
+                        ("pid", Json::UInt(0)),
+                        ("tid", Json::UInt(src as u64)),
+                        (
+                            "args",
+                            Json::obj([("bytes", bytes.into()), ("latency_ns", latency_ns.into())]),
+                        ),
+                    ]));
+                }
             }
         }
     }

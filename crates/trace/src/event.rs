@@ -233,12 +233,287 @@ impl RejectCause {
     ];
 }
 
+/// How replay reads one payload field back, and the range it checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Width {
+    /// An unsigned integer that must fit in `u32`.
+    U32,
+    /// An unsigned integer that must fit in `u64`.
+    U64,
+    /// An [`EvictCause`] label.
+    Evict,
+    /// A [`FaultClass`] label.
+    Fault,
+    /// A [`SpanPhase`] label.
+    Phase,
+    /// A [`RejectCause`] label.
+    Reject,
+}
+
+impl Width {
+    /// Whether the field exports as a quoted label rather than an integer.
+    pub fn is_label(self) -> bool {
+        !matches!(self, Width::U32 | Width::U64)
+    }
+}
+
+/// One payload field of a [`KindSchema`] row.
+#[derive(Debug)]
+pub struct FieldSpec {
+    /// Export name.
+    pub name: &'static str,
+    /// The JSONL key literal `,"name":` written before the value.
+    pub key: &'static str,
+    /// What the value is, and the range replay checks it against.
+    pub width: Width,
+}
+
+/// One event kind's row of the trace schema: its label and its payload
+/// fields in export order. The JSONL writer, the JSONL reader and the
+/// Chrome exporter all render from these rows.
+#[derive(Debug)]
+pub struct KindSchema {
+    /// Stable kebab-case kind label (what [`TraceEvent::kind`] returns).
+    pub label: &'static str,
+    /// The JSONL line head `{"kind":"label","t_ns":`.
+    pub head: &'static str,
+    /// Payload fields in export order.
+    pub fields: &'static [FieldSpec],
+}
+
+/// One payload field value, matched to its [`FieldSpec`] by position.
+/// Every event payload is an unsigned integer or a closed-set label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field<'a> {
+    /// An unsigned integer (every `u32`/`u64` payload field).
+    U(u64),
+    /// A cause, class or phase label (`EvictCause::label` and friends).
+    Label(&'a str),
+}
+
+/// A payload field type: its schema width, its export form, and its
+/// checked inverse.
+trait Payload: Sized {
+    const WIDTH: Width;
+    fn to_field(self) -> Field<'static>;
+    /// `None` when the value has the wrong shape or does not fit.
+    fn from_field(field: Field<'_>) -> Option<Self>;
+}
+
+impl Payload for u32 {
+    const WIDTH: Width = Width::U32;
+    fn to_field(self) -> Field<'static> {
+        Field::U(self.into())
+    }
+    fn from_field(field: Field<'_>) -> Option<u32> {
+        match field {
+            Field::U(x) => u32::try_from(x).ok(),
+            Field::Label(_) => None,
+        }
+    }
+}
+
+impl Payload for u64 {
+    const WIDTH: Width = Width::U64;
+    fn to_field(self) -> Field<'static> {
+        Field::U(self)
+    }
+    fn from_field(field: Field<'_>) -> Option<u64> {
+        match field {
+            Field::U(x) => Some(x),
+            Field::Label(_) => None,
+        }
+    }
+}
+
+macro_rules! label_payload {
+    ($($ty:ident => $width:ident),*) => {$(
+        impl Payload for $ty {
+            const WIDTH: Width = Width::$width;
+            fn to_field(self) -> Field<'static> {
+                Field::Label(self.label())
+            }
+            fn from_field(field: Field<'_>) -> Option<$ty> {
+                match field {
+                    Field::Label(s) => $ty::from_label(s),
+                    Field::U(_) => None,
+                }
+            }
+        }
+    )*};
+}
+
+label_payload!(EvictCause => Evict, FaultClass => Fault, SpanPhase => Phase, RejectCause => Reject);
+
+/// Why `field` cannot be the `spec` field of a `kind` record.
+fn field_error(kind: &str, spec: &FieldSpec, field: Field<'_>) -> String {
+    let name = spec.name;
+    let what = match spec.width {
+        Width::U32 | Width::U64 => {
+            return match field {
+                Field::U(x) => format!("`{kind}` field `{name}` = {x} is out of range for u32"),
+                Field::Label(_) => format!("`{kind}` record missing integer field `{name}`"),
+            }
+        }
+        Width::Evict => "eviction cause",
+        Width::Fault => "fault class",
+        Width::Phase => "span phase",
+        Width::Reject => "reject cause",
+    };
+    match field {
+        Field::U(_) => format!("`{kind}` record missing `{name}`"),
+        Field::Label(label) => format!("unknown {what} `{label}`"),
+    }
+}
+
+/// Checks and converts `fields[*i]`, the `schema.fields[*i]` value, and
+/// steps `i` to the next field.
+fn take<T: Payload>(schema: &KindSchema, fields: &[Field<'_>], i: &mut usize) -> Result<T, String> {
+    let (field, spec) = (fields[*i], &schema.fields[*i]);
+    *i += 1;
+    T::from_field(field).ok_or_else(|| field_error(schema.label, spec, field))
+}
+
+/// Declares [`TraceEvent`] together with its schema: the [`EventKind`]
+/// ids, the [`KindSchema`] table, and the two per-kind matches every
+/// exporter and the replay reader go through,
+/// [`TraceEvent::with_fields`] and its inverse [`TraceEvent::from_fields`].
+/// Each variant is written `Name = "kind-label" { field: type, .. }`; the
+/// field order is the export order.
+macro_rules! trace_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $kind:ident = $label:literal {
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $( $(#[$vmeta])* $kind { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        /// The kind of a [`TraceEvent`]: an index into the trace schema.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $( #[doc = concat!("`", $label, "`")] $kind, )*
+        }
+
+        static SCHEMA: [KindSchema; TraceEvent::KIND_COUNT] = [$(
+            KindSchema {
+                label: $label,
+                head: concat!("{\"kind\":\"", $label, "\",\"t_ns\":"),
+                fields: &[$(
+                    FieldSpec {
+                        name: stringify!($field),
+                        key: concat!(",\"", stringify!($field), "\":"),
+                        width: <$ty as Payload>::WIDTH,
+                    },
+                )*],
+            },
+        )*];
+
+        impl EventKind {
+            /// Every kind, in schema order.
+            pub const ALL: [EventKind; TraceEvent::KIND_COUNT] = [$(EventKind::$kind),*];
+
+            /// The most payload fields any kind has.
+            pub const MAX_FIELDS: usize = {
+                let counts = [$([$(stringify!($field)),*].len()),*];
+                let (mut max, mut i) = (0, 0);
+                while i < counts.len() {
+                    if counts[i] > max {
+                        max = counts[i];
+                    }
+                    i += 1;
+                }
+                max
+            };
+        }
+
+        impl TraceEvent {
+            /// Number of distinct event kinds (exporter sanity checks).
+            pub const KIND_COUNT: usize = [$($label),*].len();
+
+            /// This event's kind.
+            fn event_kind(&self) -> EventKind {
+                match self {
+                    $( TraceEvent::$kind { .. } => EventKind::$kind, )*
+                }
+            }
+
+            /// Calls `f` with this event's kind and its payload values in
+            /// export order (the order of `kind.schema().fields`). This is
+            /// the one field list behind every exporter.
+            pub fn with_fields<R>(&self, f: impl FnOnce(EventKind, &[Field<'static>]) -> R) -> R {
+                match *self {
+                    $( TraceEvent::$kind { $($field),* } => {
+                        f(EventKind::$kind, &[$(Payload::to_field($field)),*])
+                    } )*
+                }
+            }
+
+            /// The inverse of [`with_fields`](Self::with_fields): builds a
+            /// `kind` event from its payload values in export order. Each
+            /// value is checked against its field's [`Width`]: a `u32`
+            /// field above `u32::MAX`, an unknown label, or a value of the
+            /// wrong shape is an error naming the kind and the field.
+            pub fn from_fields(kind: EventKind, fields: &[Field<'_>]) -> Result<TraceEvent, String> {
+                let schema = kind.schema();
+                if fields.len() != schema.fields.len() {
+                    return Err(format!(
+                        "`{}` record has {} payload fields, expected {}",
+                        schema.label,
+                        fields.len(),
+                        schema.fields.len()
+                    ));
+                }
+                let mut i = 0;
+                Ok(match kind {
+                    $( EventKind::$kind => TraceEvent::$kind {
+                        $( $field: take(schema, fields, &mut i)?, )*
+                    }, )*
+                })
+            }
+        }
+    };
+}
+
+impl EventKind {
+    /// This kind's schema row.
+    pub fn schema(self) -> &'static KindSchema {
+        &SCHEMA[self as usize]
+    }
+
+    /// Stable kebab-case label used by the exporters.
+    pub fn label(self) -> &'static str {
+        self.schema().label
+    }
+
+    /// Inverse of [`label`](Self::label), for trace replay.
+    pub fn from_label(label: &str) -> Option<EventKind> {
+        EventKind::ALL.into_iter().find(|k| k.label() == label)
+    }
+}
+
+impl TraceEvent {
+    /// Stable kebab-case event name used by the exporters.
+    pub fn kind(&self) -> &'static str {
+        self.event_kind().label()
+    }
+}
+
+trace_schema! {
 /// One typed simulator event. All payloads are plain integers so that
 /// recording an event never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message entered its source NIC queue.
-    MsgInjected {
+    MsgInjected = "msg-injected" {
         /// Source port.
         src: u32,
         /// Destination port.
@@ -249,7 +524,7 @@ pub enum TraceEvent {
         msg: u32,
     },
     /// A message's last byte reached its destination.
-    MsgDelivered {
+    MsgDelivered = "msg-delivered" {
         /// Source port.
         src: u32,
         /// Destination port.
@@ -263,14 +538,14 @@ pub enum TraceEvent {
     },
     /// A connection request first became visible to the scheduler (a VOQ
     /// went non-empty, or a circuit/wormhole setup was issued).
-    ConnRequested {
+    ConnRequested = "conn-requested" {
         /// Requesting input port.
         src: u32,
         /// Requested output port.
         dst: u32,
     },
     /// The scheduler (or a preload stream) established `src -> dst`.
-    ConnEstablished {
+    ConnEstablished = "conn-established" {
         /// Input port.
         src: u32,
         /// Output port.
@@ -279,7 +554,7 @@ pub enum TraceEvent {
         slot_idx: u32,
     },
     /// An established connection was removed from the working set.
-    ConnEvicted {
+    ConnEvicted = "conn-evicted" {
         /// Input port.
         src: u32,
         /// Output port.
@@ -288,12 +563,12 @@ pub enum TraceEvent {
         cause: EvictCause,
     },
     /// The TDM counter moved to the next configuration register.
-    SlotAdvanced {
+    SlotAdvanced = "slot-advanced" {
         /// The register now driving the crossbar.
         slot_idx: u32,
     },
     /// One SL array scheduling pass completed.
-    SchedPass {
+    SchedPass = "sched-pass" {
         /// Cumulative pass count for this run.
         passes: u64,
         /// Cells the availability ripple traversed (the combinational
@@ -307,19 +582,19 @@ pub enum TraceEvent {
         denied: u32,
     },
     /// A compiled configuration was loaded into a TDM register.
-    PreloadApplied {
+    PreloadApplied = "preload-applied" {
         /// Target configuration register.
         slot_idx: u32,
         /// Connections in the loaded configuration.
         connections: u32,
     },
     /// The dynamic working set was flushed at a phase boundary.
-    PhaseFlush {
+    PhaseFlush = "phase-flush" {
         /// Connections cleared by the flush.
         cleared: u32,
     },
     /// An injected hardware fault became active.
-    FaultInjected {
+    FaultInjected = "fault-injected" {
         /// Plan-assigned fault id (stable across repeats of a periodic
         /// fault; pairs this event with its `FaultCleared`).
         fault: u32,
@@ -331,7 +606,7 @@ pub enum TraceEvent {
         dst: u32,
     },
     /// A previously injected fault went away.
-    FaultCleared {
+    FaultCleared = "fault-cleared" {
         /// Plan-assigned fault id.
         fault: u32,
         /// What had broken.
@@ -343,7 +618,7 @@ pub enum TraceEvent {
     },
     /// A message transmission failed (dropped grant or corrupted
     /// serialization) and the NIC is retrying after backoff.
-    MsgRetried {
+    MsgRetried = "msg-retried" {
         /// Source port.
         src: u32,
         /// Destination port.
@@ -354,7 +629,7 @@ pub enum TraceEvent {
         attempt: u32,
     },
     /// A message exhausted its retry budget and was dropped by the NIC.
-    MsgAbandoned {
+    MsgAbandoned = "msg-abandoned" {
         /// Source port.
         src: u32,
         /// Destination port.
@@ -366,7 +641,7 @@ pub enum TraceEvent {
     },
     /// A connection request entered the admission service's bounded
     /// ingress queue (see `pms-admit`).
-    RequestEnqueued {
+    RequestEnqueued = "request-enqueued" {
         /// Stream-global request id, assigned in ingest order.
         req: u32,
         /// Tenant the request belongs to (rate-limit accounting key).
@@ -379,7 +654,7 @@ pub enum TraceEvent {
     /// A queued connection request was granted: its pair is resident in
     /// some TDM configuration register (freshly established, or a
     /// working-set hit).
-    RequestGranted {
+    RequestGranted = "request-granted" {
         /// Stream-global request id.
         req: u32,
         /// Tenant the request belongs to.
@@ -393,7 +668,7 @@ pub enum TraceEvent {
     },
     /// A connection request was refused by the admission service
     /// (backpressure, rate limiting, or retry-budget exhaustion).
-    RequestRejected {
+    RequestRejected = "request-rejected" {
         /// Stream-global request id.
         req: u32,
         /// Tenant the request belongs to.
@@ -408,7 +683,7 @@ pub enum TraceEvent {
     /// One admission batch epoch completed: queued requests were coalesced
     /// into a word-parallel request matrix and driven through a scheduler
     /// pass (see `pms-admit`).
-    BatchAdmitted {
+    BatchAdmitted = "batch-admitted" {
         /// Batch epoch index.
         batch: u32,
         /// Matrix capacity: the most pairs one epoch may select.
@@ -423,7 +698,7 @@ pub enum TraceEvent {
         pending: u32,
     },
     /// A causal span opened (see [`SpanPhase`] for the taxonomy).
-    SpanStart {
+    SpanStart = "span-start" {
         /// Span id, unique within a run (see `pms_trace::span` for the
         /// deterministic allocation scheme).
         span: u32,
@@ -443,7 +718,7 @@ pub enum TraceEvent {
     /// A causal span closed. Every `SpanStart` is closed exactly once,
     /// at a time no earlier than its start (run finalization closes any
     /// span still open).
-    SpanEnd {
+    SpanEnd = "span-end" {
         /// Span id matching the `SpanStart`.
         span: u32,
         /// Phase, repeated so the record is self-describing.
@@ -456,7 +731,7 @@ pub enum TraceEvent {
     /// to simulation time — never wall clock — so JSONL replay
     /// reconstructs the exact series. All-idle windows are skipped; gaps
     /// in `seq` are therefore meaningful, not lossy.
-    MetricsSnapshot {
+    MetricsSnapshot = "metrics-snapshot" {
         /// Window index: `window_start_ns / window_ns`.
         seq: u32,
         /// Messages delivered in this window.
@@ -497,7 +772,7 @@ pub enum TraceEvent {
     /// An alert rule started firing (see `pms_trace::alerts`). Carries the
     /// rule's *index* in the rules file — names live in the file, so the
     /// event stays allocation-free and replay needs no side channel.
-    AlertRaised {
+    AlertRaised = "alert-raised" {
         /// 0-based rule index in the rules file.
         rule: u32,
         /// Snapshot window (`MetricsSnapshot::seq`) that tripped the rule.
@@ -508,294 +783,13 @@ pub enum TraceEvent {
         threshold: u64,
     },
     /// A previously raised alert rule stopped firing.
-    AlertCleared {
+    AlertCleared = "alert-cleared" {
         /// 0-based rule index in the rules file.
         rule: u32,
         /// Snapshot window that satisfied the clear condition.
         seq: u32,
     },
 }
-
-impl TraceEvent {
-    /// Stable kebab-case event name used by the exporters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::MsgInjected { .. } => "msg-injected",
-            TraceEvent::MsgDelivered { .. } => "msg-delivered",
-            TraceEvent::ConnRequested { .. } => "conn-requested",
-            TraceEvent::ConnEstablished { .. } => "conn-established",
-            TraceEvent::ConnEvicted { .. } => "conn-evicted",
-            TraceEvent::SlotAdvanced { .. } => "slot-advanced",
-            TraceEvent::SchedPass { .. } => "sched-pass",
-            TraceEvent::PreloadApplied { .. } => "preload-applied",
-            TraceEvent::PhaseFlush { .. } => "phase-flush",
-            TraceEvent::FaultInjected { .. } => "fault-injected",
-            TraceEvent::FaultCleared { .. } => "fault-cleared",
-            TraceEvent::MsgRetried { .. } => "msg-retried",
-            TraceEvent::MsgAbandoned { .. } => "msg-abandoned",
-            TraceEvent::RequestEnqueued { .. } => "request-enqueued",
-            TraceEvent::RequestGranted { .. } => "request-granted",
-            TraceEvent::RequestRejected { .. } => "request-rejected",
-            TraceEvent::BatchAdmitted { .. } => "batch-admitted",
-            TraceEvent::SpanStart { .. } => "span-start",
-            TraceEvent::SpanEnd { .. } => "span-end",
-            TraceEvent::MetricsSnapshot { .. } => "metrics-snapshot",
-            TraceEvent::AlertRaised { .. } => "alert-raised",
-            TraceEvent::AlertCleared { .. } => "alert-cleared",
-        }
-    }
-
-    /// Number of distinct event kinds (exporter sanity checks).
-    pub const KIND_COUNT: usize = 22;
-
-    /// Calls `f` with each payload field's export name and value, in
-    /// export order. This is the one field list behind every JSONL
-    /// exporter: `record_json` folds it into a `Json` object and
-    /// `write_record_line` renders it straight into a line buffer.
-    pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, Field)) {
-        use Field::{Label, U};
-        match *self {
-            TraceEvent::MsgInjected {
-                src,
-                dst,
-                bytes,
-                msg,
-            } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("bytes", U(bytes.into()));
-                f("msg", U(msg.into()));
-            }
-            TraceEvent::MsgDelivered {
-                src,
-                dst,
-                bytes,
-                msg,
-                latency_ns,
-            } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("bytes", U(bytes.into()));
-                f("msg", U(msg.into()));
-                f("latency_ns", U(latency_ns));
-            }
-            TraceEvent::ConnRequested { src, dst } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-            }
-            TraceEvent::ConnEstablished { src, dst, slot_idx } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("slot_idx", U(slot_idx.into()));
-            }
-            TraceEvent::ConnEvicted { src, dst, cause } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("cause", Label(cause.label()));
-            }
-            TraceEvent::SlotAdvanced { slot_idx } => {
-                f("slot_idx", U(slot_idx.into()));
-            }
-            TraceEvent::SchedPass {
-                passes,
-                ripple_depth,
-                established,
-                released,
-                denied,
-            } => {
-                f("passes", U(passes));
-                f("ripple_depth", U(ripple_depth.into()));
-                f("established", U(established.into()));
-                f("released", U(released.into()));
-                f("denied", U(denied.into()));
-            }
-            TraceEvent::PreloadApplied {
-                slot_idx,
-                connections,
-            } => {
-                f("slot_idx", U(slot_idx.into()));
-                f("connections", U(connections.into()));
-            }
-            TraceEvent::PhaseFlush { cleared } => {
-                f("cleared", U(cleared.into()));
-            }
-            TraceEvent::FaultInjected {
-                fault,
-                class,
-                src,
-                dst,
-            }
-            | TraceEvent::FaultCleared {
-                fault,
-                class,
-                src,
-                dst,
-            } => {
-                f("fault", U(fault.into()));
-                f("class", Label(class.label()));
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-            }
-            TraceEvent::MsgRetried {
-                src,
-                dst,
-                msg,
-                attempt,
-            } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("msg", U(msg.into()));
-                f("attempt", U(attempt.into()));
-            }
-            TraceEvent::MsgAbandoned {
-                src,
-                dst,
-                msg,
-                retries,
-            } => {
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("msg", U(msg.into()));
-                f("retries", U(retries.into()));
-            }
-            TraceEvent::RequestEnqueued {
-                req,
-                tenant,
-                src,
-                dst,
-            } => {
-                f("req", U(req.into()));
-                f("tenant", U(tenant.into()));
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-            }
-            TraceEvent::RequestGranted {
-                req,
-                tenant,
-                src,
-                dst,
-                wait_ns,
-            } => {
-                f("req", U(req.into()));
-                f("tenant", U(tenant.into()));
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("wait_ns", U(wait_ns));
-            }
-            TraceEvent::RequestRejected {
-                req,
-                tenant,
-                src,
-                dst,
-                cause,
-            } => {
-                f("req", U(req.into()));
-                f("tenant", U(tenant.into()));
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-                f("cause", Label(cause.label()));
-            }
-            TraceEvent::BatchAdmitted {
-                batch,
-                capacity,
-                selected,
-                granted,
-                denied,
-                pending,
-            } => {
-                f("batch", U(batch.into()));
-                f("capacity", U(capacity.into()));
-                f("selected", U(selected.into()));
-                f("granted", U(granted.into()));
-                f("denied", U(denied.into()));
-                f("pending", U(pending.into()));
-            }
-            TraceEvent::SpanStart {
-                span,
-                parent,
-                phase,
-                msg,
-                src,
-                dst,
-            } => {
-                f("span", U(span.into()));
-                f("parent", U(parent.into()));
-                f("phase", Label(phase.label()));
-                f("msg", U(msg.into()));
-                f("src", U(src.into()));
-                f("dst", U(dst.into()));
-            }
-            TraceEvent::SpanEnd { span, phase, msg } => {
-                f("span", U(span.into()));
-                f("phase", Label(phase.label()));
-                f("msg", U(msg.into()));
-            }
-            TraceEvent::MetricsSnapshot {
-                seq,
-                delivered,
-                bytes,
-                established,
-                evicted,
-                denied,
-                retries,
-                abandoned,
-                faults_injected,
-                faults_cleared,
-                setups,
-                setup_total_ns,
-                setup_max_ns,
-                passes,
-                enqueued,
-                granted,
-                rejected,
-                batches,
-            } => {
-                f("seq", U(seq.into()));
-                f("delivered", U(delivered.into()));
-                f("bytes", U(bytes));
-                f("established", U(established.into()));
-                f("evicted", U(evicted.into()));
-                f("denied", U(denied.into()));
-                f("retries", U(retries.into()));
-                f("abandoned", U(abandoned.into()));
-                f("faults_injected", U(faults_injected.into()));
-                f("faults_cleared", U(faults_cleared.into()));
-                f("setups", U(setups.into()));
-                f("setup_total_ns", U(setup_total_ns));
-                f("setup_max_ns", U(setup_max_ns));
-                f("passes", U(passes.into()));
-                f("enqueued", U(enqueued.into()));
-                f("granted", U(granted.into()));
-                f("rejected", U(rejected.into()));
-                f("batches", U(batches.into()));
-            }
-            TraceEvent::AlertRaised {
-                rule,
-                seq,
-                value,
-                threshold,
-            } => {
-                f("rule", U(rule.into()));
-                f("seq", U(seq.into()));
-                f("value", U(value));
-                f("threshold", U(threshold));
-            }
-            TraceEvent::AlertCleared { rule, seq } => {
-                f("rule", U(rule.into()));
-                f("seq", U(seq.into()));
-            }
-        }
-    }
-}
-
-/// One exported payload field value (see `TraceEvent::for_each_field`).
-/// Every event payload is an unsigned integer or a closed-set label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Field {
-    /// An unsigned integer (every `u32`/`u64` payload field).
-    U(u64),
-    /// A cause, class or phase label (`EvictCause::label` and friends).
-    Label(&'static str),
 }
 
 /// A [`TraceEvent`] stamped with when (simulation ns) and where (active
@@ -954,6 +948,29 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), TraceEvent::KIND_COUNT, "duplicate kind labels");
+    }
+
+    /// The line writer pushes kind labels, field names and cause, class
+    /// and phase labels into JSON strings without escaping them.
+    #[test]
+    fn schema_names_and_labels_are_escape_free() {
+        let mut words: Vec<&str> = Vec::new();
+        for kind in EventKind::ALL {
+            let schema = kind.schema();
+            assert_eq!(EventKind::from_label(schema.label), Some(kind));
+            assert!(schema.fields.len() <= EventKind::MAX_FIELDS);
+            words.push(schema.label);
+            words.extend(schema.fields.iter().map(|f| f.name));
+        }
+        words.extend(EvictCause::ALL.map(EvictCause::label));
+        words.extend(FaultClass::ALL.map(FaultClass::label));
+        words.extend(SpanPhase::ALL.map(SpanPhase::label));
+        words.extend(RejectCause::ALL.map(RejectCause::label));
+        for word in words {
+            let mut escaped = String::new();
+            crate::json::write_escaped(&mut escaped, word);
+            assert_eq!(escaped, format!("\"{word}\""), "{word} needs escaping");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! document, preferring `UInt`/`Int` for integral numbers so that `u64`
 //! values round-trip exactly.
 
+use crate::event::Field;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -432,6 +433,15 @@ impl<'a> Parser<'a> {
                 offset: start,
                 msg: format!("invalid number `{text}`"),
             })
+    }
+}
+
+impl From<Field<'_>> for Json {
+    fn from(v: Field<'_>) -> Json {
+        match v {
+            Field::U(x) => Json::UInt(x),
+            Field::Label(s) => Json::str(s),
+        }
     }
 }
 

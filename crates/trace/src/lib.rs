@@ -37,7 +37,10 @@ pub mod timeseries;
 
 pub use alerts::{replay_alerts, AlertEngine, AlertRule, AlertRules, RulesParseError};
 pub use chrome::{chrome_trace_json, write_chrome_trace};
-pub use event::{EvictCause, FaultClass, RejectCause, SpanPhase, TraceEvent, TraceRecord};
+pub use event::{
+    EventKind, EvictCause, FaultClass, Field, FieldSpec, KindSchema, RejectCause, SpanPhase,
+    TraceEvent, TraceRecord, Width,
+};
 pub use flight::{parse_flight_dump, FlightConfig, FlightParseError, FlightRecorder};
 pub use json::{Json, ParseError};
 pub use metrics::{prometheus_name, Histogram, MetricsRegistry, PROMETHEUS_CONTENT_TYPE};

@@ -15,7 +15,6 @@
 
 use crate::event::{Field, TraceEvent, TraceRecord};
 use crate::json;
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -240,45 +239,67 @@ pub fn write_jsonl(path: impl AsRef<Path>, records: &[TraceRecord]) -> io::Resul
 }
 
 /// Renders one record as a JSON object: `kind`, `t_ns`, `slot`, then
-/// the event's payload fields. The reference form of a JSONL line;
-/// [`write_record_line`] renders the same bytes without building the
-/// tree.
+/// the event's payload fields in schema order. The reference form of a
+/// JSONL line; [`write_record_line`] renders the same bytes without
+/// building the tree.
 pub fn record_json(rec: &TraceRecord) -> json::Json {
     use json::Json;
-    let mut fields: Vec<(String, Json)> = vec![
-        ("kind".to_string(), Json::str(rec.event.kind())),
-        ("t_ns".to_string(), Json::UInt(rec.t_ns)),
-        ("slot".to_string(), Json::UInt(rec.slot as u64)),
-    ];
-    rec.event.for_each_field(|k, v| {
-        let v = match v {
-            Field::U(x) => Json::UInt(x),
-            Field::Label(s) => Json::str(s),
-        };
-        fields.push((k.to_string(), v));
-    });
-    Json::Object(fields)
+    rec.event.with_fields(|kind, values| {
+        let mut fields: Vec<(String, Json)> = vec![
+            ("kind".to_string(), Json::str(kind.label())),
+            ("t_ns".to_string(), Json::UInt(rec.t_ns)),
+            ("slot".to_string(), Json::UInt(rec.slot.into())),
+        ];
+        let specs = kind.schema().fields.iter();
+        fields.extend(
+            specs
+                .zip(values)
+                .map(|(spec, &v)| (spec.name.to_string(), v.into())),
+        );
+        Json::Object(fields)
+    })
 }
 
 /// Appends one record's JSONL line, without the newline, to `out`:
-/// byte for byte `record_json(rec).render()`, rendered straight from
-/// the event's field list with no intermediate tree.
+/// byte for byte `record_json(rec).render()`. The kind's line head and
+/// each field's `,"name":` key are schema literals, and labels need no
+/// escaping (a test pins that every name and label is escape-free), so
+/// only the integers are formatted.
 pub fn write_record_line(out: &mut String, rec: &TraceRecord) {
-    out.push_str("{\"kind\":");
-    json::write_escaped(out, rec.event.kind());
-    let _ = write!(out, ",\"t_ns\":{},\"slot\":{}", rec.t_ns, rec.slot);
-    rec.event.for_each_field(|k, v| {
-        out.push(',');
-        json::write_escaped(out, k);
-        out.push(':');
-        match v {
-            Field::U(x) => {
-                let _ = write!(out, "{x}");
+    rec.event.with_fields(|kind, values| {
+        let schema = kind.schema();
+        out.push_str(schema.head);
+        push_u64(out, rec.t_ns);
+        out.push_str(",\"slot\":");
+        push_u64(out, rec.slot.into());
+        for (spec, &value) in schema.fields.iter().zip(values) {
+            out.push_str(spec.key);
+            match value {
+                Field::U(x) => push_u64(out, x),
+                Field::Label(s) => {
+                    out.push('"');
+                    out.push_str(s);
+                    out.push('"');
+                }
             }
-            Field::Label(s) => json::write_escaped(out, s),
         }
+        out.push('}');
     });
-    out.push('}');
+}
+
+/// Appends `x` in decimal.
+fn push_u64(out: &mut String, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// A [`TraceSink`] stacking the observability pipeline in front of any
