@@ -89,9 +89,9 @@ fn usage() -> ! {
          \x20          lingers after the run until GET /shutdown\n\
          --json   : print the summary as one JSON object on stdout\n\
          --quiet  : suppress the per-decision stdout lines\n\
-         --threads: worker lanes, recorded in headers and /metrics labels\n\
-         \x20          (the single admission stream itself is serialized by\n\
-         \x20          design; admit_bench fans its policy sweep over lanes)"
+         --threads: sweep lane count, recorded in the /metrics labels only\n\
+         \x20          (the single admission stream is sequential by design;\n\
+         \x20          admit_bench fans its policy sweep over lanes)"
     );
     std::process::exit(2);
 }
@@ -122,7 +122,7 @@ fn parse_args() -> Args {
         serve: None,
         json: false,
         quiet: false,
-        threads: pms_par::available_parallelism(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -378,12 +378,7 @@ fn main() {
         eprintln!("batches      : {}", s.batches);
         eprintln!("peak queue   : {}", s.peak_queue);
         eprintln!("virtual end  : {} ns", outcome.end_ns);
-        eprintln!(
-            "wall-clock   : {:.3} ms ({} thread{})",
-            wall.as_secs_f64() * 1e3,
-            args.threads,
-            if args.threads == 1 { "" } else { "s" }
-        );
+        eprintln!("wall-clock   : {:.3} ms", wall.as_secs_f64() * 1e3);
     }
     if let Some((_, srv)) = server {
         srv.publish_labels(&[

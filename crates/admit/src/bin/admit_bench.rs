@@ -43,7 +43,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: admit_bench [--ports N] [--messages M] [--seed S] [--json OUT.json]\n\
          \x20                  [--threads N]\n\
-         --threads: fan the per-policy sweep over N work-stealing lanes\n\
+         --threads: fan the per-policy sweep over N scoped threads\n\
          \x20          (results print in policy order at any lane count)"
     );
     std::process::exit(2);
@@ -55,7 +55,7 @@ fn parse_args() -> BenchArgs {
         messages: 32,
         seed: 17,
         json: None,
-        threads: pms_par::available_parallelism(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -190,24 +190,32 @@ fn main() {
         .arrivals(&ArrivalConfig::default())
         .collect();
     assert!(!stream.is_empty(), "empty arrival stream");
-    // One scratch file per policy: the sweep fans over worker lanes, so
-    // the replay round trips must not share a path.
-    let jsonl_path = |kind: PolicyKind| {
-        std::env::temp_dir().join(format!(
+    // One scratch file per policy: the policies run on separate threads,
+    // so the replay round trips must not share a path.
+    let bench = &|kind: PolicyKind| {
+        let path = std::env::temp_dir().join(format!(
             "admit_bench_{}_{}_{}_{}.jsonl",
             args.ports,
             args.messages,
             std::process::id(),
             kind.name()
-        ))
-    };
-
-    let pool = pms_par::ShardPool::new(args.threads.min(PolicyKind::ALL.len()));
-    let results: Vec<PolicyResult> = pool.par_map(PolicyKind::ALL.to_vec(), |_, kind| {
-        let path = jsonl_path(kind);
+        ));
         let r = bench_policy(kind, &stream, args.ports, &path);
         let _ = std::fs::remove_file(&path);
         r
+    };
+    // Contiguous runs of policies per thread: joining the threads in
+    // spawn order returns the results in policy order.
+    let per_thread = PolicyKind::ALL.len().div_ceil(args.threads);
+    let results: Vec<PolicyResult> = std::thread::scope(|s| {
+        let workers: Vec<_> = PolicyKind::ALL
+            .chunks(per_thread)
+            .map(|kinds| s.spawn(move || kinds.iter().map(|&k| bench(k)).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
 
     for r in &results {

@@ -24,7 +24,7 @@
 
 use pms_admit::{AdmitConfig, AdmitEngine, PolicyKind};
 use pms_analyze::{render_ratio_table, worst_regression, RatioRow};
-use pms_bench::{naive, run_grid_threads};
+use pms_bench::{available_parallelism, naive, run_grid_threads};
 use pms_bitmat::BitMatrix;
 use pms_sched::{slarray::reference, Priority};
 use pms_sim::{Paradigm, PredictorKind, SimParams};
@@ -264,44 +264,20 @@ fn measure_entries() -> Vec<Entry> {
         threads: 0,
     });
 
-    // --- sharded parallel simulation --------------------------------------
-    // The same deterministic run fanned over worker lanes, `--threads 1`
-    // vs all cores. Outputs must be byte-identical (asserted on the full
-    // stats JSON); only wall-clock may differ. The floor scales with the
-    // lane count actually available: a single-core machine records an
-    // honest ~1x row (and `--check` on such a machine skips rows that
-    // were generated with more lanes than it has).
-    let par_threads = pms_par::available_parallelism();
-    let par_floor = match par_threads {
+    // --- sweep fan-out ----------------------------------------------------
+    // The floor scales with the lane count actually available: a
+    // single-core machine records an honest ~1x row (and `--check` on
+    // such a machine skips rows that were generated with more lanes than
+    // it has).
+    let lanes = available_parallelism();
+    let lanes_floor = match lanes {
         0 | 1 => 0.5, // same code path twice; guard against timing noise only
         2 | 3 => 1.2,
         _ => 2.0,
     };
-    let dense = uniform(1024, 64, 2, 17);
-    let par_run = |threads: usize| {
-        let params = SimParams::default().with_ports(1024).with_threads(threads);
-        let t0 = Instant::now();
-        let stats = Paradigm::DynamicTdm(PredictorKind::Drop).run(&dense, &params);
-        (t0.elapsed().as_secs_f64() * 1e9, stats)
-    };
-    let _ = par_run(par_threads); // warm caches so the 1-lane row isn't inflated
-    let (seq_ns, seq_stats) = par_run(1);
-    let (par_ns, par_stats) = par_run(par_threads);
-    assert_eq!(
-        seq_stats.to_json().render_pretty(),
-        par_stats.to_json().render_pretty(),
-        "parallel 1024-port run diverged from sequential"
-    );
-    entries.push(Entry {
-        name: "par_speedup",
-        before_ns: seq_ns,
-        after_ns: par_ns,
-        floor: par_floor,
-        threads: par_threads,
-    });
 
-    // Work-stealing sweep runner: the same grid at 1 lane vs all lanes,
-    // identical tables required cell by cell.
+    // Sweep runner: the same grid at 1 lane vs all lanes, identical
+    // tables required cell by cell.
     let grid_jobs = || -> Vec<(u64, Workload, Paradigm)> {
         [64u64, 256]
             .iter()
@@ -319,7 +295,7 @@ fn measure_entries() -> Vec<Entry> {
     };
     let grid_params = SimParams::default().with_ports(64);
     let grid_seq = run_grid_threads(grid_jobs(), &grid_params, 1);
-    let grid_par = run_grid_threads(grid_jobs(), &grid_params, par_threads);
+    let grid_par = run_grid_threads(grid_jobs(), &grid_params, lanes);
     for (a, b) in grid_seq.cells.iter().zip(&grid_par.cells) {
         assert_eq!(a.row, b.row, "sweep rows diverged");
         assert_eq!(a.col, b.col, "sweep cols diverged");
@@ -335,8 +311,8 @@ fn measure_entries() -> Vec<Entry> {
         name: "sweep_scaling",
         before_ns: grid_seq.elapsed_ns as f64,
         after_ns: grid_par.elapsed_ns as f64,
-        floor: par_floor,
-        threads: par_threads,
+        floor: lanes_floor,
+        threads: lanes,
     });
     entries
 }
@@ -385,7 +361,7 @@ fn check_against(path: &str, entries: &[Entry]) -> usize {
     let mut regressions = 0usize;
     let mut rows: Vec<RatioRow> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
-    let lanes = pms_par::available_parallelism() as u64;
+    let lanes = available_parallelism() as u64;
     for (name, baseline, threads) in &committed {
         if *threads > lanes {
             // A parallel row generated on a bigger machine: its speedup

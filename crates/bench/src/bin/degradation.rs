@@ -17,8 +17,8 @@
 //! slot windows, not just end-to-end.
 
 use pms_bench::{
-    degradation_sweep_threads, degradation_timeseries, degradation_timeseries_csv,
-    render_degradation, threads_flag,
+    degradation_sweep, degradation_timeseries, degradation_timeseries_csv, render_degradation,
+    threads_flag,
 };
 use pms_sim::{Paradigm, PredictorKind, SimParams};
 use pms_workloads::scatter;
@@ -47,7 +47,7 @@ fn main() {
     let bytes = flag("--bytes", 256) as u32;
     let timeseries_csv = string_flag("--timeseries-csv");
     let duty = flag("--duty", 30) as u64;
-    let threads = threads_flag(&argv);
+    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
 
     let w = scatter(ports, bytes);
     let mut params = SimParams::default().with_ports(ports);
@@ -59,7 +59,7 @@ fn main() {
         Paradigm::PreloadTdm,
     ];
     let duties = [0, 10, 20, 30, 40, 50, 60];
-    let rows = degradation_sweep_threads(&w, &params, &paradigms, &duties, 2_000, threads);
+    let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, threads);
     println!(
         "blackout degradation: {} ({} ports, {} B, 2000 ns period)",
         w.name, ports, bytes

@@ -17,81 +17,23 @@
 //! alert rules against the cell's snapshot stream; `--timeseries-csv
 //! OUT.csv` exports the cell's per-window metrics series.
 
-use pms_bench::{run_grid_threads, threads_flag, trace_and_report_flags};
-use pms_sim::{Paradigm, PredictorKind, SimParams};
-use pms_trace::Json;
-use pms_workloads::{ordered_mesh, random_mesh, scatter, two_phase, MeshSpec, Workload};
-
-/// Per-round computation and per-message software gap used by the mesh
-/// patterns (see EXPERIMENTS.md, "calibration").
-const COMPUTE_NS: u64 = 500;
-const SEND_GAP_NS: u64 = 100;
-
-/// A named workload generator parameterized by message size.
-type PatternGen = Box<dyn Fn(u32) -> Workload>;
-
-fn paradigms() -> Vec<Paradigm> {
-    vec![
-        Paradigm::Wormhole,
-        Paradigm::Circuit,
-        Paradigm::DynamicTdm(PredictorKind::Drop),
-        Paradigm::PreloadTdm,
-    ]
-}
+use pms_bench::{figures, threads_flag, trace_and_report_flags};
+use pms_sim::{Paradigm, PredictorKind};
+use pms_workloads::scatter;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let argv: Vec<String> = std::env::args().collect();
-    let threads = threads_flag(&argv);
-    let (ports, sizes): (usize, Vec<u32>) = if quick {
-        (32, vec![8, 64, 512])
-    } else {
-        (128, vec![8, 16, 32, 64, 128, 256, 512, 1024, 2048])
-    };
-    let mesh = MeshSpec::for_ports(ports);
-    let params = SimParams::default().with_ports(ports);
+    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
+    let fig = figures::fig4(quick, threads);
+    let (ports, params) = (fig.params.ports, &fig.params);
     let rate = params.link.bytes_per_ns();
 
-    let patterns: Vec<(&str, PatternGen)> = vec![
-        ("Scatter", Box::new(move |b| scatter(ports, b))),
-        (
-            "Random Mesh",
-            Box::new(move |b| random_mesh(mesh, b, 4, COMPUTE_NS, SEND_GAP_NS, 17)),
-        ),
-        (
-            "Ordered Mesh",
-            Box::new(move |b| ordered_mesh(mesh, b, 4, COMPUTE_NS, SEND_GAP_NS)),
-        ),
-        (
-            "Two Phase",
-            Box::new(move |b| two_phase(mesh, b, 16, COMPUTE_NS, SEND_GAP_NS, 11)),
-        ),
-    ];
-
-    let mut json: Vec<(String, Json)> = Vec::new();
-    for (name, gen) in &patterns {
-        let jobs: Vec<(u64, Workload, Paradigm)> = sizes
-            .iter()
-            .flat_map(|&b| paradigms().into_iter().map(move |p| (b as u64, gen(b), p)))
-            .collect();
-        let table = run_grid_threads(jobs, &params, threads);
+    for (name, table) in &fig.tables {
         println!("Figure 4 — {name} (efficiency, {ports} processors, K=4)");
         println!("{}", table.render("msg bytes", rate));
         eprintln!("{name} wall-clock per cell:");
         eprintln!("{}", table.render_wall("msg bytes"));
-
-        let mut rows = Vec::new();
-        for cell in &table.cells {
-            rows.push(Json::obj([
-                ("bytes", cell.row.into()),
-                ("paradigm", cell.col.as_str().into()),
-                ("efficiency", cell.stats.efficiency(rate).into()),
-                ("mean_latency_ns", cell.stats.mean_latency_ns().into()),
-                ("makespan_ns", cell.stats.makespan_ns.into()),
-                ("delivered_bytes", cell.stats.delivered_bytes.into()),
-            ]));
-        }
-        json.push((name.to_string(), Json::Array(rows)));
 
         // Shape checks from the §5 prose, reported inline.
         if *name == "Scatter" && !quick {
@@ -108,14 +50,14 @@ fn main() {
     }
 
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/fig4.json", Json::Object(json).render_pretty())
+    std::fs::write("results/fig4.json", fig.to_json().render_pretty())
         .expect("write results/fig4.json");
     println!("results written to results/fig4.json");
 
     trace_and_report_flags(&argv, "scatter/64B dynamic-tdm", |tracer| {
         let (_, mut tracer) = Paradigm::DynamicTdm(PredictorKind::Drop).run_traced(
             &scatter(ports, 64),
-            &params,
+            params,
             tracer,
         );
         pms_bench::finish(&mut tracer);

@@ -17,92 +17,43 @@
 //! RULES.txt` evaluates alert rules against the cell's snapshot stream;
 //! `--timeseries-csv OUT.csv` exports the cell's per-window series.
 
-use pms_bench::{run_grid_threads, threads_flag, trace_and_report_flags};
-use pms_sim::{Paradigm, PredictorKind, SimParams};
-use pms_trace::Json;
-use pms_workloads::{hybrid, HybridSpec, Workload};
+use pms_bench::{figures, threads_flag, trace_and_report_flags};
+use pms_sim::{Paradigm, PredictorKind};
+use pms_workloads::{hybrid, HybridSpec};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let argv: Vec<String> = std::env::args().collect();
-    let threads = threads_flag(&argv);
-    let (ports, msgs, seeds): (usize, usize, Vec<u64>) = if quick {
-        (32, 24, vec![1])
-    } else {
-        (128, 96, vec![1, 2, 3])
-    };
-    let params = SimParams::default().with_ports(ports).with_tdm_slots(3);
-    let rate = params.link.bytes_per_ns();
-    let determinism: Vec<u64> = (50..=100).step_by(5).collect();
-
-    // One job per (determinism, k, seed); rows keyed by determinism*10+k
-    // would be awkward, so run one grid per k and merge.
-    let mut series: Vec<(usize, Vec<(u64, f64)>)> = Vec::new();
-    let mut json_rows = Vec::new();
-    for k in 0..=2usize {
-        let mut points = Vec::new();
-        let mut k_wall_ns = 0u64;
-        for &d in &determinism {
-            let jobs: Vec<(u64, Workload, Paradigm)> = seeds
-                .iter()
-                .map(|&seed| {
-                    (
-                        d,
-                        hybrid(HybridSpec {
-                            ports,
-                            determinism: d as f64 / 100.0,
-                            messages_per_proc: msgs,
-                            bytes: 64,
-                            seed,
-                        }),
-                        Paradigm::HybridTdm {
-                            preload_slots: k,
-                            predictor: PredictorKind::Drop,
-                        },
-                    )
-                })
-                .collect();
-            let table = run_grid_threads(jobs, &params, threads);
-            let mean: f64 = table
-                .cells
-                .iter()
-                .map(|c| c.stats.efficiency(rate))
-                .sum::<f64>()
-                / table.cells.len() as f64;
-            points.push((d, mean));
-            json_rows.push(Json::obj([
-                ("determinism_pct", d.into()),
-                ("preload_slots", k.into()),
-                ("efficiency", mean.into()),
-            ]));
-            k_wall_ns += table.total_wall_ns();
-        }
+    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
+    let fig = figures::fig5(quick, threads);
+    let (ports, msgs, params) = (fig.params.ports, fig.msgs, &fig.params);
+    for s in &fig.series {
         eprintln!(
-            "wall-clock: {k}-preload series total-cpu {:.2} ms across {} points, {threads} thread(s)",
-            k_wall_ns as f64 / 1e6,
-            points.len()
+            "wall-clock: {}-preload series total-cpu {:.2} ms across {} points, {threads} thread(s)",
+            s.k,
+            s.wall_ns as f64 / 1e6,
+            s.points.len()
         );
-        series.push((k, points));
     }
 
     println!("Figure 5 — k-preload / (3-k)-dynamic ({ports} processors, K=3, 64 B msgs)");
     print!("{:>12}", "determinism");
-    for (k, _) in &series {
-        print!(" {:>14}", format!("{k}p/{}d", 3 - k));
+    for s in &fig.series {
+        print!(" {:>14}", format!("{}p/{}d", s.k, 3 - s.k));
     }
     println!();
-    for (i, &d) in determinism.iter().enumerate() {
+    for (i, &(d, _)) in fig.series[0].points.iter().enumerate() {
         print!("{:>11}%", d);
-        for (_, pts) in &series {
-            print!(" {:>13.1}%", pts[i].1 * 100.0);
+        for s in &fig.series {
+            print!(" {:>13.1}%", s.points[i].1 * 100.0);
         }
         println!();
     }
 
     // Shape checks from §5.
     let eff = |k: usize, d: u64| {
-        series[k]
-            .1
+        fig.series[k]
+            .points
             .iter()
             .find(|&&(dd, _)| dd == d)
             .map(|&(_, e)| e)
@@ -121,7 +72,7 @@ fn main() {
     }
 
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/fig5.json", Json::Array(json_rows).render_pretty())
+    std::fs::write("results/fig5.json", fig.to_json().render_pretty())
         .expect("write results/fig5.json");
     println!("results written to results/fig5.json");
 
@@ -137,7 +88,7 @@ fn main() {
             preload_slots: 1,
             predictor: PredictorKind::Drop,
         };
-        let (_, mut tracer) = paradigm.run_traced(&workload, &params, tracer);
+        let (_, mut tracer) = paradigm.run_traced(&workload, params, tracer);
         pms_bench::finish(&mut tracer);
         tracer.records()
     });

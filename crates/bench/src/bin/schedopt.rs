@@ -16,139 +16,30 @@
 //! `--threads` counts (cells are deterministic and reassembled in job
 //! order). `--quick` shrinks the grid for CI.
 
-use pms_analyze::schedule_quality;
-use pms_bench::{run_cells, threads_flag};
-use pms_schedopt::{
-    coloring_schedule, paged_study, schedule_to_stream, submodular_schedule,
-    validate_costed_schedule, ColoringKind, CostModel, CostedSchedule, DemandMatrix,
-};
-use pms_sim::{SimParams, TdmSim};
+use pms_bench::figures::{schedopt_demand, schedopt_skews, SchedoptGrid, SCHEDOPT_SEED};
+use pms_bench::threads_flag;
+use pms_schedopt::{paged_study, CostModel};
+use pms_sim::SimParams;
 use pms_trace::Json;
-use pms_workloads::{datacenter_flows, DatacenterSpec};
-
-const SEED: u64 = 11;
-
-/// Skew profiles swept as the second grid axis.
-fn skews(ports: usize) -> Vec<(&'static str, DatacenterSpec)> {
-    let high = DatacenterSpec::new(ports, SEED);
-    let low = DatacenterSpec {
-        mice_per_port: 8,
-        elephant_bytes: 8_192,
-        ..high
-    };
-    vec![("high", high), ("low", low)]
-}
-
-fn demand_for(spec: &DatacenterSpec) -> DemandMatrix {
-    DemandMatrix::from_flows(spec.ports, datacenter_flows(spec))
-}
-
-fn solve(demand: &DemandMatrix, cost: &CostModel, solver: &str) -> CostedSchedule {
-    match solver {
-        "submodular" => submodular_schedule(demand, cost),
-        "coloring-greedy" => coloring_schedule(demand, cost, ColoringKind::Greedy),
-        "coloring-exact" => coloring_schedule(demand, cost, ColoringKind::Exact),
-        other => panic!("unknown solver {other}"),
-    }
-}
-
-struct CellOut {
-    ports: usize,
-    skew: &'static str,
-    delta: u64,
-    solver: &'static str,
-    predicted_ns: u64,
-    simulated_ns: u64,
-    json: Json,
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_flag(&std::env::args().collect::<Vec<_>>());
-    let (port_counts, deltas): (Vec<usize>, Vec<u64>) = if quick {
-        (vec![16], vec![1, 16])
-    } else {
-        (vec![32, 64], vec![1, 4, 16, 64])
-    };
-    let solvers: &[&'static str] = &["submodular", "coloring-greedy", "coloring-exact"];
+    let threads = threads_flag(&std::env::args().collect::<Vec<_>>()).unwrap_or_else(|e| e.exit());
+    let grid = SchedoptGrid::new(quick);
+    let (port_counts, deltas, solvers) = (&grid.port_counts, &grid.deltas, grid.solvers);
     let slot_ns = SimParams::default().slot_ns;
-
-    let mut jobs: Vec<(usize, &'static str, DatacenterSpec, u64, &'static str)> = Vec::new();
-    for &ports in &port_counts {
-        for (skew, spec) in skews(ports) {
-            for &delta in &deltas {
-                for &solver in solvers {
-                    jobs.push((ports, skew, spec, delta, solver));
-                }
-            }
-        }
-    }
-
-    let cells: Vec<CellOut> = run_cells(threads, jobs, |_, (ports, skew, spec, delta, solver)| {
-        let demand = demand_for(&spec);
-        let cost = CostModel::with_delta(delta);
-        let sched = solve(&demand, &cost, solver);
-        validate_costed_schedule(&demand, &cost, &sched)
-            .unwrap_or_else(|e| panic!("{solver} δ={delta} p={ports} {skew}: {e}"));
-
-        // Achieved completion: drive the schedule through the simulator's
-        // stream backend, one register, δ paid on every load.
-        let stream = schedule_to_stream(
-            format!("schedopt/{skew}/p{ports}/d{delta}/{solver}"),
-            &demand,
-            &cost,
-            &sched,
-        );
-        let mut params = SimParams::default().with_ports(ports).with_tdm_slots(1);
-        params.preload_cfg_ns = delta * params.slot_ns;
-        let stats = TdmSim::with_config_stream(
-            &stream.workload,
-            &params,
-            stream.configs,
-            stream.msg_config,
-        )
-        .run();
-        assert_eq!(
-            stats.delivered_bytes,
-            demand.total_bytes(),
-            "{solver} δ={delta} p={ports} {skew}: stream lost bytes"
-        );
-
-        let report = schedule_quality(
-            &demand,
-            &cost,
-            &sched,
-            params.slot_ns,
-            Some(stats.makespan_ns),
-        );
-        let mut fields: Vec<(String, Json)> = vec![
-            ("skew".to_string(), Json::from(skew)),
-            ("delta_slots".to_string(), Json::from(delta)),
-        ];
-        if let Json::Object(rep) = report.to_json() {
-            fields.extend(rep);
-        }
-        CellOut {
-            ports,
-            skew,
-            delta,
-            solver,
-            predicted_ns: report.predicted_makespan_ns,
-            simulated_ns: stats.makespan_ns,
-            json: Json::Object(fields),
-        }
-    });
+    let cells = grid.run(threads);
 
     // Console table: one block per (ports, skew), rows δ, columns solver.
-    for &ports in &port_counts {
-        for (skew, _) in skews(ports) {
+    for &ports in port_counts {
+        for (skew, _) in schedopt_skews(ports) {
             println!("schedopt — {ports} ports, {skew} skew (predicted / simulated µs)");
             print!("{:>8}", "δ slots");
             for s in solvers {
                 print!(" {s:>24}");
             }
             println!();
-            for &delta in &deltas {
+            for &delta in deltas {
                 print!("{delta:>8}");
                 for s in solvers {
                     let c = cells
@@ -218,9 +109,9 @@ fn main() {
         "{:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}",
         "ports", "skew", "K", "|W|", "sub pages", "submodular", "phases"
     );
-    for &ports in &port_counts {
-        for (skew, spec) in skews(ports) {
-            let demand = demand_for(&spec);
+    for &ports in port_counts {
+        for (skew, spec) in schedopt_skews(ports) {
+            let demand = schedopt_demand(&spec);
             let cost = CostModel::with_delta(paged_delta);
             for &k in &ks {
                 let s = paged_study(&demand, &cost, k);
@@ -260,7 +151,7 @@ fn main() {
 
     let doc = Json::obj([
         ("quick", quick.into()),
-        ("seed", SEED.into()),
+        ("seed", SCHEDOPT_SEED.into()),
         ("slot_ns", slot_ns.into()),
         (
             "cells",

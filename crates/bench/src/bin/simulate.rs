@@ -92,7 +92,7 @@ fn parse_args() -> Args {
         json: false,
         phase_detector: false,
         idle_skip: true,
-        threads: pms_par::available_parallelism(),
+        threads: pms_bench::available_parallelism(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -190,9 +190,9 @@ fn usage() -> ! {
          --no-idle-skip : force the pre-optimization stepped main loop\n\
          \x20          (outputs are byte-identical either way; only wall-clock\n\
          \x20          changes — see DESIGN.md, Performance model)\n\
-         --threads: worker lanes for the sharded simulation (default: all\n\
-         \x20          cores; 1 = the exact sequential path; outputs are\n\
-         \x20          byte-identical at any count)"
+         --threads: sweep lane count, recorded in the /metrics labels only\n\
+         \x20          (default: all cores); a single run is sequential, so\n\
+         \x20          outputs are the same at any value"
     );
     std::process::exit(2);
 }
@@ -319,8 +319,7 @@ fn main() {
     let params = SimParams::default()
         .with_ports(args.ports)
         .with_tdm_slots(args.slots)
-        .with_idle_skip(args.idle_skip)
-        .with_threads(args.threads);
+        .with_idle_skip(args.idle_skip);
     let rate = params.link.bytes_per_ns();
     let plan = match &args.faults {
         Some(path) => {
@@ -397,15 +396,13 @@ fn main() {
         paradigm.run_faulted(&workload, &params, plan, tracer)
     };
     eprintln!(
-        "wall-clock   : {:.3} ms{} ({} thread{})",
+        "wall-clock   : {:.3} ms{}",
         wall_start.elapsed().as_secs_f64() * 1e3,
         if args.idle_skip {
             ""
         } else {
             " (idle skip off)"
-        },
-        args.threads,
-        if args.threads == 1 { "" } else { "s" }
+        }
     );
     pms_bench::finish(&mut tracer);
     if let Some(path) = &args.trace {

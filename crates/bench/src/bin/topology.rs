@@ -46,7 +46,7 @@ fn paradigms() -> Vec<Paradigm> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_flag(&std::env::args().collect::<Vec<_>>());
+    let threads = threads_flag(&std::env::args().collect::<Vec<_>>()).unwrap_or_else(|e| e.exit());
     let (ports, sizes): (usize, Vec<u32>) = if quick {
         (16, vec![64, 512])
     } else {

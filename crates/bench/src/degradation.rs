@@ -50,24 +50,11 @@ pub struct DegradationRow {
     pub cells: Vec<(String, SimStats)>,
 }
 
-/// Runs the blackout sweep: every paradigm at every duty cycle,
-/// sequentially. See [`degradation_sweep_threads`] for the fanned-out
-/// version — both produce identical rows.
+/// Runs the blackout sweep, every paradigm at every duty cycle, fanned
+/// over `threads` lanes. Each `(duty, paradigm)` cell is an independent
+/// deterministic run; results come back in job order, so the rows are
+/// identical at any lane count.
 pub fn degradation_sweep(
-    workload: &Workload,
-    params: &SimParams,
-    paradigms: &[Paradigm],
-    duties: &[u64],
-    period_ns: u64,
-) -> Vec<DegradationRow> {
-    degradation_sweep_threads(workload, params, paradigms, duties, period_ns, 1)
-}
-
-/// Runs the blackout sweep fanned over `threads` work-stealing lanes.
-/// Each `(duty, paradigm)` cell is an independent deterministic run;
-/// results come back in job order, so the rows are identical at any
-/// lane count.
-pub fn degradation_sweep_threads(
     workload: &Workload,
     params: &SimParams,
     paradigms: &[Paradigm],
@@ -213,7 +200,7 @@ mod tests {
             Paradigm::PreloadTdm,
         ];
         let duties = [0, 30, 60];
-        let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000);
+        let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, 1);
         let rate = params.link.bytes_per_ns();
         for (col, (label, _)) in rows[0].cells.iter().enumerate() {
             let effs: Vec<f64> = rows

@@ -15,16 +15,19 @@
 //!
 //! The library part holds the shared sweep driver so binaries stay thin.
 
+#![forbid(unsafe_code)]
+
 pub mod degradation;
+pub mod figures;
 pub mod naive;
 pub mod reporting;
 pub mod runner;
 pub mod sweep;
 
 pub use degradation::{
-    blackout_plan, degradation_sweep, degradation_sweep_threads, degradation_timeseries,
-    degradation_timeseries_csv, render_degradation, DegradationRow, DegradationWindow,
+    blackout_plan, degradation_sweep, degradation_timeseries, degradation_timeseries_csv,
+    render_degradation, DegradationRow, DegradationWindow,
 };
 pub use reporting::{finish, trace_and_report_flags, write_report_file, write_trace_file};
-pub use runner::{run_cells, threads_flag};
-pub use sweep::{run_grid, run_grid_threads, Cell, FigureTable};
+pub use runner::{available_parallelism, run_cells, threads_flag, ThreadsFlagError};
+pub use sweep::{run_grid_threads, Cell, FigureTable};

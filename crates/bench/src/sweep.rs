@@ -1,12 +1,11 @@
 //! Parallel sweep driver: run (workload, paradigm) grids across threads.
 //!
 //! Every grid cell is an independent deterministic simulation, so the
-//! sweep fans out over the work-stealing [`ShardPool`]; results are
-//! re-assembled in job order, making the table byte-identical at any
-//! thread count (see DESIGN.md §7 and §"Parallel execution model").
+//! sweep fans out over [`run_cells`]; results are re-assembled in job
+//! order, making the table byte-identical at any thread count (see
+//! DESIGN.md §10, "Sequential runs, parallel sweeps").
 
 use crate::runner::run_cells;
-use pms_par::available_parallelism;
 use pms_sim::{Paradigm, SimParams, SimStats};
 use pms_workloads::Workload;
 
@@ -134,13 +133,7 @@ impl FigureTable {
     }
 }
 
-/// Runs the full `(row, workload) x paradigm` grid on all available
-/// cores and returns the sorted result table.
-pub fn run_grid(jobs: Vec<(u64, Workload, Paradigm)>, params: &SimParams) -> FigureTable {
-    run_grid_threads(jobs, params, available_parallelism())
-}
-
-/// Runs the grid on `threads` work-stealing lanes. The table is
+/// Runs the grid on `threads` lanes. The table is
 /// byte-identical at any lane count: cells are timed inside their
 /// worker, returned in job order, and finally sorted by `(row, col)`.
 pub fn run_grid_threads(
@@ -192,7 +185,7 @@ mod tests {
 
     #[test]
     fn grid_runs_all_cells_in_parallel() {
-        let table = run_grid(grid_jobs(), &SimParams::default().with_ports(8));
+        let table = run_grid_threads(grid_jobs(), &SimParams::default().with_ports(8), 2);
         assert_eq!(table.cells.len(), 4);
         assert_eq!(table.rows(), vec![8, 64]);
         assert_eq!(table.cols().len(), 2);

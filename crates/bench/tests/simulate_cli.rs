@@ -1,5 +1,6 @@
 //! The `simulate` binary rejects geometries its patterns and paradigms
-//! cannot take with a one-line error and exit status 2, not a panic.
+//! cannot take with a one-line error and exit status 2, not a panic; the
+//! sweep binaries reject a malformed `--threads` the same way.
 
 use std::process::Command;
 
@@ -82,5 +83,25 @@ fn fitting_geometries_run() {
     ] {
         let out = simulate(args);
         assert!(out.status.success(), "{args} failed");
+    }
+}
+
+#[test]
+fn sweep_binaries_reject_a_malformed_threads_flag() {
+    let bins = [
+        env!("CARGO_BIN_EXE_fig4"),
+        env!("CARGO_BIN_EXE_fig5"),
+        env!("CARGO_BIN_EXE_topology"),
+        env!("CARGO_BIN_EXE_degradation"),
+        env!("CARGO_BIN_EXE_schedopt"),
+    ];
+    for bin in bins {
+        let out = Command::new(bin)
+            .args(["--threads", "lots"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert_eq!(stderr, "--threads expects a lane count, got `lots`\n");
     }
 }

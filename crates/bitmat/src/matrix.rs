@@ -175,29 +175,6 @@ impl BitMatrix {
         }
     }
 
-    /// Number of `u64` words backing each row of the packed storage.
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.row_words
-    }
-
-    /// The whole packed storage, row-major (`rows * words_per_row` words).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable row-range chunks of the packed storage: each chunk covers
-    /// `rows_per_chunk` whole rows (the last may be shorter). The chunks
-    /// are disjoint, so a sharded writer can fill row ranges from
-    /// different threads and the merged matrix is identical to a
-    /// sequential row-major fill.
-    pub fn row_chunks_mut(&mut self, rows_per_chunk: usize) -> std::slice::ChunksMut<'_, u64> {
-        assert!(rows_per_chunk >= 1, "need at least one row per chunk");
-        self.words
-            .chunks_mut(rows_per_chunk * self.row_words.max(1))
-    }
-
     /// Iterator over the set column indices of row `r`.
     pub fn iter_row_ones(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(r < self.rows, "row {r} out of range");

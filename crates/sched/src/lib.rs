@@ -32,7 +32,7 @@ pub mod slcell;
 pub mod tdm;
 pub mod timing;
 
-pub use presched::{presched_case, presched_matrix, presched_matrix_pooled, PreschedCase};
+pub use presched::{presched_case, presched_matrix, PreschedCase};
 pub use scheduler::{
     BandwidthMode, HoldPolicy, PassReport, Scheduler, SchedulerConfig, SlotRouter,
 };

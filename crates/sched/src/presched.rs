@@ -16,7 +16,6 @@
 //! i.e. `L = (!R & B^(s)) | (R & !B*)`.
 
 use pms_bitmat::BitMatrix;
-use pms_par::ShardPool;
 
 /// The four rows of Table 1, for introspection and testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,71 +66,9 @@ pub fn presched_matrix(r: &BitMatrix, b_star: &BitMatrix, b_s: &BitMatrix) -> Bi
     BitMatrix::zip3_with(r, b_star, b_s, |rw, bstw, bsw| (!rw & bsw) | (rw & !bstw))
 }
 
-/// Below this row count a scatter costs more than the word sweep itself;
-/// the threshold moves work between lanes, never changes the result.
-const PAR_MIN_ROWS: usize = 512;
-
-/// [`presched_matrix`] sharded over a pool: row ranges of `L` are computed
-/// shard-locally (each shard reads the same word range of `R`, `B*`,
-/// `B^(s)` and writes its disjoint rows of `L`), and the boundary merge is
-/// the row-range concatenation — bit-identical to the sequential sweep at
-/// any thread count. `None` (or a single-lane pool, or a small matrix)
-/// takes the sequential path.
-pub fn presched_matrix_pooled(
-    r: &BitMatrix,
-    b_star: &BitMatrix,
-    b_s: &BitMatrix,
-    pool: Option<&ShardPool>,
-) -> BitMatrix {
-    let pooled = pool.is_some_and(|p| p.threads() > 1) && r.rows() >= PAR_MIN_ROWS;
-    if !pooled {
-        return presched_matrix(r, b_star, b_s);
-    }
-    assert_eq!((r.rows(), r.cols()), (b_star.rows(), b_star.cols()));
-    assert_eq!((r.rows(), r.cols()), (b_s.rows(), b_s.cols()));
-    let pool = pool.expect("checked above");
-    let mut out = BitMatrix::new(r.rows(), r.cols());
-    let wpr = out.words_per_row();
-    let rows_per_chunk = r.rows().div_ceil(pool.threads() * 2).max(1);
-    let (rw, bstw, bsw) = (r.words(), b_star.words(), b_s.words());
-    let mut chunks: Vec<(usize, &mut [u64])> =
-        out.row_chunks_mut(rows_per_chunk).enumerate().collect();
-    pool.scatter_mut(&mut chunks, |_, (ci, words)| {
-        let base = *ci * rows_per_chunk * wpr;
-        for (i, w) in words.iter_mut().enumerate() {
-            let (rv, bst, bs) = (rw[base + i], bstw[base + i], bsw[base + i]);
-            *w = (!rv & bs) | (rv & !bst);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pooled_presched_matches_sequential() {
-        let n = PAR_MIN_ROWS + 37;
-        let mut r = BitMatrix::square(n);
-        let mut b_star = BitMatrix::square(n);
-        let mut b_s = BitMatrix::square(n);
-        for u in 0..n {
-            r.set(u, (u * 7 + 1) % n, true);
-            if u % 3 == 0 {
-                let v = (u * 5 + 2) % n;
-                b_s.set(u, v, true);
-                b_star.set(u, v, true);
-            }
-            if u % 4 == 1 {
-                b_star.set(u, (u * 7 + 1) % n, true);
-            }
-        }
-        let seq = presched_matrix(&r, &b_star, &b_s);
-        let pool = ShardPool::new(4);
-        assert_eq!(seq, presched_matrix_pooled(&r, &b_star, &b_s, Some(&pool)));
-        assert_eq!(seq, presched_matrix_pooled(&r, &b_star, &b_s, None));
-    }
 
     /// Exhaustive check of Table 1 over all legal bit triples.
     #[test]

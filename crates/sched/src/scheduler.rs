@@ -18,11 +18,9 @@
 //!    predefined configuration into a register and protects it from
 //!    dynamic scheduling until [`Scheduler::unload`].
 
-use crate::presched::{presched_matrix, presched_matrix_pooled};
+use crate::presched::presched_matrix;
 use crate::slarray::{sl_pass, Priority};
 use pms_bitmat::BitMatrix;
-use pms_par::ShardPool;
-use std::sync::Arc;
 
 /// What happens to a connection when its NIC drops the request signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,9 +200,6 @@ pub struct Scheduler {
     sl_cursor: usize,
     priority: Priority,
     stats: SchedStats,
-    /// Worker lanes for the shard-local presched sweep; `None` (or a
-    /// single-lane pool) keeps every pass fully sequential.
-    pool: Option<Arc<ShardPool>>,
 }
 
 impl Scheduler {
@@ -222,16 +217,6 @@ impl Scheduler {
             sl_cursor: 0,
             priority: Priority::default(),
             stats: SchedStats::default(),
-            pool: None,
-        }
-    }
-
-    /// Attaches worker lanes for the shard-local parts of a pass (the
-    /// Table 1 presched sweep). Pass results are byte-identical with or
-    /// without a pool; a single-lane pool is ignored.
-    pub fn set_pool(&mut self, pool: Arc<ShardPool>) {
-        if pool.threads() > 1 {
-            self.pool = Some(pool);
         }
     }
 
@@ -491,9 +476,7 @@ impl Scheduler {
         );
         let r_eff = self.effective_requests(requests);
         let l = match self.cfg.bandwidth {
-            BandwidthMode::SingleSlot => {
-                presched_matrix_pooled(&r_eff, &self.b_star, &self.configs[s], self.pool.as_deref())
-            }
+            BandwidthMode::SingleSlot => presched_matrix(&r_eff, &self.b_star, &self.configs[s]),
             BandwidthMode::PerPairMultiSlot => {
                 // L = (!R & Bs) | (R & !B*) | (R & M & !Bs):
                 // marked pairs are (re)inserted into every slot with room.
@@ -507,11 +490,19 @@ impl Scheduler {
         };
         let out = sl_pass(&l, &self.configs[s], self.priority);
         // Commit the pass, `B^(s) ^= T`: the toggle matrix is exactly the
-        // established and released pairs.
+        // established and released pairs. `B*` changes only at those
+        // pairs: an established pair is now in slot `s`, and a released
+        // one stays in `B*` only if another register still holds it.
         for &(u, v) in out.established.iter().chain(&out.released) {
             self.configs[s].toggle(u, v);
         }
-        self.recompute_b_star();
+        for &(u, v) in &out.established {
+            self.b_star.set(u, v, true);
+        }
+        for &(u, v) in &out.released {
+            let held = self.configs.iter().any(|c| c.get(u, v));
+            self.b_star.set(u, v, held);
+        }
         self.stats.passes += 1;
         self.stats.establishes += out.established.len() as u64;
         self.stats.releases += out.released.len() as u64;

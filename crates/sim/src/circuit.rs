@@ -24,7 +24,6 @@ use pms_sched::{Scheduler, SchedulerConfig};
 use pms_trace::{EvictCause, SpanPhase};
 use pms_workloads::Workload;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// The circuit-switching simulator.
 pub type CircuitSim = Sim<Circuit>;
@@ -47,12 +46,10 @@ impl CircuitSim {
     /// Builds the simulator for a workload.
     pub fn new(workload: &Workload, params: &SimParams) -> Self {
         let core = SimCore::new(workload, params);
-        let mut scheduler = Scheduler::new(SchedulerConfig::new(params.ports, 1));
-        scheduler.set_pool(Arc::clone(&core.pool));
         let switch = Circuit {
             voqs: Voqs::new(params.ports, core.msgs.len())
                 .with_request_lines(params.request_wire_ns),
-            scheduler,
+            scheduler: Scheduler::new(SchedulerConfig::new(params.ports, 1)),
             usable_from: HashMap::new(),
             pending_release: HashSet::new(),
         };

@@ -94,11 +94,6 @@ pub struct SimParams {
     /// Semantics-preserving: stats and traces are byte-identical with the
     /// flag off (CI enforces this); disable only to A/B the two paths.
     pub idle_skip: bool,
-    /// Worker-lane count for the sharded pre-scheduling sweep (`1` = the
-    /// exact sequential path, no threads spawned). Purely an execution
-    /// knob: every output — stats, traces, reports, alert streams — is
-    /// byte-identical at any thread count (CI and proptests enforce this).
-    pub threads: usize,
 }
 
 impl Default for SimParams {
@@ -120,7 +115,6 @@ impl Default for SimParams {
             sl_units: 1,
             max_sim_ns: 500_000_000,
             idle_skip: true,
-            threads: 1,
         }
     }
 }
@@ -155,11 +149,10 @@ impl SimParams {
         self
     }
 
-    /// Overrides the worker-lane count for the sharded pre-scheduling
-    /// sweep (clamped to at least 1). Outputs are byte-identical at any value;
-    /// `1` runs fully inline on the calling thread.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Accepted for callers that still pass a lane count, and ignored:
+    /// a single run is sequential. Parallelism lives at the sweep level,
+    /// where independent runs fan out over threads.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 

@@ -16,14 +16,12 @@ use crate::stats::SimStats;
 use crate::voq::Voqs;
 use pms_bitmat::BitMatrix;
 use pms_faults::{FaultKind, FaultPlan, Transition};
-use pms_par::ShardPool;
 use pms_sched::{PassReport, Scheduler, SlotRouter};
 use pms_trace::{span::SpanTracker, EvictCause, TraceEvent, Tracer};
 use pms_workloads::Workload;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// A paradigm simulator: the shared simulation core (engine, NIC, faults,
 /// tracing) driving the switch model `S`. Build one through the paradigm
@@ -118,10 +116,6 @@ pub struct SimCore {
     pub(crate) tracer: Tracer,
     /// Causal span emitter (inert while the tracer is disabled).
     pub(crate) spans: SpanTracker,
-    /// Worker lanes for the scheduler's pre-scheduling sweep. One lane
-    /// (`params.threads == 1`) spawns no threads and runs the exact
-    /// sequential code path.
-    pub(crate) pool: Arc<ShardPool>,
 }
 
 impl SimCore {
@@ -136,7 +130,6 @@ impl SimCore {
             "workload/params port mismatch"
         );
         let table = workload.message_table();
-        let pool = Arc::new(ShardPool::new(params.threads));
         let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         Self {
             params: params.clone(),
@@ -150,7 +143,6 @@ impl SimCore {
             msgs_abandoned: 0,
             tracer: Tracer::Null,
             spans: SpanTracker::new(),
-            pool,
         }
     }
 

@@ -41,7 +41,6 @@ use pms_predict::{
 use pms_sched::{HoldPolicy, Scheduler, SchedulerConfig, SlotRouter, TdmCounter};
 use pms_trace::{EvictCause, SpanPhase, TraceEvent};
 use pms_workloads::Workload;
-use std::sync::Arc;
 use stream::Stream;
 
 /// Eviction policy for dynamically scheduled connections.
@@ -279,14 +278,11 @@ impl TdmSim {
     fn assemble(
         workload: &Workload,
         core: SimCore,
-        mut backend: Backend,
+        backend: Backend,
         mode_label: String,
         has_dynamic: bool,
         initial_loads: u64,
     ) -> Self {
-        if let Backend::Scheduled { scheduler, .. } = &mut backend {
-            scheduler.set_pool(Arc::clone(&core.pool));
-        }
         // Only dynamic scheduling reads request lines; a preloaded stream
         // moves whatever its configurations carry.
         let voqs = Voqs::new(core.params.ports, core.msgs.len());
@@ -1488,6 +1484,7 @@ mod tests {
         );
     }
 
+    /// `with_threads` is inert: a single run is sequential.
     #[test]
     fn config_stream_identical_across_thread_counts() {
         let (w, configs, msg_config) = stream_fixture();

@@ -35,6 +35,8 @@
 //!   stream format (`write_record_line` + newline), so the dump
 //!   feeds straight into the `analyze` binary.
 
+#![forbid(unsafe_code)]
+
 use pms_analyze::{admission, alerts, build_report, ReportConfig};
 use pms_trace::sink::write_record_line;
 use pms_trace::{
