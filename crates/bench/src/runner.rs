@@ -175,13 +175,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "job 5 failed")]
     fn run_cells_panic_reaches_the_caller() {
-        run_cells(3, (0..8).collect(), |_, x: u32| {
-            if x == 5 {
-                panic!("job {x} failed");
-            }
-            x
+        let caught = std::panic::catch_unwind(|| {
+            run_cells(3, (0..8).collect(), |_, x: u32| {
+                if x == 5 {
+                    panic!("job {x} failed");
+                }
+                x
+            })
         });
+        let payload = caught.expect_err("a panicking job must panic the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the job's own payload reaches the caller");
+        assert_eq!(message, "job 5 failed");
     }
 }
