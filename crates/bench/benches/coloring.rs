@@ -1,9 +1,11 @@
 //! Criterion bench: TDM decomposition (bipartite edge coloring) — greedy
 //! first-fit versus the exact alternating-path algorithm, on random and
-//! structured working sets.
+//! structured working sets — and the phase partitioner that feeds it, on
+//! the paper's 128-port Two Phase trace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pms_compile::{exact_coloring, greedy_coloring, WorkingSet};
+use pms_compile::{exact_coloring, greedy_coloring, partition_phases, WorkingSet};
+use pms_workloads::{two_phase, MeshSpec};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::hint::black_box;
@@ -53,5 +55,20 @@ fn bench_all_to_all(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_random, bench_all_to_all);
+fn bench_partition_two_phase128(c: &mut Criterion) {
+    let mut group = c.benchmark_group("partition_phases_two_phase128");
+    let trace = two_phase(MeshSpec::for_ports(128), 64, 16, 500, 100, 11).connection_trace();
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    group.bench_function("k4", |b| {
+        b.iter(|| black_box(partition_phases(128, black_box(&trace), 4)).phase_count());
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_random,
+    bench_all_to_all,
+    bench_partition_two_phase128
+);
 criterion_main!(benches);

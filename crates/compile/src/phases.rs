@@ -13,9 +13,12 @@ use crate::coloring::exact_coloring;
 use crate::WorkingSet;
 use pms_bitmat::BitMatrix;
 
+#[cfg(test)]
+mod reference;
+
 /// One compiled program phase: its working set and the Δ-slot TDM
 /// decomposition to preload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledPhase {
     /// The working set `W^(j)`.
     pub working_set: WorkingSet,
@@ -34,7 +37,7 @@ impl CompiledPhase {
 
 /// A compiled communication schedule: one preloadable phase per
 /// working-set change.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProgram {
     /// The phases, in program order.
     pub phases: Vec<CompiledPhase>,
@@ -61,10 +64,8 @@ impl CompiledProgram {
 
     /// The phase active at trace position `event`.
     pub fn phase_at(&self, event: usize) -> Option<&CompiledPhase> {
-        self.phases
-            .iter()
-            .take_while(|p| p.first_event <= event)
-            .last()
+        let after = self.phases.partition_point(|p| p.first_event <= event);
+        after.checked_sub(1).map(|j| &self.phases[j])
     }
 }
 
@@ -72,48 +73,136 @@ impl CompiledProgram {
 /// most `k_max` TDM slots, then compiles each phase with the optimal
 /// edge coloring.
 ///
+/// Cost: O(1) per trace entry plus one [`exact_coloring`] per phase. The
+/// open phase keeps a membership matrix and per-port degree counters, so
+/// the degree test never rescans the working set.
+///
 /// # Panics
 /// Panics if `k_max == 0` or any trace endpoint is out of range.
 pub fn partition_phases(ports: usize, trace: &[(usize, usize)], k_max: usize) -> CompiledProgram {
     assert!(k_max > 0, "need at least one slot per phase");
+    assert!(ports > 0, "working set needs at least one port");
     let mut phases = Vec::new();
-    let mut current = WorkingSet::new(ports);
-    let mut first_event = 0;
+    let mut open = OpenPhase::new(ports);
 
     for (i, &(u, v)) in trace.iter().enumerate() {
-        if current.contains(u, v) {
+        assert!(
+            u < ports && v < ports,
+            "connection ({u},{v}) out of range for {ports} ports"
+        );
+        if open.member.get(u, v) {
             continue; // temporal locality: repeated connection is free
         }
-        let mut tentative = current.clone();
-        tentative.insert(u, v);
-        if tentative.max_degree() > k_max && !current.is_empty() {
+        // The open phase never exceeds k_max, so admitting (u, v) pushes
+        // it past k_max exactly when u or v is already saturated. An
+        // empty phase has no saturated port (k_max >= 1).
+        if open.out_deg[u] == k_max || open.in_deg[v] == k_max {
             // Close the phase; the new connection opens the next one.
-            phases.push(CompiledPhase {
-                configs: exact_coloring(&current),
-                working_set: current,
-                first_event,
-            });
-            current = WorkingSet::new(ports);
-            current.insert(u, v);
-            first_event = i;
-        } else {
-            current = tentative;
+            phases.push(open.close(ports));
+            open.first_event = i;
         }
+        open.member.set(u, v, true);
+        open.out_deg[u] += 1;
+        open.in_deg[v] += 1;
+        open.edges.push((u, v));
     }
-    if !current.is_empty() {
-        phases.push(CompiledPhase {
-            configs: exact_coloring(&current),
-            working_set: current,
-            first_event,
-        });
+    if !open.edges.is_empty() {
+        phases.push(open.close(ports));
     }
     CompiledProgram { phases, ports }
+}
+
+/// The phase [`partition_phases`] is growing: its connections in arrival
+/// order, their membership matrix and the per-port degrees.
+struct OpenPhase {
+    member: BitMatrix,
+    out_deg: Vec<usize>,
+    in_deg: Vec<usize>,
+    edges: Vec<(usize, usize)>,
+    first_event: usize,
+}
+
+impl OpenPhase {
+    fn new(ports: usize) -> Self {
+        Self {
+            member: BitMatrix::square(ports),
+            out_deg: vec![0; ports],
+            in_deg: vec![0; ports],
+            edges: Vec::new(),
+            first_event: 0,
+        }
+    }
+
+    /// Compiles the phase and empties it, resetting only the bits and
+    /// counters its connections touched.
+    fn close(&mut self, ports: usize) -> CompiledPhase {
+        for &(u, v) in &self.edges {
+            self.member.set(u, v, false);
+            self.out_deg[u] = 0;
+            self.in_deg[v] = 0;
+        }
+        let working_set = WorkingSet::from_pairs(ports, self.edges.drain(..));
+        CompiledPhase {
+            configs: exact_coloring(&working_set),
+            working_set,
+            first_event: self.first_event,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coloring::validate_decomposition;
+    use proptest::prelude::*;
+
+    /// A port count in 1..=24 and a trace of up to 400 entries drawn from
+    /// a pool of at most 48 pairs, so connections repeat.
+    fn ports_and_trace() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+        (1usize..25)
+            .prop_flat_map(|ports| {
+                (
+                    Just(ports),
+                    prop::collection::vec((0..ports, 0..ports), 1..49),
+                )
+            })
+            .prop_flat_map(|(ports, pool)| {
+                let picks = prop::collection::vec(0..pool.len(), 0..401);
+                let trace = picks.prop_map(move |picks| picks.iter().map(|&i| pool[i]).collect());
+                (Just(ports), trace)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The incremental partitioner compiles the same program as the
+        /// clone-and-recount reference: phases, boundaries, working sets
+        /// and configurations in order.
+        #[test]
+        fn matches_reference((ports, trace) in ports_and_trace(), k_max in 1usize..7) {
+            prop_assert_eq!(
+                partition_phases(ports, &trace, k_max),
+                reference::partition_phases(ports, &trace, k_max)
+            );
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_two_phase128() {
+        use pms_workloads::{two_phase, MeshSpec};
+        let trace = two_phase(MeshSpec::for_ports(128), 64, 16, 500, 100, 11).connection_trace();
+        assert_eq!(trace.len(), 18_304);
+        let prog = partition_phases(128, &trace, 4);
+        assert_eq!(prog, reference::partition_phases(128, &trace, 4));
+        assert_eq!(prog.phase_count(), 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 4 ports")]
+    fn out_of_range_endpoint_rejected() {
+        partition_phases(4, &[(0, 1), (1, 4)], 2);
+    }
 
     #[test]
     fn single_phase_when_degree_fits() {

@@ -81,5 +81,27 @@ proptest! {
         for w in prog.phases.windows(2) {
             prop_assert!(w[0].first_event < w[1].first_event);
         }
+        // Minimal for a left-to-right scan: the first phase opens at event
+        // 0, each working set is exactly the distinct pairs of its trace
+        // range, and every boundary is forced, because the next phase's
+        // opening pair would push the previous working set past k_max.
+        prop_assert_eq!(prog.phases.is_empty(), trace.is_empty());
+        if let Some(first) = prog.phases.first() {
+            prop_assert_eq!(first.first_event, 0);
+        }
+        for (j, phase) in prog.phases.iter().enumerate() {
+            let end = prog.phases.get(j + 1).map_or(trace.len(), |p| p.first_event);
+            let range = WorkingSet::from_pairs(12, trace[phase.first_event..end].iter().copied());
+            prop_assert_eq!(&phase.working_set, &range);
+        }
+        for w in prog.phases.windows(2) {
+            let (u, v) = trace[w[1].first_event];
+            let mut grown = w[0].working_set.clone();
+            prop_assert!(grown.insert(u, v), "phase opened on a repeated pair");
+            prop_assert!(
+                grown.max_degree() > k_max,
+                "boundary at event {} is not forced", w[1].first_event
+            );
+        }
     }
 }

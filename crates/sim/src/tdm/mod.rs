@@ -184,7 +184,7 @@ impl TdmSim {
                 0,
             ),
             TdmMode::Preload => {
-                let (configs, msg_config) = Stream::compile(workload, &core.msgs, k);
+                let (configs, msg_config) = Stream::compile(workload.ports, &core.msgs, k);
                 let (stream, loads) = Stream::new(configs, msg_config, k, params.preload_cfg_ns);
                 (
                     Backend::Stream(stream),

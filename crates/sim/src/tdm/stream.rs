@@ -8,8 +8,7 @@
 use crate::message::MsgState;
 use pms_bitmat::BitMatrix;
 use pms_compile::partition_phases;
-use pms_workloads::Workload;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A register holding one configuration of the stream.
 #[derive(Debug, Clone, Copy)]
@@ -38,43 +37,34 @@ pub(super) struct Stream {
 }
 
 impl Stream {
-    /// Compiles the workload's connection trace (§3.1): partitions it
-    /// into phases, edge-colors each phase into conflict-free
-    /// configurations, and flattens them into one stream. Returns the
-    /// stream and, per message, the configuration carrying its
-    /// connection.
+    /// Compiles the connection trace of `msgs`, the workload's message
+    /// table (§3.1): partitions it into phases, edge-colors each phase
+    /// into conflict-free configurations, and flattens them into one
+    /// stream. Returns the stream and, per message, the configuration
+    /// carrying its connection: the one configuration of the message's
+    /// phase containing its pair (the coloring partitions the phase's
+    /// working set).
     pub(super) fn compile(
-        workload: &Workload,
+        ports: usize,
         msgs: &[MsgState],
         k: usize,
     ) -> (Vec<BitMatrix>, Vec<usize>) {
-        let trace = workload.connection_trace();
-        let program = partition_phases(workload.ports, &trace, k);
+        let trace: Vec<(usize, usize)> = msgs.iter().map(|m| (m.spec.src, m.spec.dst)).collect();
+        let mut phases = partition_phases(ports, &trace, k)
+            .phases
+            .into_iter()
+            .peekable();
         let mut configs: Vec<BitMatrix> = Vec::new();
-        let mut conn_to_cfg: Vec<HashMap<(usize, usize), usize>> = Vec::new();
-        for phase in &program.phases {
-            let mut map = HashMap::new();
-            for (ci, cfg) in phase.configs.iter().enumerate() {
-                for (u, v) in cfg.iter_ones() {
-                    map.insert((u, v), configs.len() + ci);
-                }
-            }
-            configs.extend(phase.configs.iter().cloned());
-            conn_to_cfg.push(map);
+        let mut msg_config = Vec::with_capacity(msgs.len());
+        while let Some(phase) = phases.next() {
+            let end = phases.peek().map_or(trace.len(), |p| p.first_event);
+            let base = configs.len();
+            msg_config.extend(trace[phase.first_event..end].iter().map(|&(u, v)| {
+                let c = phase.configs.iter().position(|cfg| cfg.get(u, v));
+                base + c.expect("phase covers its own connections")
+            }));
+            configs.extend(phase.configs);
         }
-        let mut pi = 0usize;
-        let msg_config = msgs
-            .iter()
-            .enumerate()
-            .map(|(id, m)| {
-                while pi + 1 < program.phases.len() && program.phases[pi + 1].first_event <= id {
-                    pi += 1;
-                }
-                *conn_to_cfg[pi]
-                    .get(&(m.spec.src, m.spec.dst))
-                    .expect("phase covers its own connections")
-            })
-            .collect();
         (configs, msg_config)
     }
 
@@ -254,5 +244,54 @@ impl Stream {
             .copied()
             .filter(|p| self.healed.remove(p))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pms_workloads::{ordered_mesh, scatter, two_phase, uniform, MeshSpec, Workload};
+    use std::collections::BTreeMap;
+
+    /// Every message rides a configuration of its own phase that contains
+    /// its pair, and each pair's assignment is non-decreasing in message
+    /// order (the `with_config_stream` precondition against deadlock).
+    #[test]
+    fn compiled_msg_config_is_in_phase_and_monotone_per_pair() {
+        let mesh = MeshSpec::for_ports(16);
+        let workloads: [Workload; 4] = [
+            scatter(16, 64),
+            ordered_mesh(mesh, 64, 4, 500, 100),
+            two_phase(mesh, 64, 4, 500, 100, 11),
+            uniform(16, 64, 12, 3),
+        ];
+        for w in &workloads {
+            let msgs: Vec<MsgState> = w.message_table().into_iter().map(MsgState::new).collect();
+            let trace = w.connection_trace();
+            for k in [1, 2, 4] {
+                let (configs, msg_config) = Stream::compile(16, &msgs, k);
+                assert_eq!(msg_config.len(), msgs.len());
+                let program = partition_phases(16, &trace, k);
+                let bases: Vec<usize> = program
+                    .phases
+                    .iter()
+                    .scan(0, |base, p| {
+                        Some(std::mem::replace(base, *base + p.degree()))
+                    })
+                    .collect();
+                let total: usize = program.phases.iter().map(|p| p.degree()).sum();
+                assert_eq!(total, configs.len(), "{} K={k}", w.name);
+                let mut last_on_pair = BTreeMap::new();
+                for (id, (&c, &(u, v))) in msg_config.iter().zip(&trace).enumerate() {
+                    assert!(configs[c].get(u, v), "{} K={k}: message {id}", w.name);
+                    let phase = program.phases.partition_point(|p| p.first_event <= id) - 1;
+                    let in_phase = bases[phase]..bases[phase] + program.phases[phase].degree();
+                    assert!(in_phase.contains(&c), "{} K={k}: message {id}", w.name);
+                    if let Some(prev) = last_on_pair.insert((u, v), c) {
+                        assert!(prev <= c, "{} K={k}: pair ({u},{v}) regressed", w.name);
+                    }
+                }
+            }
+        }
     }
 }

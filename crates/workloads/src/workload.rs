@@ -106,9 +106,7 @@ impl Workload {
     }
 
     /// The connection trace `(src, dst)` in canonical order, for
-    /// [`pms_compile::partition_phases`].
-    ///
-    /// [`pms_compile::partition_phases`]: https://docs.rs/pms-compile
+    /// `pms_compile::partition_phases`.
     pub fn connection_trace(&self) -> Vec<(usize, usize)> {
         self.message_table()
             .iter()
