@@ -271,11 +271,6 @@ fn summary_json(args: &Args, outcome: &AdmitOutcome) -> Json {
 
 fn main() {
     let args = parse_args();
-    let router = args
-        .fabric
-        .as_deref()
-        .map(|f| build_fabric(f, args.ports, args.slots));
-    let requests = build_requests(&args);
     let mut cfg = AdmitConfig::new(args.ports);
     cfg.slots = args.slots;
     cfg.batch = if args.batch == 0 {
@@ -295,6 +290,15 @@ fn main() {
         rate_per_sec: args.rate,
         burst: args.burst,
     });
+    if let Err(e) = cfg.validate() {
+        eprintln!("admit: --{} must be positive", e.field.replace('_', "-"));
+        std::process::exit(2);
+    }
+    let router = args
+        .fabric
+        .as_deref()
+        .map(|f| build_fabric(f, args.ports, args.slots));
+    let requests = build_requests(&args);
 
     let server = args.serve.as_ref().map(|addr| {
         let shared = SharedTracer::new();

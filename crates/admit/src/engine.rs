@@ -106,7 +106,39 @@ impl AdmitConfig {
             max_denials: 64,
         }
     }
+
+    /// Checks the parameters [`AdmitEngine::new`] requires to be
+    /// positive: `ports`, `slots`, `batch`, `epoch_ns` and `queue_cap`,
+    /// reporting the first zero one in that order.
+    pub fn validate(&self) -> Result<(), AdmitConfigError> {
+        let fields = [
+            ("ports", self.ports as u64),
+            ("slots", self.slots as u64),
+            ("batch", self.batch as u64),
+            ("epoch_ns", self.epoch_ns),
+            ("queue_cap", self.queue_cap as u64),
+        ];
+        match fields.into_iter().find(|&(_, value)| value == 0) {
+            Some((field, _)) => Err(AdmitConfigError { field }),
+            None => Ok(()),
+        }
+    }
 }
+
+/// An [`AdmitConfig`] parameter that must be positive is zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmitConfigError {
+    /// The field's name, as spelled in [`AdmitConfig`].
+    pub field: &'static str,
+}
+
+impl std::fmt::Display for AdmitConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must be positive", self.field)
+    }
+}
+
+impl std::error::Error for AdmitConfigError {}
 
 /// One admission decision, in emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,10 +264,21 @@ pub struct AdmitEngine {
     next_req: u32,
     epoch: u64,
     stats: AdmitStats,
+    /// The epoch's coalesced request matrix; all-zero between epochs.
+    requests: BitMatrix,
+    /// The epoch's popped requests, in pop order; empty between epochs.
+    popped: Vec<Pending>,
+    /// The epoch's requests past their retry budget; empty between
+    /// epochs.
+    expired: Vec<Pending>,
 }
 
 impl AdmitEngine {
     /// Creates an engine over a plain crossbar.
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`AdmitConfig::validate`]; callers taking the
+    /// configuration from user input validate it first.
     pub fn new(cfg: AdmitConfig, policy: Box<dyn AdmissionPolicy>) -> Self {
         assert!(cfg.batch > 0, "batch must be positive");
         assert!(cfg.epoch_ns > 0, "epoch_ns must be positive");
@@ -244,6 +287,7 @@ impl AdmitEngine {
             Scheduler::new(SchedulerConfig::new(cfg.ports, cfg.slots).with_hold(HoldPolicy::Drop));
         let queue = PifoQueue::new(cfg.queue_cap);
         let buckets = cfg.rate.map(TokenBuckets::new);
+        let requests = BitMatrix::square(cfg.ports);
         AdmitEngine {
             cfg,
             policy,
@@ -254,6 +298,9 @@ impl AdmitEngine {
             next_req: 0,
             epoch: 0,
             stats: AdmitStats::default(),
+            requests,
+            popped: Vec::new(),
+            expired: Vec::new(),
         }
     }
 
@@ -345,7 +392,7 @@ impl AdmitEngine {
         self.stats.ingested += 1;
         if let Some(buckets) = &mut self.buckets {
             if !buckets.try_take(conn.tenant, conn.t_ns) {
-                self.reject(
+                Self::reject(
                     req,
                     &conn,
                     RejectCause::RateLimit,
@@ -367,7 +414,7 @@ impl AdmitEngine {
         let shed = self.cfg.backpressure == Backpressure::ShedOldest;
         match self.queue.push(rank, pending, shed) {
             Push::RejectedNew => {
-                self.reject(
+                Self::reject(
                     req,
                     &conn,
                     RejectCause::QueueFull,
@@ -379,7 +426,7 @@ impl AdmitEngine {
                 return;
             }
             Push::ShedOldest(victim) => {
-                self.reject(
+                Self::reject(
                     victim.req,
                     &victim.conn,
                     RejectCause::Shed,
@@ -405,35 +452,41 @@ impl AdmitEngine {
         );
     }
 
-    /// Steps 2–4 for one epoch ending at `epoch_end`.
+    /// Steps 2–4 for one epoch ending at `epoch_end`. The request matrix
+    /// is all-zero on entry and on exit: each popped request clears its
+    /// pair's bit as it resolves, so an epoch costs O(batch) plus the
+    /// scheduler pass, with no per-epoch matrix allocation.
     fn run_epoch(&mut self, epoch_end: u64, tracer: &mut Tracer, decisions: &mut Vec<Decision>) {
+        debug_assert!(self.requests.all_zero() && self.popped.is_empty());
         // Step 2: select.
-        let mut popped: Vec<Pending> = Vec::with_capacity(self.cfg.batch);
-        while popped.len() < self.cfg.batch {
-            match self.queue.pop() {
-                Some(p) => popped.push(p),
-                None => break,
+        let mut selected = 0u32;
+        while self.popped.len() < self.cfg.batch {
+            let Some(p) = self.queue.pop() else { break };
+            let (src, dst) = (p.conn.src as usize, p.conn.dst as usize);
+            if !self.requests.get(src, dst) {
+                self.requests.set(src, dst, true);
+                selected += 1;
             }
+            self.popped.push(p);
         }
-        let mut requests = BitMatrix::square(self.cfg.ports);
-        for p in &popped {
-            requests.set(p.conn.src as usize, p.conn.dst as usize, true);
-        }
-        let selected = requests.count_ones() as u32;
-        for (src, dst) in requests.iter_ones() {
-            tracer.emit(
-                epoch_end,
-                0,
-                TraceEvent::ConnRequested {
-                    src: src as u32,
-                    dst: dst as u32,
-                },
-            );
+        if tracer.enabled() {
+            for (src, dst) in self.requests.iter_ones() {
+                tracer.emit(
+                    epoch_end,
+                    0,
+                    TraceEvent::ConnRequested {
+                        src: src as u32,
+                        dst: dst as u32,
+                    },
+                );
+            }
         }
         // Step 3: one pass (through the fabric router when attached).
         let report = match &mut self.router {
-            Some(router) => self.sched.pass_admitted(&requests, Some(router), |_| true),
-            None => self.sched.pass(&requests),
+            Some(router) => self
+                .sched
+                .pass_admitted(&self.requests, Some(router), |_| true),
+            None => self.sched.pass(&self.requests),
         };
         let slot = report.slot.map(|s| s as u32).unwrap_or(0);
         tracer.emit(
@@ -474,16 +527,19 @@ impl AdmitEngine {
             });
             self.stats.evicted += 1;
         }
-        // Step 4: resolve popped requests against the post-pass B*.
+        // Step 4: resolve popped requests against the post-pass B*. The
+        // first request of each pair clears its bit, so `denied` counts
+        // distinct denied pairs. Denied requests requeue in pop order;
+        // requeueing before the expiry rejections are emitted makes
+        // `pending` in BatchAdmitted the final queue depth, and the
+        // decision order (grants, evictions, expiries) is unaffected.
         let mut granted = 0u32;
-        let mut denied_pairs = BitMatrix::square(self.cfg.ports);
-        let mut requeues: Vec<Pending> = Vec::new();
-        let mut expired: Vec<Pending> = Vec::new();
-        for p in popped {
-            if self
-                .sched
-                .established(p.conn.src as usize, p.conn.dst as usize)
-            {
+        let mut denied = 0u32;
+        for mut p in self.popped.drain(..) {
+            let (src, dst) = (p.conn.src as usize, p.conn.dst as usize);
+            let first_of_pair = self.requests.get(src, dst);
+            self.requests.set(src, dst, false);
+            if self.sched.established(src, dst) {
                 let wait_ns = epoch_end.saturating_sub(p.enq_ns);
                 tracer.emit(
                     epoch_end,
@@ -506,25 +562,18 @@ impl AdmitEngine {
                 self.stats.granted += 1;
                 granted += 1;
             } else {
-                denied_pairs.set(p.conn.src as usize, p.conn.dst as usize, true);
-                let mut p = p;
+                denied += u32::from(first_of_pair);
                 p.denials += 1;
                 if p.denials > self.cfg.max_denials {
-                    expired.push(p);
+                    self.expired.push(p);
                 } else {
-                    requeues.push(p);
+                    self.queue.requeue(self.policy.rank(&p.conn), p);
                 }
             }
         }
-        // Requeue before emitting the expiry rejections so `pending` in
-        // BatchAdmitted reflects the final queue depth; the decision
-        // order (grants, evictions, expiries) is unaffected.
-        for p in &requeues {
-            self.queue.requeue(self.policy.rank(&p.conn), *p);
-        }
         self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
-        for p in expired {
-            self.reject(
+        for p in self.expired.drain(..) {
+            Self::reject(
                 p.req,
                 &p.conn,
                 RejectCause::Expired,
@@ -542,7 +591,7 @@ impl AdmitEngine {
                 capacity: self.cfg.batch as u32,
                 selected,
                 granted,
-                denied: denied_pairs.count_ones() as u32,
+                denied,
                 pending: self.queue.len() as u32,
             },
         );
@@ -550,7 +599,6 @@ impl AdmitEngine {
     }
 
     fn reject(
-        &mut self,
         req: u32,
         conn: &ConnRequest,
         cause: RejectCause,
@@ -648,6 +696,30 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_the_first_zero_parameter() {
+        assert_eq!(AdmitConfig::new(4).validate(), Ok(()));
+        for field in ["ports", "slots", "batch", "epoch_ns", "queue_cap"] {
+            let mut cfg = AdmitConfig::new(4);
+            match field {
+                "ports" => cfg.ports = 0,
+                "slots" => cfg.slots = 0,
+                "batch" => cfg.batch = 0,
+                "epoch_ns" => cfg.epoch_ns = 0,
+                _ => cfg.queue_cap = 0,
+            }
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err, AdmitConfigError { field });
+            assert_eq!(err.to_string(), format!("{field} must be positive"));
+        }
+        // `AdmitConfig::new(0)` also zeroes the batch and queue; ports
+        // is reported first.
+        assert_eq!(
+            AdmitConfig::new(0).validate(),
+            Err(AdmitConfigError { field: "ports" })
+        );
+    }
+
+    #[test]
     fn single_request_grants_then_evicts_on_drain() {
         let (outcome, _) = run(
             AdmitConfig::new(4),
@@ -669,6 +741,35 @@ mod tests {
         );
         assert_eq!(outcome.stats.granted, 1);
         assert_eq!(outcome.stats.evicted, 1);
+    }
+
+    #[test]
+    fn batch_summary_counts_distinct_pairs() {
+        // Two requests each for (0, 2) and (1, 2): one pass can hold only
+        // one pair on output 2, so the first epoch selects two pairs,
+        // grants both requests of one and denies one pair.
+        let stream = vec![
+            req(0, 0, 0, 2, 8),
+            req(0, 0, 0, 2, 8),
+            req(0, 0, 1, 2, 8),
+            req(0, 0, 1, 2, 8),
+        ];
+        let (outcome, records) = run(AdmitConfig::new(4), Box::new(Fifo), stream);
+        let first = records
+            .iter()
+            .find_map(|r| match r.event {
+                TraceEvent::BatchAdmitted {
+                    selected,
+                    granted,
+                    denied,
+                    pending,
+                    ..
+                } => Some((selected, granted, denied, pending)),
+                _ => None,
+            })
+            .expect("one batch ran");
+        assert_eq!(first, (2, 2, 1, 2));
+        assert_eq!(outcome.stats.granted, 4);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod ratelimit;
 pub mod stream;
 
 pub use engine::{
-    decisions_from_records, AdmitConfig, AdmitEngine, AdmitOutcome, AdmitStats, Backpressure,
-    Decision,
+    decisions_from_records, AdmitConfig, AdmitConfigError, AdmitEngine, AdmitOutcome, AdmitStats,
+    Backpressure, Decision,
 };
 pub use policy::{AdmissionPolicy, Fifo, PolicyKind, ShortestFirst, StrictPriority};
 pub use queue::{Pending, PifoQueue, Push};

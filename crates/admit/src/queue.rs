@@ -1,16 +1,38 @@
 //! The bounded PIFO ingress queue.
 //!
-//! One ordered map keyed by `(rank, seq)` implements every policy: the
-//! policy chooses the rank at push time (see [`crate::policy`]), the
-//! queue always pops the minimum key, and the monotonically increasing
-//! sequence number breaks rank ties in arrival order. Capacity is
-//! enforced here too, because the two backpressure disciplines are
-//! queue-shape decisions: *reject-new* refuses the push, *shed-oldest*
-//! evicts the earliest-admitted entry (minimum `seq`) to make room.
+//! Every policy is one queue ordered by `(rank, seq)`: the policy
+//! chooses the rank at push time (see [`crate::policy`]), the queue
+//! always pops the minimum, and the monotonically increasing sequence
+//! number breaks rank ties in arrival order.
+//!
+//! The queue keeps one FIFO bucket per distinct rank, in an ordered map
+//! keyed by rank. A fresh `seq` is always the largest issued, so
+//! appending at a bucket's back keeps each bucket in `seq` order and only
+//! the bucket fronts need sorting — the same observation that lets a
+//! PIFO sort flow heads instead of packets. With `r` distinct ranks
+//! queued:
+//!
+//! * push and requeue append to a bucket: O(log r);
+//! * pop takes the front of the lowest bucket: O(log r);
+//! * shed-oldest takes the smallest `seq` among the bucket fronts: O(r).
+//!
+//! FIFO has one rank and strict priority one per tenant, so both run at
+//! O(1)-ish cost per operation whatever the queue length. Emptied
+//! buckets are recycled, so a queue that has reached its working set of
+//! ranks stops allocating.
+//!
+//! Capacity is enforced here too, because the two backpressure
+//! disciplines are queue-shape decisions: *reject-new* refuses the push,
+//! *shed-oldest* evicts the earliest-admitted entry (minimum `seq`) to
+//! make room.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry, OccupiedEntry};
+use std::collections::VecDeque;
 
 use pms_workloads::ConnRequest;
+
+#[cfg(test)]
+mod reference;
 
 /// A queued request plus the bookkeeping the engine needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,12 +59,19 @@ pub enum Push {
     ShedOldest(Pending),
 }
 
+/// One rank's entries in `seq` order, each with its sequence number.
+type Bucket = VecDeque<(u64, Pending)>;
+
 /// Bounded rank-ordered queue (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct PifoQueue {
     cap: usize,
     seq: u64,
-    items: BTreeMap<(u64, u64), Pending>,
+    len: usize,
+    /// Non-empty buckets, keyed by rank.
+    buckets: BTreeMap<u64, Bucket>,
+    /// Emptied buckets kept for reuse.
+    spare: Vec<Bucket>,
 }
 
 impl PifoQueue {
@@ -50,62 +79,85 @@ impl PifoQueue {
     pub fn new(cap: usize) -> Self {
         PifoQueue {
             cap,
-            seq: 0,
-            items: BTreeMap::new(),
+            ..PifoQueue::default()
         }
     }
 
     /// Queued request count.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// Pushes at `rank`; `shed_oldest` selects the full-queue discipline.
     pub fn push(&mut self, rank: u64, pending: Pending, shed_oldest: bool) -> Push {
         let mut outcome = Push::Queued;
-        if self.items.len() >= self.cap {
+        if self.len >= self.cap {
             if !shed_oldest {
                 return Push::RejectedNew;
             }
-            // Oldest = smallest sequence number, regardless of rank.
-            let victim_key = self
-                .items
+            // Oldest = smallest sequence number, regardless of rank; each
+            // bucket's front is its oldest entry.
+            let oldest = self
+                .buckets
                 .iter()
-                .min_by_key(|((_, seq), _)| *seq)
-                .map(|(k, _)| *k)
+                .min_by_key(|(_, bucket)| bucket[0].0)
+                .map(|(&rank, _)| rank)
                 .expect("full queue is non-empty");
-            let victim = self.items.remove(&victim_key).expect("victim key present");
-            outcome = Push::ShedOldest(victim);
+            let Entry::Occupied(bucket) = self.buckets.entry(oldest) else {
+                unreachable!("rank was just found");
+            };
+            self.len -= 1;
+            outcome = Push::ShedOldest(take_front(bucket, &mut self.spare));
         }
-        self.items.insert((rank, self.seq), pending);
-        self.seq += 1;
+        self.append(rank, pending);
         outcome
     }
 
     /// Pops the lowest-rank (then earliest) request.
     pub fn pop(&mut self) -> Option<Pending> {
-        let key = *self.items.keys().next()?;
-        self.items.remove(&key)
+        let bucket = self.buckets.first_entry()?;
+        self.len -= 1;
+        Some(take_front(bucket, &mut self.spare))
     }
 
     /// Puts a denied request back at its rank. Requeues never shed: the
     /// entry was already accounted for before it was popped, and the pop
     /// guarantees a free slot.
     pub fn requeue(&mut self, rank: u64, pending: Pending) {
-        debug_assert!(self.items.len() < self.cap);
-        self.items.insert((rank, self.seq), pending);
-        self.seq += 1;
+        debug_assert!(self.len < self.cap);
+        self.append(rank, pending);
     }
+
+    fn append(&mut self, rank: u64, pending: Pending) {
+        let spare = &mut self.spare;
+        self.buckets
+            .entry(rank)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push_back((self.seq, pending));
+        self.seq += 1;
+        self.len += 1;
+    }
+}
+
+/// Removes the front of `bucket`, moving the bucket to `spare` if that
+/// empties it.
+fn take_front(mut bucket: OccupiedEntry<'_, u64, Bucket>, spare: &mut Vec<Bucket>) -> Pending {
+    let (_, pending) = bucket.get_mut().pop_front().expect("buckets are non-empty");
+    if bucket.get().is_empty() {
+        spare.push(bucket.remove());
+    }
+    pending
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pending(req: u32, t_ns: u64) -> Pending {
         Pending {
@@ -166,5 +218,67 @@ mod tests {
         // Request 0 rejoined rank 1 behind request 1.
         assert_eq!(q.pop().unwrap().req, 1);
         assert_eq!(q.pop().unwrap().req, 0);
+    }
+
+    /// Rank choice per case: one rank (FIFO), up to 8 ranks (strict
+    /// priority by tenant), or a pool of wide `u64` ranks (shortest-first
+    /// over arbitrary sizes), mapped from each operation's raw draw.
+    fn rank_of(mode: u64, pool: &[u64], raw: u64) -> u64 {
+        match mode {
+            0 => 0,
+            1 => raw % 8,
+            _ => pool[(raw % pool.len() as u64) as usize],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The rank-bucket queue matches the single-map reference on
+        /// random push / pop / requeue sequences: the same return value
+        /// and the same `len()` after every operation. Requeues put back
+        /// a popped request at its own rank, as the engine does.
+        #[test]
+        fn matches_reference(
+            cap in 1usize..17,
+            shed in 0u8..2,
+            mode in 0u64..3,
+            pool in prop::collection::vec(0u64..u64::MAX, 1..12),
+            ops in prop::collection::vec((0u8..4, 0u64..u64::MAX), 0..200),
+        ) {
+            let shed = shed == 1;
+            let mut fast = PifoQueue::new(cap);
+            let mut slow = reference::PifoQueue::new(cap);
+            let mut ranks = Vec::new();
+            let mut out = Vec::new();
+            for (op, raw) in ops {
+                match op {
+                    // Pushes are drawn twice as often as pops so the
+                    // queue regularly fills and exercises backpressure.
+                    0 | 1 => {
+                        let req = ranks.len() as u32;
+                        let rank = rank_of(mode, &pool, raw);
+                        ranks.push(rank);
+                        let p = pending(req, raw >> 32);
+                        prop_assert_eq!(fast.push(rank, p, shed), slow.push(rank, p, shed));
+                    }
+                    2 => {
+                        let popped = fast.pop();
+                        prop_assert_eq!(popped, slow.pop());
+                        out.extend(popped);
+                    }
+                    _ => {
+                        if let Some(mut p) = out.pop().filter(|_| fast.len() < cap) {
+                            p.denials += 1;
+                            let rank = ranks[p.req as usize];
+                            fast.requeue(rank, p);
+                            slow.requeue(rank, p);
+                        }
+                    }
+                }
+                prop_assert_eq!(fast.len(), slow.len());
+                prop_assert_eq!(fast.is_empty(), slow.len() == 0);
+            }
+        }
     }
 }

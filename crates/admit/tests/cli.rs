@@ -1,5 +1,6 @@
 //! The `admit` binary rejects fabric geometries its stage graphs cannot
-//! build with a one-line error and exit status 2, not a panic.
+//! build, and engine parameters that must be positive, with a one-line
+//! error and exit status 2, not a panic.
 
 use std::process::Command;
 
@@ -10,13 +11,17 @@ fn admit(args: &[&str]) -> std::process::Output {
         .expect("admit runs")
 }
 
-fn assert_geometry_error(fabric: &str, ports: &str, need: &str) {
-    let out = admit(&["--fabric", fabric, "--ports", ports, "--quiet"]);
-    assert_eq!(out.status.code(), Some(2), "{fabric} on {ports} ports");
+fn assert_one_line_error(args: &[&str], need: &str) {
+    let out = admit(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert_eq!(stderr.lines().count(), 1, "one-line error, got {stderr:?}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains(need), "{stderr}");
+}
+
+fn assert_geometry_error(fabric: &str, ports: &str, need: &str) {
+    assert_one_line_error(&["--fabric", fabric, "--ports", ports, "--quiet"], need);
 }
 
 #[test]
@@ -36,4 +41,20 @@ fn fitting_geometries_run() {
         let out = admit(&["--fabric", fabric, "--ports", ports, "--quiet"]);
         assert!(out.status.success(), "{fabric} on {ports} ports failed");
     }
+}
+
+#[test]
+fn zero_engine_parameters_are_rejected() {
+    for (flag, need) in [
+        ("--epoch-ns", "admit: --epoch-ns must be positive"),
+        ("--slots", "admit: --slots must be positive"),
+        ("--ports", "admit: --ports must be positive"),
+    ] {
+        assert_one_line_error(&[flag, "0", "--quiet"], need);
+    }
+    // A fabric that cannot take zero ports still reports the zero first.
+    assert_one_line_error(
+        &["--ports", "0", "--fabric", "crossbar", "--quiet"],
+        "--ports must be positive",
+    );
 }

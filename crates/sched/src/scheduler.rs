@@ -474,15 +474,28 @@ impl Scheduler {
             !self.preloaded[s],
             "slot {s} is preloaded; unload it before dynamic scheduling"
         );
-        let r_eff = self.effective_requests(requests);
+        assert_eq!(
+            (requests.rows(), requests.cols()),
+            (self.cfg.ports, self.cfg.ports),
+            "request matrix has wrong dimensions"
+        );
+        // The effective requests: `R` itself under `Drop`, the latch with
+        // `R` OR-ed in under `Latch`. Both are borrowed, not copied.
+        let r_eff = match self.cfg.hold {
+            HoldPolicy::Drop => requests,
+            HoldPolicy::Latch => {
+                self.latched.or_assign(requests);
+                &self.latched
+            }
+        };
         let l = match self.cfg.bandwidth {
-            BandwidthMode::SingleSlot => presched_matrix(&r_eff, &self.b_star, &self.configs[s]),
+            BandwidthMode::SingleSlot => presched_matrix(r_eff, &self.b_star, &self.configs[s]),
             BandwidthMode::PerPairMultiSlot => {
                 // L = (!R & Bs) | (R & !B*) | (R & M & !Bs):
                 // marked pairs are (re)inserted into every slot with room.
-                let base = presched_matrix(&r_eff, &self.b_star, &self.configs[s]);
+                let base = presched_matrix(r_eff, &self.b_star, &self.configs[s]);
                 let extra =
-                    BitMatrix::zip3_with(&r_eff, &self.multislot, &self.configs[s], |r, m, bs| {
+                    BitMatrix::zip3_with(r_eff, &self.multislot, &self.configs[s], |r, m, bs| {
                         r & m & !bs
                     });
                 BitMatrix::zip2_with(&base, &extra, |a, b| a | b)
@@ -555,11 +568,17 @@ impl Scheduler {
     pub fn is_idle_quiescent(&self) -> bool {
         let mut prof = pms_trace::prof::ProfScope::enter(pms_trace::prof::ProfKernel::IdleScan);
         let matrix_words = (self.cfg.ports * self.cfg.ports.div_ceil(64)) as u64;
-        let zero;
         let r_eff = match self.cfg.hold {
+            // With R = 0, Table 1 gives L = B^(s), and the multi-slot
+            // insertion term `R & M & !B^(s)` is zero: an idle pass changes
+            // nothing exactly when every dynamic register is empty.
             HoldPolicy::Drop => {
-                zero = BitMatrix::square(self.cfg.ports);
-                &zero
+                return (0..self.cfg.slots)
+                    .filter(|&s| !self.preloaded[s])
+                    .all(|s| {
+                        prof.add_words(matrix_words);
+                        self.configs[s].all_zero()
+                    })
             }
             // An empty request matrix OR-ed into the latch changes nothing,
             // so the effective idle requests are the latch itself.
@@ -639,21 +658,6 @@ impl Scheduler {
             self.priority.col = (self.priority.col + step) % self.cfg.ports;
         }
         Some(last)
-    }
-
-    fn effective_requests(&mut self, requests: &BitMatrix) -> BitMatrix {
-        assert_eq!(
-            (requests.rows(), requests.cols()),
-            (self.cfg.ports, self.cfg.ports),
-            "request matrix has wrong dimensions"
-        );
-        match self.cfg.hold {
-            HoldPolicy::Drop => requests.clone(),
-            HoldPolicy::Latch => {
-                self.latched.or_assign(requests);
-                self.latched.clone()
-            }
-        }
     }
 
     fn next_dynamic_slot(&mut self) -> Option<usize> {
