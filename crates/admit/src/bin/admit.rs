@@ -23,217 +23,133 @@ use pms_admit::{
 use pms_analyze::{build_report, ReportConfig};
 use pms_multistage::{MultistageRouter, StageGraph};
 use pms_telemetry::TelemetryServer;
+use pms_trace::cli::{self, die, fail, FlagError, Flags};
 use pms_trace::{write_jsonl, Json, SharedTracer, SnapshotConfig, Tracer, DEFAULT_WINDOW_SLOTS};
-use pms_workloads::{
-    butterfly, gather, hotspot, permutation, ring, scatter, transpose, uniform, ArrivalConfig,
-    ConnRequest, Workload,
-};
+use pms_workloads::{build_pattern, ArrivalConfig, ConnRequest};
 
 struct Args {
     pattern: String,
     from_file: Option<String>,
     stdin: bool,
-    ports: usize,
     bytes: u32,
     messages: usize,
     seed: u64,
     tenants: u32,
     send_gap_ns: u64,
-    slots: usize,
-    batch: usize,
-    epoch_ns: u64,
-    queue_cap: usize,
-    backpressure: Backpressure,
+    cfg: AdmitConfig,
     policy: PolicyKind,
-    rate: u64,
-    burst: u32,
-    max_denials: u32,
     fabric: Option<String>,
     trace: Option<String>,
     report: Option<String>,
     serve: Option<String>,
     json: bool,
     quiet: bool,
-    threads: usize,
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
+const USAGE: &str = "\
+usage: admit [--pattern P | --from-file REQS.txt | --stdin]
+             [--ports N] [--bytes B] [--messages M] [--seed S]
+             [--tenants T] [--send-gap-ns NS]
+             [--slots K] [--batch B] [--epoch-ns NS]
+             [--queue-cap C] [--backpressure reject-new|shed-oldest]
+             [--policy fifo|strict|pifo] [--rate R] [--burst B]
+             [--max-denials D] [--fabric crossbar|omega|butterfly|fat-tree]
+             [--trace OUT.jsonl] [--report OUT.json] [--serve ADDR]
+             [--json] [--quiet]
+patterns : scatter gather ring uniform hotspot permutation butterfly
+           transpose stencil3d ordered-mesh random-mesh two-phase
+--messages: per-processor messages of uniform and hotspot, rounds of
+           permutation
+--stdin  : read `req <t_ns> <tenant> <src> <dst> [bytes]` lines from stdin
+--tenants: stripe sources over T tenants (0 = one tenant per port)
+--batch  : requests coalesced per epoch (0 = ports)
+--rate   : per-tenant token-bucket rate, requests per virtual second
+           (0 = rate limiting off); --burst sets the bucket depth
+--policy : PIFO rank discipline (fifo | strict tenant priority |
+           pifo shortest-first)
+--fabric : admit through a multistage stage-graph instead of the
+           plain crossbar
+--trace  : write the replayable JSONL record stream
+--report : run the pms-analyze report (admission section included)
+--serve  : live telemetry at ADDR (adds /admission to the endpoints);
+           lingers after the run until GET /shutdown
+--json   : print the summary as one JSON object on stdout
+--quiet  : suppress the per-decision stdout lines";
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: admit [--pattern P | --from-file REQS.txt | --stdin]\n\
-         \x20            [--ports N] [--bytes B] [--messages M] [--seed S]\n\
-         \x20            [--tenants T] [--send-gap-ns NS]\n\
-         \x20            [--slots K] [--batch B] [--epoch-ns NS]\n\
-         \x20            [--queue-cap C] [--backpressure reject-new|shed-oldest]\n\
-         \x20            [--policy fifo|strict|pifo] [--rate R] [--burst B]\n\
-         \x20            [--max-denials D] [--fabric crossbar|omega|butterfly|fat-tree]\n\
-         \x20            [--trace OUT.jsonl] [--report OUT.json] [--serve ADDR]\n\
-         \x20            [--json] [--quiet] [--threads N]\n\
-         patterns : scatter gather ring uniform hotspot permutation butterfly transpose\n\
-         --stdin  : read `req <t_ns> <tenant> <src> <dst> [bytes]` lines from stdin\n\
-         --tenants: stripe sources over T tenants (0 = one tenant per port)\n\
-         --batch  : requests coalesced per epoch (0 = ports)\n\
-         --rate   : per-tenant token-bucket rate, requests per virtual second\n\
-         \x20          (0 = rate limiting off); --burst sets the bucket depth\n\
-         --policy : PIFO rank discipline (fifo | strict tenant priority |\n\
-         \x20          pifo shortest-first)\n\
-         --fabric : admit through a multistage stage-graph instead of the\n\
-         \x20          plain crossbar\n\
-         --trace  : write the replayable JSONL record stream\n\
-         --report : run the pms-analyze report (admission section included)\n\
-         --serve  : live telemetry at ADDR (adds /admission to the endpoints);\n\
-         \x20          lingers after the run until GET /shutdown\n\
-         --json   : print the summary as one JSON object on stdout\n\
-         --quiet  : suppress the per-decision stdout lines\n\
-         --threads: sweep lane count, recorded in the /metrics labels only\n\
-         \x20          (the single admission stream is sequential by design;\n\
-         \x20          admit_bench fans its policy sweep over lanes)"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        pattern: "uniform".into(),
-        from_file: None,
-        stdin: false,
-        ports: 16,
-        bytes: 64,
-        messages: 16,
-        seed: 17,
-        tenants: 0,
-        send_gap_ns: 100,
-        slots: 2,
-        batch: 0,
-        epoch_ns: 100,
-        queue_cap: 0,
-        backpressure: Backpressure::RejectNew,
-        policy: PolicyKind::Fifo,
-        rate: 0,
-        burst: 16,
-        max_denials: 64,
-        fabric: None,
-        trace: None,
-        report: None,
-        serve: None,
-        json: false,
-        quiet: false,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> &str {
-            argv.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--stdin" => {
-                args.stdin = true;
-                i += 1;
-                continue;
-            }
-            "--json" => {
-                args.json = true;
-                i += 1;
-                continue;
-            }
-            "--quiet" => {
-                args.quiet = true;
-                i += 1;
-                continue;
-            }
-            "--pattern" => args.pattern = value(i).to_string(),
-            "--from-file" => args.from_file = Some(value(i).to_string()),
-            "--ports" => args.ports = value(i).parse().unwrap_or_else(|_| usage()),
-            "--bytes" => args.bytes = value(i).parse().unwrap_or_else(|_| usage()),
-            "--messages" => args.messages = value(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--tenants" => args.tenants = value(i).parse().unwrap_or_else(|_| usage()),
-            "--send-gap-ns" => args.send_gap_ns = value(i).parse().unwrap_or_else(|_| usage()),
-            "--slots" => args.slots = value(i).parse().unwrap_or_else(|_| usage()),
-            "--batch" => args.batch = value(i).parse().unwrap_or_else(|_| usage()),
-            "--epoch-ns" => args.epoch_ns = value(i).parse().unwrap_or_else(|_| usage()),
-            "--queue-cap" => args.queue_cap = value(i).parse().unwrap_or_else(|_| usage()),
-            "--backpressure" => {
-                args.backpressure = Backpressure::from_name(value(i)).unwrap_or_else(|| usage())
-            }
-            "--policy" => args.policy = PolicyKind::from_name(value(i)).unwrap_or_else(|| usage()),
-            "--rate" => args.rate = value(i).parse().unwrap_or_else(|_| usage()),
-            "--burst" => args.burst = value(i).parse().unwrap_or_else(|_| usage()),
-            "--max-denials" => args.max_denials = value(i).parse().unwrap_or_else(|_| usage()),
-            "--fabric" => args.fabric = Some(value(i).to_string()),
-            "--trace" => args.trace = Some(value(i).to_string()),
-            "--report" => args.report = Some(value(i).to_string()),
-            "--serve" => args.serve = Some(value(i).to_string()),
-            "--threads" => {
-                args.threads = value(i).parse::<usize>().unwrap_or_else(|_| usage()).max(1)
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 2;
-    }
-    if args.stdin && args.from_file.is_some() {
-        eprintln!("--stdin and --from-file are mutually exclusive");
-        usage()
-    }
-    args
-}
-
-fn build_workload(a: &Args) -> Workload {
-    match a.pattern.as_str() {
-        "scatter" => scatter(a.ports, a.bytes),
-        "gather" => gather(a.ports, a.bytes),
-        "ring" => ring(a.ports, a.bytes, 4),
-        "uniform" => uniform(a.ports, a.bytes, a.messages, a.seed),
-        "hotspot" => hotspot(a.ports, a.bytes, a.messages, 0.5, a.seed),
-        "permutation" => permutation(a.ports, a.bytes, a.messages, a.seed),
-        "butterfly" => butterfly(a.ports, a.bytes),
-        "transpose" => {
-            let m = (a.ports as f64).sqrt() as usize;
-            assert_eq!(m * m, a.ports, "transpose needs a square port count");
-            transpose(m, a.bytes, 2)
-        }
-        _ => usage(),
-    }
+fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    let ports = f.get("--ports", 16)?;
+    let (rate, burst) = (f.get("--rate", 0)?, f.get("--burst", 16)?);
+    Ok(Args {
+        pattern: f.get("--pattern", "uniform".into())?,
+        from_file: f.opt("--from-file")?,
+        stdin: f.switch("--stdin"),
+        bytes: f.get("--bytes", 64)?,
+        messages: f.get("--messages", 16)?,
+        seed: f.get("--seed", 17)?,
+        tenants: f.get("--tenants", 0)?,
+        send_gap_ns: f.get("--send-gap-ns", 100)?,
+        cfg: AdmitConfig {
+            ports,
+            slots: f.get("--slots", 2)?,
+            batch: Some(f.get("--batch", 0)?)
+                .filter(|&b| b > 0)
+                .unwrap_or(ports),
+            epoch_ns: f.get("--epoch-ns", 100)?,
+            queue_cap: Some(f.get("--queue-cap", 0)?)
+                .filter(|&c| c > 0)
+                .unwrap_or(4 * ports),
+            backpressure: f
+                .parse_with(
+                    "--backpressure",
+                    "reject-new or shed-oldest",
+                    Backpressure::from_name,
+                )?
+                .unwrap_or(Backpressure::RejectNew),
+            rate: (rate > 0).then_some(RateConfig {
+                rate_per_sec: rate,
+                burst,
+            }),
+            max_denials: f.get("--max-denials", 64)?,
+        },
+        policy: f
+            .parse_with("--policy", "fifo, strict or pifo", PolicyKind::from_name)?
+            .unwrap_or(PolicyKind::Fifo),
+        fabric: f.opt("--fabric")?,
+        trace: f.opt("--trace")?,
+        report: f.opt("--report")?,
+        serve: f.opt("--serve")?,
+        json: f.switch("--json"),
+        quiet: f.switch("--quiet"),
+    })
 }
 
 fn build_requests(a: &Args) -> Vec<ConnRequest> {
-    if a.stdin {
+    let text = if a.stdin {
         let mut text = String::new();
-        std::io::stdin()
-            .read_to_string(&mut text)
-            .unwrap_or_else(|e| die(format!("cannot read stdin: {e}")));
-        return parse_requests(&text).unwrap_or_else(|e| die(format!("stdin: {e}")));
-    }
-    if let Some(path) = &a.from_file {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-        return parse_requests(&text).unwrap_or_else(|e| die(format!("{path}: {e}")));
-    }
-    build_workload(a)
-        .arrivals(&ArrivalConfig {
-            send_gap_ns: a.send_gap_ns,
-            tenants: a.tenants,
-        })
-        .collect()
+        std::io::stdin().read_to_string(&mut text).map(|_| text)
+    } else if let Some(path) = &a.from_file {
+        std::fs::read_to_string(path)
+    } else {
+        return build_pattern(&a.pattern, a.cfg.ports, a.bytes, Some(a.messages), a.seed)
+            .unwrap_or_else(|e| fail(format!("admit: {e}")))
+            .arrivals(&ArrivalConfig {
+                send_gap_ns: a.send_gap_ns,
+                tenants: a.tenants,
+            })
+            .collect();
+    };
+    let source = a.from_file.as_deref().unwrap_or("stdin");
+    let text = text.unwrap_or_else(|e| die(format!("cannot read {source}: {e}")));
+    parse_requests(&text).unwrap_or_else(|e| die(format!("{source}: {e}")))
 }
 
 /// Builds the `--fabric` router, exiting 2 with a one-line message when
 /// the port count does not fit the topology.
 fn build_fabric(name: &str, ports: usize, slots: usize) -> MultistageRouter {
     let bad_geometry = |need: &str| {
-        eprintln!("admit: --fabric {name} needs --ports {need}, got {ports}");
-        std::process::exit(2)
+        fail(format!(
+            "admit: --fabric {name} needs --ports {need}, got {ports}"
+        ))
     };
     let graph = match name {
         "omega" | "butterfly" if !(ports >= 2 && ports.is_power_of_two()) => {
@@ -244,7 +160,11 @@ fn build_fabric(name: &str, ports: usize, slots: usize) -> MultistageRouter {
         "omega" => StageGraph::omega(ports),
         "butterfly" => StageGraph::butterfly(ports),
         "fat-tree" => StageGraph::fat_tree(ports, 4, 2),
-        _ => usage(),
+        _ => fail(FlagError::BadValue {
+            flag: "--fabric".into(),
+            value: name.into(),
+            expected: "crossbar, omega, butterfly or fat-tree",
+        }),
     };
     MultistageRouter::new(graph, slots)
 }
@@ -253,7 +173,7 @@ fn summary_json(args: &Args, outcome: &AdmitOutcome) -> Json {
     let s = outcome.stats;
     Json::obj([
         ("policy", Json::str(args.policy.name())),
-        ("backpressure", Json::str(args.backpressure.name())),
+        ("backpressure", Json::str(args.cfg.backpressure.name())),
         ("ingested", Json::UInt(s.ingested)),
         ("enqueued", Json::UInt(s.enqueued)),
         ("granted", Json::UInt(s.granted)),
@@ -270,34 +190,20 @@ fn summary_json(args: &Args, outcome: &AdmitOutcome) -> Json {
 }
 
 fn main() {
-    let args = parse_args();
-    let mut cfg = AdmitConfig::new(args.ports);
-    cfg.slots = args.slots;
-    cfg.batch = if args.batch == 0 {
-        args.ports
-    } else {
-        args.batch
-    };
-    cfg.epoch_ns = args.epoch_ns;
-    cfg.queue_cap = if args.queue_cap == 0 {
-        4 * args.ports
-    } else {
-        args.queue_cap
-    };
-    cfg.backpressure = args.backpressure;
-    cfg.max_denials = args.max_denials;
-    cfg.rate = (args.rate > 0).then_some(RateConfig {
-        rate_per_sec: args.rate,
-        burst: args.burst,
-    });
-    if let Err(e) = cfg.validate() {
-        eprintln!("admit: --{} must be positive", e.field.replace('_', "-"));
-        std::process::exit(2);
+    let args = cli::parse_env(USAGE, parse_args);
+    if args.stdin && args.from_file.is_some() {
+        fail("admit: --stdin and --from-file are mutually exclusive");
+    }
+    if let Err(e) = args.cfg.validate() {
+        fail(format!(
+            "admit: --{} must be positive",
+            e.field.replace('_', "-")
+        ));
     }
     let router = args
         .fabric
         .as_deref()
-        .map(|f| build_fabric(f, args.ports, args.slots));
+        .map(|f| build_fabric(f, args.cfg.ports, args.cfg.slots));
     let requests = build_requests(&args);
 
     let server = args.serve.as_ref().map(|addr| {
@@ -321,7 +227,7 @@ fn main() {
     // slot-windowed snapshot series (one window per 64 epochs).
     let mut tracer = if base.enabled() {
         Tracer::pipeline(
-            SnapshotConfig::per_slots(args.epoch_ns, DEFAULT_WINDOW_SLOTS),
+            SnapshotConfig::per_slots(args.cfg.epoch_ns, DEFAULT_WINDOW_SLOTS),
             None,
             base,
         )
@@ -329,7 +235,7 @@ fn main() {
         base
     };
 
-    let mut engine = AdmitEngine::new(cfg, args.policy.build());
+    let mut engine = AdmitEngine::new(args.cfg.clone(), args.policy.build());
     if let Some(router) = router {
         engine = engine.with_router(router);
     }
@@ -366,7 +272,7 @@ fn main() {
         println!("{}", summary_json(&args, &outcome).render_pretty());
     } else {
         eprintln!("policy       : {}", args.policy.name());
-        eprintln!("backpressure : {}", args.backpressure.name());
+        eprintln!("backpressure : {}", args.cfg.backpressure.name());
         eprintln!("ingested     : {}", s.ingested);
         eprintln!("enqueued     : {}", s.enqueued);
         eprintln!("granted      : {}", s.granted);
@@ -387,9 +293,8 @@ fn main() {
     if let Some((_, srv)) = server {
         srv.publish_labels(&[
             ("policy", args.policy.name().to_string()),
-            ("ports", args.ports.to_string()),
-            ("k", args.slots.to_string()),
-            ("threads", args.threads.to_string()),
+            ("ports", args.cfg.ports.to_string()),
+            ("k", args.cfg.slots.to_string()),
         ]);
         eprintln!("serving      : run complete; GET /shutdown to exit");
         srv.wait();

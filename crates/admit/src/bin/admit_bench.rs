@@ -23,8 +23,9 @@ use std::time::Instant;
 
 use pms_admit::{decisions_from_records, AdmitConfig, AdmitEngine, Decision, PolicyKind};
 use pms_analyze::parse_jsonl;
+use pms_trace::cli::{self, die, fail, FlagError, Flags};
 use pms_trace::{write_jsonl, Json, Tracer};
-use pms_workloads::{uniform, ArrivalConfig, ConnRequest};
+use pms_workloads::{build_pattern, ArrivalConfig, ConnRequest};
 
 struct BenchArgs {
     ports: usize,
@@ -34,54 +35,20 @@ struct BenchArgs {
     threads: usize,
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
+const USAGE: &str = "\
+usage: admit_bench [--ports N] [--messages M] [--seed S] [--json OUT.json]
+                   [--threads N]
+--threads: fan the per-policy sweep over N scoped threads
+           (results print in policy order at any lane count)";
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: admit_bench [--ports N] [--messages M] [--seed S] [--json OUT.json]\n\
-         \x20                  [--threads N]\n\
-         --threads: fan the per-policy sweep over N scoped threads\n\
-         \x20          (results print in policy order at any lane count)"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> BenchArgs {
-    let mut args = BenchArgs {
-        ports: 64,
-        messages: 32,
-        seed: 17,
-        json: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> &str {
-            argv.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--ports" => args.ports = value(i).parse().unwrap_or_else(|_| usage()),
-            "--messages" => args.messages = value(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--json" => args.json = Some(value(i).to_string()),
-            "--threads" => {
-                args.threads = value(i).parse::<usize>().unwrap_or_else(|_| usage()).max(1)
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 2;
-    }
-    args
+fn parse_args(f: &mut Flags) -> Result<BenchArgs, FlagError> {
+    Ok(BenchArgs {
+        ports: f.get("--ports", 64)?,
+        messages: f.get("--messages", 32)?,
+        seed: f.get("--seed", 17)?,
+        json: f.opt("--json")?,
+        threads: f.threads()?,
+    })
 }
 
 fn render_all(decisions: &[Decision]) -> String {
@@ -185,11 +152,15 @@ fn bench_policy(
 }
 
 fn main() {
-    let args = parse_args();
-    let stream: Vec<ConnRequest> = uniform(args.ports, 64, args.messages, args.seed)
-        .arrivals(&ArrivalConfig::default())
-        .collect();
-    assert!(!stream.is_empty(), "empty arrival stream");
+    let args = cli::parse_env(USAGE, parse_args);
+    if args.messages == 0 {
+        fail("admit_bench: --messages must be positive");
+    }
+    let stream: Vec<ConnRequest> =
+        build_pattern("uniform", args.ports, 64, Some(args.messages), args.seed)
+            .unwrap_or_else(|e| fail(format!("admit_bench: {e}")))
+            .arrivals(&ArrivalConfig::default())
+            .collect();
     // One scratch file per policy: the policies run on separate threads,
     // so the replay round trips must not share a path.
     let bench = &|kind: PolicyKind| {

@@ -109,7 +109,8 @@ impl AdmitConfig {
 
     /// Checks the parameters [`AdmitEngine::new`] requires to be
     /// positive: `ports`, `slots`, `batch`, `epoch_ns` and `queue_cap`,
-    /// reporting the first zero one in that order.
+    /// then the `burst` of a rate limit (a zero-depth bucket can never
+    /// admit), reporting the first zero one in that order.
     pub fn validate(&self) -> Result<(), AdmitConfigError> {
         let fields = [
             ("ports", self.ports as u64),
@@ -117,6 +118,7 @@ impl AdmitConfig {
             ("batch", self.batch as u64),
             ("epoch_ns", self.epoch_ns),
             ("queue_cap", self.queue_cap as u64),
+            ("burst", self.rate.map_or(1, |r| r.burst as u64)),
         ];
         match fields.into_iter().find(|&(_, value)| value == 0) {
             Some((field, _)) => Err(AdmitConfigError { field }),
@@ -128,7 +130,8 @@ impl AdmitConfig {
 /// An [`AdmitConfig`] parameter that must be positive is zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmitConfigError {
-    /// The field's name, as spelled in [`AdmitConfig`].
+    /// The field's name, as spelled in [`AdmitConfig`] or its
+    /// [`RateConfig`].
     pub field: &'static str,
 }
 
@@ -277,8 +280,10 @@ impl AdmitEngine {
     /// Creates an engine over a plain crossbar.
     ///
     /// # Panics
-    /// Panics if `cfg` fails [`AdmitConfig::validate`]; callers taking the
-    /// configuration from user input validate it first.
+    /// Panics if `cfg` fails [`AdmitConfig::validate`] on a zero engine
+    /// parameter; a zero-depth rate bucket only rejects every request.
+    /// Callers taking the configuration from user input validate it
+    /// first.
     pub fn new(cfg: AdmitConfig, policy: Box<dyn AdmissionPolicy>) -> Self {
         assert!(cfg.batch > 0, "batch must be positive");
         assert!(cfg.epoch_ns > 0, "epoch_ns must be positive");
@@ -717,6 +722,21 @@ mod tests {
             AdmitConfig::new(0).validate(),
             Err(AdmitConfigError { field: "ports" })
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_depth_rate_bucket() {
+        let mut cfg = AdmitConfig::new(4);
+        let rate = |burst| {
+            Some(RateConfig {
+                rate_per_sec: 5,
+                burst,
+            })
+        };
+        cfg.rate = rate(0);
+        assert_eq!(cfg.validate(), Err(AdmitConfigError { field: "burst" }));
+        cfg.rate = rate(1);
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

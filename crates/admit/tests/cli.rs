@@ -58,3 +58,74 @@ fn zero_engine_parameters_are_rejected() {
         "--ports must be positive",
     );
 }
+
+#[test]
+fn pattern_geometries_are_rejected() {
+    for (pattern, ports, need) in [
+        ("transpose", "15", "square port count"),
+        ("ring", "1", "at least 2 ports"),
+        ("hotspot", "1", "at least 3 ports"),
+        ("butterfly", "12", "power-of-two"),
+        ("bogus", "16", "unknown pattern `bogus`"),
+    ] {
+        assert_one_line_error(&["--pattern", pattern, "--ports", ports, "--quiet"], need);
+    }
+}
+
+#[test]
+fn a_rate_limit_needs_a_positive_burst() {
+    assert_one_line_error(
+        &["--rate", "5", "--burst", "0", "--quiet"],
+        "admit: --burst must be positive",
+    );
+    // Without a rate the bucket depth is unused.
+    let out = admit(&["--rate", "0", "--burst", "0", "--quiet"]);
+    assert!(out.status.success());
+}
+
+#[test]
+fn usage_errors_exit_2_and_help_exits_0() {
+    for args in [
+        &["--no-such-flag"][..],
+        &["--threads", "2"],
+        &["--policy", "lifo"],
+        &["--ports", "-3"],
+        &["--stdin", "--from-file", "reqs.txt"],
+    ] {
+        assert_one_line_error(args, "");
+    }
+    let help = admit(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    assert!(String::from_utf8(help.stdout)
+        .unwrap()
+        .starts_with("usage: admit"));
+}
+
+fn admit_bench(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_admit_bench"))
+        .args(args)
+        .output()
+        .expect("admit_bench runs")
+}
+
+#[test]
+fn admit_bench_rejects_bad_arguments_before_running() {
+    for (args, need) in [
+        (&["--no-such-flag"][..], "unknown flag `--no-such-flag`"),
+        (
+            &["--threads", "lots"],
+            "--threads expects a lane count, got `lots`",
+        ),
+        (&["--ports", "1"], "at least 2 ports"),
+        (&["--messages", "0"], "--messages must be positive"),
+    ] {
+        let out = admit_bench(args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr:?}");
+        assert!(stderr.contains(need), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let help = admit_bench(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+}

@@ -20,7 +20,8 @@
 //! non-zero when any significant change is found, so CI can gate on it;
 //! diffing a run against itself always reports zero deltas.
 
-use pms_analyze::{build_report, diff_reports, parse_jsonl, Report, ReportConfig, DEFAULT_EPSILON};
+use pms_analyze::{build_report, diff_reports, parse_jsonl, Replay, ReportConfig, DEFAULT_EPSILON};
+use pms_trace::cli::{self, FlagError, Flags};
 use std::fs;
 use std::process::ExitCode;
 
@@ -44,103 +45,66 @@ const USAGE: &str = "usage: analyze TRACE.jsonl [--report PATH] [--heatmap-csv P
                      [--alerts-json PATH] [--window NS] [--ports N] [--quiet]\n\
        analyze --diff A.jsonl B.jsonl [--epsilon FRAC] [--ports N]";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        trace: String::new(),
-        diff: None,
-        epsilon: DEFAULT_EPSILON,
-        report: None,
-        heatmap_csv: None,
-        churn_csv: None,
-        setup_csv: None,
-        timeseries_csv: None,
-        alerts_json: None,
-        window_ns: ReportConfig::default().premature_window_ns,
-        ports: None,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--diff" => args.diff = Some(value("--diff")?),
-            "--epsilon" => {
-                args.epsilon = value("--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?
-            }
-            "--report" => args.report = Some(value("--report")?),
-            "--heatmap-csv" => args.heatmap_csv = Some(value("--heatmap-csv")?),
-            "--churn-csv" => args.churn_csv = Some(value("--churn-csv")?),
-            "--setup-csv" => args.setup_csv = Some(value("--setup-csv")?),
-            "--timeseries-csv" => args.timeseries_csv = Some(value("--timeseries-csv")?),
-            "--alerts-json" => args.alerts_json = Some(value("--alerts-json")?),
-            "--window" => {
-                args.window_ns = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?
-            }
-            "--ports" => {
-                args.ports = Some(
-                    value("--ports")?
-                        .parse()
-                        .map_err(|e| format!("--ports: {e}"))?,
-                )
-            }
-            "--quiet" | "-q" => args.quiet = true,
-            "--help" | "-h" => return Err(USAGE.into()),
-            _ if arg.starts_with('-') => return Err(format!("unknown flag {arg}\n{USAGE}")),
-            _ if args.trace.is_empty() => args.trace = arg,
-            _ => return Err(format!("unexpected argument {arg}\n{USAGE}")),
-        }
-    }
-    if args.trace.is_empty() {
-        return Err(USAGE.into());
-    }
-    Ok(args)
+fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    Ok(Args {
+        diff: f.opt("--diff")?,
+        epsilon: f.get("--epsilon", DEFAULT_EPSILON)?,
+        report: f.opt("--report")?,
+        heatmap_csv: f.opt("--heatmap-csv")?,
+        churn_csv: f.opt("--churn-csv")?,
+        setup_csv: f.opt("--setup-csv")?,
+        timeseries_csv: f.opt("--timeseries-csv")?,
+        alerts_json: f.opt("--alerts-json")?,
+        window_ns: f.get("--window", ReportConfig::default().premature_window_ns)?,
+        ports: f.opt("--ports")?,
+        quiet: f.switch("--quiet") | f.switch("-q"),
+        trace: f.required("TRACE.jsonl")?,
+    })
 }
 
-fn load_report(path: &str, cfg: &ReportConfig) -> Result<(Report, u64), String> {
+fn load(path: &str) -> Result<Replay, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let replay = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok((build_report(&replay.records, cfg), replay.skipped_unknown))
+    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `--diff A B`: report the deltas, exit non-zero on significant ones.
-fn run_diff(args: &Args, a_path: &str) -> Result<bool, String> {
-    let cfg = ReportConfig {
-        ports: args.ports,
-        premature_window_ns: args.window_ns,
-        ..ReportConfig::default()
+/// Writes `contents()` to the flag's `path`, if it gave one.
+fn write_out(
+    args: &Args,
+    path: &Option<String>,
+    what: &str,
+    contents: impl FnOnce() -> String,
+) -> Result<(), String> {
+    let Some(path) = path else {
+        return Ok(());
     };
-    let (a, _) = load_report(a_path, &cfg)?;
-    let (b, _) = load_report(&args.trace, &cfg)?;
-    let diff = diff_reports(&a, &b, args.epsilon);
+    fs::write(path, contents()).map_err(|e| format!("cannot write {path}: {e}"))?;
     if !args.quiet {
-        print!("{}", diff.render_text());
+        println!("{what} written to {path}");
     }
-    if let Some(path) = &args.report {
-        fs::write(path, diff.to_json().render_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("diff JSON written to {path}");
-        }
-    }
-    Ok(diff.significant().is_empty())
+    Ok(())
 }
 
+/// Returns whether the run is clean: `--diff` found no significant
+/// change.
 fn run(args: &Args) -> Result<bool, String> {
-    if let Some(a_path) = &args.diff {
-        return run_diff(args, a_path);
-    }
-    let text =
-        fs::read_to_string(&args.trace).map_err(|e| format!("cannot read {}: {e}", args.trace))?;
-    let replay = parse_jsonl(&text).map_err(|e| format!("{}: {e}", args.trace))?;
     let cfg = ReportConfig {
         ports: args.ports,
         premature_window_ns: args.window_ns,
         ..ReportConfig::default()
     };
+    if let Some(a_path) = &args.diff {
+        let a = build_report(&load(a_path)?.records, &cfg);
+        let b = build_report(&load(&args.trace)?.records, &cfg);
+        let diff = diff_reports(&a, &b, args.epsilon);
+        if !args.quiet {
+            print!("{}", diff.render_text());
+        }
+        write_out(args, &args.report, "diff JSON", || {
+            diff.to_json().render_pretty()
+        })?;
+        return Ok(diff.significant().is_empty());
+    }
+    let replay = load(&args.trace)?;
     let report = build_report(&replay.records, &cfg);
     if !args.quiet {
         print!("{}", report.render_text());
@@ -151,58 +115,27 @@ fn run(args: &Args) -> Result<bool, String> {
             );
         }
     }
-    if let Some(path) = &args.report {
-        fs::write(path, report.to_json().render_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("report written to {path}");
-        }
-    }
-    if let Some(path) = &args.heatmap_csv {
-        fs::write(path, report.heatmap.to_csv())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("heatmap CSV written to {path}");
-        }
-    }
-    if let Some(path) = &args.churn_csv {
-        fs::write(path, report.churn.to_csv()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("churn CSV written to {path}");
-        }
-    }
-    if let Some(path) = &args.setup_csv {
-        fs::write(path, report.contention.to_csv())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("setup CSV written to {path}");
-        }
-    }
-    if let Some(path) = &args.timeseries_csv {
-        fs::write(path, pms_analyze::timeseries_csv(&replay.records))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("time-series CSV written to {path}");
-        }
-    }
-    if let Some(path) = &args.alerts_json {
-        fs::write(path, report.alerts.to_json().render_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        if !args.quiet {
-            println!("alerts JSON written to {path}");
-        }
-    }
+    write_out(args, &args.report, "report", || {
+        report.to_json().render_pretty()
+    })?;
+    write_out(args, &args.heatmap_csv, "heatmap CSV", || {
+        report.heatmap.to_csv()
+    })?;
+    write_out(args, &args.churn_csv, "churn CSV", || report.churn.to_csv())?;
+    write_out(args, &args.setup_csv, "setup CSV", || {
+        report.contention.to_csv()
+    })?;
+    write_out(args, &args.timeseries_csv, "time-series CSV", || {
+        pms_analyze::timeseries_csv(&replay.records)
+    })?;
+    write_out(args, &args.alerts_json, "alerts JSON", || {
+        report.alerts.to_json().render_pretty()
+    })?;
     Ok(true)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = cli::parse_env(USAGE, parse_args);
     match run(&args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,

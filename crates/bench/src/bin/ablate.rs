@@ -14,33 +14,39 @@
 //!    copies of the scheduling logic.
 //!
 //! ```text
-//! cargo run --release -p pms-bench --bin ablate [predictors|coloring|rotation]
+//! cargo run --release -p pms-bench --bin ablate [all|predictors|coloring|rotation|voq|slunits]
 //! ```
 
 use pms_bitmat::BitMatrix;
 use pms_compile::{exact_coloring, greedy_coloring, WorkingSet};
 use pms_sched::{Scheduler, SchedulerConfig};
 use pms_sim::{PredictorKind, SimParams, TdmMode, TdmSim, WormholeQueueing, WormholeSim};
+use pms_trace::cli::{self, FlagError};
 use pms_workloads::{random_mesh, two_phase, uniform, MeshSpec};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
+/// The sections in run order; no argument (or `all`) runs every one.
+const SECTIONS: [(&str, fn()); 5] = [
+    ("predictors", ablate_predictors),
+    ("coloring", ablate_coloring),
+    ("rotation", ablate_rotation),
+    ("voq", ablate_voq),
+    ("slunits", ablate_sl_units),
+];
+
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    if which == "predictors" || which == "all" {
-        ablate_predictors();
-    }
-    if which == "coloring" || which == "all" {
-        ablate_coloring();
-    }
-    if which == "rotation" || which == "all" {
-        ablate_rotation();
-    }
-    if which == "voq" || which == "all" {
-        ablate_voq();
-    }
-    if which == "slunits" || which == "all" {
-        ablate_sl_units();
+    let usage = "usage: ablate [all|predictors|coloring|rotation|voq|slunits]";
+    let which = cli::parse_env(usage, |f| match f.positional() {
+        Some(s) if s != "all" && SECTIONS.iter().all(|&(name, _)| name != s) => {
+            Err(FlagError::Unexpected(s))
+        }
+        which => Ok(which.filter(|s| s != "all")),
+    });
+    for (name, run) in SECTIONS {
+        if which.as_ref().is_none_or(|w| w == name) {
+            run();
+        }
     }
 }
 

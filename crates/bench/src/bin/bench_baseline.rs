@@ -24,10 +24,11 @@
 
 use pms_admit::{AdmitConfig, AdmitEngine, PolicyKind};
 use pms_analyze::{render_ratio_table, worst_regression, RatioRow};
-use pms_bench::{available_parallelism, naive, run_grid_threads};
+use pms_bench::{naive, run_grid_threads};
 use pms_bitmat::BitMatrix;
 use pms_sched::{slarray::reference, Priority};
 use pms_sim::{Paradigm, PredictorKind, SimParams};
+use pms_trace::cli::{self, available_parallelism, die};
 use pms_trace::{Json, Tracer};
 use pms_workloads::{uniform, ArrivalConfig, ConnRequest, Program, Workload};
 use std::hint::black_box;
@@ -322,8 +323,8 @@ fn measure_entries() -> Vec<Entry> {
 /// the field existed).
 fn load_baseline_speedups(path: &str) -> Vec<(String, f64, u64)> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e:?}"));
+        .unwrap_or_else(|e| die(format!("cannot read baseline {path}: {e}")));
+    let doc = Json::parse(&text).unwrap_or_else(|e| die(format!("bad baseline {path}: {e:?}")));
     let as_f64 = |j: &Json| -> f64 {
         match *j {
             Json::Float(f) => f,
@@ -428,33 +429,27 @@ fn check_against(path: &str, entries: &[Entry]) -> usize {
     regressions
 }
 
+const USAGE: &str = "usage: bench_baseline [OUT.json]          (write the baseline)
+       bench_baseline --check [BASELINE.json]  (compare against it)
+the path defaults to BENCH_pr4.json";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_path = match args.first().map(String::as_str) {
-        Some("--check") => Some(
-            args.get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_pr4.json".into()),
-        ),
-        _ => None,
-    };
+    let (check, path) = cli::parse_env(USAGE, |f| {
+        let check = f.switch("--check");
+        Ok((check, f.positional()))
+    });
+    let path = path.unwrap_or_else(|| "BENCH_pr4.json".into());
     let entries = measure_entries();
     let n = 128usize;
 
-    if let Some(path) = check_path {
+    if check {
         let regressions = check_against(&path, &entries);
         if regressions > 0 {
-            eprintln!("{regressions} kernel(s) regressed below tolerance");
-            std::process::exit(1);
+            die(format!("{regressions} kernel(s) regressed below tolerance"));
         }
         println!("all kernels within tolerance of {path}");
         return;
     }
-
-    let out_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr4.json".into());
 
     // --- report -----------------------------------------------------------
     let mut json = String::new();
@@ -487,8 +482,8 @@ fn main() {
             e.speedup()
         );
     }
-    std::fs::write(&out_path, &json).expect("write baseline json");
-    println!("wrote {out_path}");
+    std::fs::write(&path, &json).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+    println!("wrote {path}");
 
     for e in &entries {
         assert!(

@@ -18,38 +18,27 @@
 
 use pms_bench::{
     degradation_sweep, degradation_timeseries, degradation_timeseries_csv, render_degradation,
-    threads_flag,
 };
 use pms_sim::{Paradigm, PredictorKind, SimParams};
-use pms_workloads::scatter;
+use pms_trace::cli::{self, die};
+use pms_workloads::{build_pattern, DEFAULT_SEED};
+
+const USAGE: &str = "usage: degradation [--ports N] [--bytes B] [--threads N]
+                   [--timeseries-csv OUT.csv] [--duty D]";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str, default: usize| -> usize {
-        argv.iter()
-            .position(|a| a == name)
-            .and_then(|i| argv.get(i + 1))
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("{name} needs an integer, got `{v}`");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(default)
-    };
-    let string_flag = |name: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == name)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
-    };
-    let ports = flag("--ports", 8);
-    let bytes = flag("--bytes", 256) as u32;
-    let timeseries_csv = string_flag("--timeseries-csv");
-    let duty = flag("--duty", 30) as u64;
-    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
+    let (ports, bytes, timeseries_csv, duty, threads) = cli::parse_env(USAGE, |f| {
+        Ok((
+            f.get("--ports", 8)?,
+            f.get("--bytes", 256)?,
+            f.opt::<String>("--timeseries-csv")?,
+            f.get("--duty", 30)?,
+            f.threads()?,
+        ))
+    });
 
-    let w = scatter(ports, bytes);
+    let w = build_pattern("scatter", ports, bytes, None, DEFAULT_SEED)
+        .unwrap_or_else(|e| cli::fail(format!("degradation: {e}")));
     let mut params = SimParams::default().with_ports(ports);
     params.tdm_slots = ports.max(2);
     let paradigms = [
@@ -67,10 +56,8 @@ fn main() {
     print!("{}", render_degradation(&rows, params.link.bytes_per_ns()));
     if let Some(path) = timeseries_csv {
         let windows = degradation_timeseries(&w, &params, &paradigms, duty, 2_000);
-        std::fs::write(&path, degradation_timeseries_csv(&windows)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        std::fs::write(&path, degradation_timeseries_csv(&windows))
+            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
         eprintln!(
             "time series  : {} window(s) at {duty}% duty -> {path}",
             windows.len()

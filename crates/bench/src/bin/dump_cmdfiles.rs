@@ -7,50 +7,40 @@
 //! cargo run -p pms-bench --bin dump_cmdfiles -- scatter 16 64 out/
 //! cargo run -p pms-bench --bin dump_cmdfiles -- ordered-mesh 128 512 out/
 //! ```
+//!
+//! Patterns come from the same registry and default seed as `simulate`'s
+//! `--pattern`, so `simulate --pattern dir:out/` replays exactly the
+//! traffic of `simulate --pattern P` with the same ports and bytes.
 
-use pms_workloads::{
-    gather, hotspot, ordered_mesh, permutation, random_mesh, ring, scatter, two_phase, uniform,
-    MeshSpec, Workload,
-};
+use pms_trace::cli::{self, die, fail};
+use pms_workloads::{build_pattern, DEFAULT_SEED};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dump_cmdfiles <pattern> <ports> <bytes> <dir>\n\
-         patterns: scatter gather ring uniform hotspot permutation\n\
-                   ordered-mesh random-mesh two-phase"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: dump_cmdfiles <pattern> <ports> <bytes> <dir>
+patterns: scatter gather ring uniform hotspot permutation butterfly
+          transpose stencil3d ordered-mesh random-mesh two-phase";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() != 4 {
-        usage();
-    }
-    let pattern = args[0].as_str();
-    let ports: usize = args[1].parse().unwrap_or_else(|_| usage());
-    let bytes: u32 = args[2].parse().unwrap_or_else(|_| usage());
-    let dir = std::path::Path::new(&args[3]);
+    let (pattern, ports, bytes, dir) = cli::parse_env(USAGE, |f| {
+        Ok((
+            f.required::<String>("<pattern>")?,
+            f.required("<ports>")?,
+            f.required("<bytes>")?,
+            f.required::<String>("<dir>")?,
+        ))
+    });
+    let workload = build_pattern(&pattern, ports, bytes, None, DEFAULT_SEED)
+        .unwrap_or_else(|e| fail(format!("dump_cmdfiles: {e}")));
+    let dir = std::path::Path::new(&dir);
 
-    let workload: Workload = match pattern {
-        "scatter" => scatter(ports, bytes),
-        "gather" => gather(ports, bytes),
-        "ring" => ring(ports, bytes, 4),
-        "uniform" => uniform(ports, bytes, 16, 1),
-        "hotspot" => hotspot(ports, bytes, 16, 0.5, 1),
-        "permutation" => permutation(ports, bytes, 8, 1),
-        "ordered-mesh" => ordered_mesh(MeshSpec::for_ports(ports), bytes, 4, 500, 100),
-        "random-mesh" => random_mesh(MeshSpec::for_ports(ports), bytes, 4, 500, 100, 17),
-        "two-phase" => two_phase(MeshSpec::for_ports(ports), bytes, 16, 500, 100, 11),
-        _ => usage(),
-    };
-
-    std::fs::create_dir_all(dir).expect("create output directory");
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| die(format!("cannot create {}: {e}", dir.display())));
     let files = workload.to_command_files();
     let width = files.len().to_string().len();
     for (p, text) in files.iter().enumerate() {
         let path = dir.join(format!("proc{p:0width$}.cmd"));
-        std::fs::write(&path, text).expect("write command file");
+        std::fs::write(&path, text)
+            .unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display())));
     }
     println!(
         "wrote {} command files for `{}` ({} messages, {} bytes) to {}",

@@ -17,14 +17,18 @@
 //! alert rules against the cell's snapshot stream; `--timeseries-csv
 //! OUT.csv` exports the cell's per-window metrics series.
 
-use pms_bench::{figures, threads_flag, trace_and_report_flags};
+use pms_bench::{figures, write_results, TraceFlags};
 use pms_sim::{Paradigm, PredictorKind};
+use pms_trace::cli;
 use pms_workloads::scatter;
 
+const USAGE: &str = "usage: fig4 [--quick] [--threads N] [--trace OUT] [--report OUT.json]
+            [--alerts RULES.txt] [--timeseries-csv OUT.csv]";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let argv: Vec<String> = std::env::args().collect();
-    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
+    let (quick, threads, traced) = cli::parse_env(USAGE, |f| {
+        Ok((f.switch("--quick"), f.threads()?, TraceFlags::parse(f)?))
+    });
     let fig = figures::fig4(quick, threads);
     let (ports, params) = (fig.params.ports, &fig.params);
     let rate = params.link.bytes_per_ns();
@@ -49,18 +53,10 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/fig4.json", fig.to_json().render_pretty())
-        .expect("write results/fig4.json");
-    println!("results written to results/fig4.json");
+    write_results("fig4", &fig.to_json());
 
-    trace_and_report_flags(&argv, "scatter/64B dynamic-tdm", |tracer| {
-        let (_, mut tracer) = Paradigm::DynamicTdm(PredictorKind::Drop).run_traced(
-            &scatter(ports, 64),
-            params,
-            tracer,
-        );
-        pms_bench::finish(&mut tracer);
-        tracer.records()
+    traced.run("scatter/64B dynamic-tdm", |tracer| {
+        let paradigm = Paradigm::DynamicTdm(PredictorKind::Drop);
+        paradigm.run_traced(&scatter(ports, 64), params, tracer).1
     });
 }

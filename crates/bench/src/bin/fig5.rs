@@ -17,14 +17,18 @@
 //! RULES.txt` evaluates alert rules against the cell's snapshot stream;
 //! `--timeseries-csv OUT.csv` exports the cell's per-window series.
 
-use pms_bench::{figures, threads_flag, trace_and_report_flags};
+use pms_bench::{figures, write_results, TraceFlags};
 use pms_sim::{Paradigm, PredictorKind};
+use pms_trace::cli;
 use pms_workloads::{hybrid, HybridSpec};
 
+const USAGE: &str = "usage: fig5 [--quick] [--threads N] [--trace OUT] [--report OUT.json]
+            [--alerts RULES.txt] [--timeseries-csv OUT.csv]";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let argv: Vec<String> = std::env::args().collect();
-    let threads = threads_flag(&argv).unwrap_or_else(|e| e.exit());
+    let (quick, threads, traced) = cli::parse_env(USAGE, |f| {
+        Ok((f.switch("--quick"), f.threads()?, TraceFlags::parse(f)?))
+    });
     let fig = figures::fig5(quick, threads);
     let (ports, msgs, params) = (fig.params.ports, fig.msgs, &fig.params);
     for s in &fig.series {
@@ -71,12 +75,9 @@ fn main() {
         );
     }
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/fig5.json", fig.to_json().render_pretty())
-        .expect("write results/fig5.json");
-    println!("results written to results/fig5.json");
+    write_results("fig5", &fig.to_json());
 
-    trace_and_report_flags(&argv, "hybrid 85%/1p", |tracer| {
+    traced.run("hybrid 85%/1p", |tracer| {
         let workload = hybrid(HybridSpec {
             ports,
             determinism: 0.85,
@@ -88,8 +89,6 @@ fn main() {
             preload_slots: 1,
             predictor: PredictorKind::Drop,
         };
-        let (_, mut tracer) = paradigm.run_traced(&workload, params, tracer);
-        pms_bench::finish(&mut tracer);
-        tracer.records()
+        paradigm.run_traced(&workload, params, tracer).1
     });
 }

@@ -12,6 +12,7 @@ use pms_sim::{MultihopWormholeSim, PredictorKind, SimParams, TdmMode, TdmSim};
 use pms_workloads::uniform;
 
 fn main() {
+    pms_trace::cli::parse_env("usage: multihop (no arguments)", |_| Ok(()));
     let torus = TorusNetwork::new(4, 4, 2);
     let n = torus.ports();
     let params = SimParams::default().with_ports(n).with_tdm_slots(8);

@@ -17,14 +17,15 @@
 //! order). `--quick` shrinks the grid for CI.
 
 use pms_bench::figures::{schedopt_demand, schedopt_skews, SchedoptGrid, SCHEDOPT_SEED};
-use pms_bench::threads_flag;
+use pms_bench::write_results;
 use pms_schedopt::{paged_study, CostModel};
 use pms_sim::SimParams;
-use pms_trace::Json;
+use pms_trace::{cli, Json};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_flag(&std::env::args().collect::<Vec<_>>()).unwrap_or_else(|e| e.exit());
+    let (quick, threads) = cli::parse_env("usage: schedopt [--quick] [--threads N]", |f| {
+        Ok((f.switch("--quick"), f.threads()?))
+    });
     let grid = SchedoptGrid::new(quick);
     let (port_counts, deltas, solvers) = (&grid.port_counts, &grid.deltas, grid.solvers);
     let slot_ns = SimParams::default().slot_ns;
@@ -159,8 +160,5 @@ fn main() {
         ),
         ("paged", Json::Array(paged_json)),
     ]);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/schedopt.json", doc.render_pretty())
-        .expect("write results/schedopt.json");
-    println!("results written to results/schedopt.json");
+    write_results("schedopt", &doc);
 }

@@ -6,21 +6,9 @@
 //!     --pattern ordered-mesh --ports 128 --bytes 512 --paradigm preload
 //! ```
 //!
-//! `--trace out.json` records every simulator event and writes a Chrome
-//! Trace Event file loadable in `chrome://tracing` or Perfetto; with a
-//! `.jsonl` extension it writes the replayable line-per-record format
-//! consumed by the `analyze` binary instead. `--report out.json` runs
-//! the full `pms-analyze` report (slot occupancy, traffic heatmap,
-//! predictor churn, setup-latency attribution, fault impact) over the
-//! run's events,
-//! prints it, and writes the JSON — byte-identical to replaying the
-//! `.jsonl` trace through `analyze`. `--flight-recorder out.jsonl`
-//! attaches the bounded-ring anomaly recorder instead of a full tracer:
-//! nothing is written unless a setup-latency outlier fires. `--json`
-//! prints the statistics as one JSON object instead of the text block;
-//! `--phase-detector` attaches the §3.3 miss-rate phase detector to
-//! dynamic TDM runs. `--faults plan.txt` injects the deterministic
-//! fault schedule parsed from the given `pms-faults` plan file.
+//! `simulate --help` prints every flag (`USAGE`). The `--report` JSON is
+//! byte-identical to replaying the `--trace` JSONL through `analyze`, and
+//! `--flight-recorder` writes nothing unless an alert fires.
 
 use pms_analyze::ReportConfig;
 use pms_bench::{write_report_file, write_trace_file};
@@ -28,14 +16,12 @@ use pms_faults::FaultPlan;
 use pms_predict::PhaseDetectorConfig;
 use pms_sim::{Paradigm, PredictorKind, SimParams, TdmMode, TdmSim};
 use pms_telemetry::TelemetryServer;
+use pms_trace::cli::{self, die, fail, FlagError, Flags};
 use pms_trace::{
     series_to_csv, AlertRules, FlightConfig, SharedTracer, SnapshotConfig, Tracer,
     DEFAULT_WINDOW_SLOTS,
 };
-use pms_workloads::{
-    butterfly, gather, hotspot, ordered_mesh, permutation, random_mesh, ring, scatter, stencil3d,
-    transpose, two_phase, uniform, MeshSpec, Workload,
-};
+use pms_workloads::{build_pattern, Workload};
 
 struct Args {
     pattern: String,
@@ -55,147 +41,60 @@ struct Args {
     json: bool,
     phase_detector: bool,
     idle_skip: bool,
-    threads: usize,
 }
 
-/// A CLI-level failure (unreadable file, malformed plan): report it and
-/// exit non-zero instead of panicking with a backtrace.
-fn die(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
+fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    Ok(Args {
+        pattern: f.get("--pattern", "ordered-mesh".into())?,
+        ports: f.get("--ports", 128)?,
+        bytes: f.get("--bytes", 64)?,
+        paradigm: f.get("--paradigm", "dynamic".into())?,
+        slots: f.get("--slots", 4)?,
+        timeout_ns: f.get("--timeout", 0)?,
+        seed: f.get("--seed", 17)?,
+        trace: f.opt("--trace")?,
+        report: f.opt("--report")?,
+        flight: f.opt("--flight-recorder")?,
+        faults: f.opt("--faults")?,
+        alerts: f.opt("--alerts")?,
+        timeseries_csv: f.opt("--timeseries-csv")?,
+        serve: f.opt("--serve")?,
+        json: f.switch("--json"),
+        phase_detector: f.switch("--phase-detector"),
+        idle_skip: !f.switch("--no-idle-skip"),
+    })
 }
 
-/// An impossible geometry (port, slot or preload count the pattern or
-/// paradigm cannot take): one line and the usage exit code, never a
-/// panic.
-fn bad_geometry(msg: String) -> ! {
-    eprintln!("simulate: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        pattern: "ordered-mesh".into(),
-        ports: 128,
-        bytes: 64,
-        paradigm: "dynamic".into(),
-        slots: 4,
-        timeout_ns: 0,
-        seed: 17,
-        trace: None,
-        report: None,
-        flight: None,
-        faults: None,
-        alerts: None,
-        timeseries_csv: None,
-        serve: None,
-        json: false,
-        phase_detector: false,
-        idle_skip: true,
-        threads: pms_bench::available_parallelism(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> &str {
-            argv.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--json" => {
-                args.json = true;
-                i += 1;
-                continue;
-            }
-            "--phase-detector" => {
-                args.phase_detector = true;
-                i += 1;
-                continue;
-            }
-            "--no-idle-skip" => {
-                args.idle_skip = false;
-                i += 1;
-                continue;
-            }
-            "--pattern" => args.pattern = value(i).to_string(),
-            "--ports" => args.ports = value(i).parse().unwrap_or_else(|_| usage()),
-            "--bytes" => args.bytes = value(i).parse().unwrap_or_else(|_| usage()),
-            "--paradigm" => args.paradigm = value(i).to_string(),
-            "--slots" => args.slots = value(i).parse().unwrap_or_else(|_| usage()),
-            "--timeout" => args.timeout_ns = value(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--trace" => args.trace = Some(value(i).to_string()),
-            "--report" => args.report = Some(value(i).to_string()),
-            "--flight-recorder" => args.flight = Some(value(i).to_string()),
-            "--faults" => args.faults = Some(value(i).to_string()),
-            "--alerts" => args.alerts = Some(value(i).to_string()),
-            "--timeseries-csv" => args.timeseries_csv = Some(value(i).to_string()),
-            "--serve" => args.serve = Some(value(i).to_string()),
-            "--threads" => {
-                args.threads = value(i).parse::<usize>().unwrap_or_else(|_| usage()).max(1)
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
-        }
-        i += 2;
-    }
-    if args.flight.is_some() && (args.trace.is_some() || args.report.is_some()) {
-        eprintln!(
-            "--flight-recorder keeps only a bounded ring of recent events; \
-             it cannot be combined with --trace or --report"
-        );
-        usage()
-    }
-    if args.slots == 0 {
-        bad_geometry("--slots needs at least 1 TDM slot, got 0".into())
-    }
-    if args.flight.is_some() && args.serve.is_some() {
-        eprintln!("--serve needs the full shared record buffer; it cannot be combined with --flight-recorder");
-        usage()
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--pattern P] [--ports N] [--bytes B] [--paradigm X]\n\
-         \x20               [--slots K] [--timeout NS] [--seed S]\n\
-         \x20               [--trace OUT] [--report OUT.json] [--faults PLAN.txt]\n\
-         \x20               [--alerts RULES.txt] [--timeseries-csv OUT.csv]\n\
-         \x20               [--flight-recorder OUT.jsonl] [--serve ADDR] [--json]\n\
-         \x20               [--phase-detector] [--no-idle-skip] [--threads N]\n\
-         patterns : scatter gather ring uniform hotspot permutation butterfly\n\
-         \x20          transpose stencil3d ordered-mesh random-mesh two-phase\n\
-         paradigms: wormhole circuit dynamic preload hybrid0 hybrid1 hybrid2\n\
-         --trace  : write a trace file; .jsonl -> replayable records (for the\n\
-         \x20          analyze binary), otherwise Chrome Trace Event format\n\
-         --report : run the pms-analyze report over the run and write its JSON\n\
-         --faults : inject the deterministic fault plan parsed from PLAN.txt\n\
-         --alerts : evaluate the alert rules file against slot-window metric\n\
-         \x20          snapshots; raises/clears land in the trace stream\n\
-         --timeseries-csv : write the per-window metrics-snapshot series as CSV\n\
-         --flight-recorder : bounded-ring anomaly recorder; dumps the ring to\n\
-         \x20          the given JSONL when an alert fires (default rules:\n\
-         \x20          setup-latency spike / abandoned message)\n\
-         --serve  : serve live telemetry over HTTP at ADDR (e.g.\n\
-         \x20          127.0.0.1:9924): /metrics /metrics.json /report /alerts\n\
-         \x20          /timeseries /flight /spans?msg=N;\n\
-         \x20          lingers after the run until GET /shutdown\n\
-         --json   : print statistics as one JSON object\n\
-         --phase-detector : attach the miss-rate phase detector (dynamic TDM)\n\
-         --no-idle-skip : force the pre-optimization stepped main loop\n\
-         \x20          (outputs are byte-identical either way; only wall-clock\n\
-         \x20          changes — see DESIGN.md, Performance model)\n\
-         --threads: sweep lane count, recorded in the /metrics labels only\n\
-         \x20          (default: all cores); a single run is sequential, so\n\
-         \x20          outputs are the same at any value"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: simulate [--pattern P] [--ports N] [--bytes B] [--paradigm X]
+                [--slots K] [--timeout NS] [--seed S]
+                [--trace OUT] [--report OUT.json] [--faults PLAN.txt]
+                [--alerts RULES.txt] [--timeseries-csv OUT.csv]
+                [--flight-recorder OUT.jsonl] [--serve ADDR] [--json]
+                [--phase-detector] [--no-idle-skip]
+patterns : scatter gather ring uniform hotspot permutation butterfly
+           transpose stencil3d ordered-mesh random-mesh two-phase,
+           or dir:PATH for the command files dump_cmdfiles writes
+paradigms: wormhole circuit dynamic preload hybrid0 hybrid1 hybrid2
+--trace  : write a trace file; .jsonl -> replayable records (for the
+           analyze binary), otherwise Chrome Trace Event format
+--report : run the pms-analyze report over the run and write its JSON
+--faults : inject the deterministic fault plan parsed from PLAN.txt
+--alerts : evaluate the alert rules file against slot-window metric
+           snapshots; raises/clears land in the trace stream
+--timeseries-csv : write the per-window metrics-snapshot series as CSV
+--flight-recorder : bounded-ring anomaly recorder; dumps the ring to
+           the given JSONL when an alert fires (default rules:
+           setup-latency spike / abandoned message)
+--serve  : serve live telemetry over HTTP at ADDR (e.g.
+           127.0.0.1:9924): /metrics /metrics.json /report /alerts
+           /timeseries /flight /spans?msg=N;
+           lingers after the run until GET /shutdown
+--json   : print statistics as one JSON object
+--phase-detector : attach the miss-rate phase detector (dynamic TDM)
+--no-idle-skip : force the pre-optimization stepped main loop
+           (outputs are byte-identical either way; only wall-clock
+           changes — see DESIGN.md, Performance model)";
 
 /// Builds the `--pattern` workload, or says why `--ports` does not fit it.
 fn build_workload(a: &Args) -> Result<Workload, String> {
@@ -228,45 +127,7 @@ fn build_workload(a: &Args) -> Result<Workload, String> {
         }
         return Ok(w);
     }
-    let (pattern, ports) = (a.pattern.as_str(), a.ports);
-    let need = |what: &str| {
-        Err(format!(
-            "--pattern {pattern} needs {what}, got --ports {ports}"
-        ))
-    };
-    let min_ports = if pattern == "hotspot" { 3 } else { 2 };
-    if ports < min_ports {
-        return need(&format!("at least {min_ports} ports"));
-    }
-    let mesh = || MeshSpec::try_for_ports(ports).map_err(|e| format!("--pattern {pattern}: {e}"));
-    Ok(match pattern {
-        "scatter" => scatter(ports, a.bytes),
-        "gather" => gather(ports, a.bytes),
-        "ring" => ring(ports, a.bytes, 4),
-        "uniform" => uniform(ports, a.bytes, 16, a.seed),
-        "hotspot" => hotspot(ports, a.bytes, 16, 0.5, a.seed),
-        "permutation" => permutation(ports, a.bytes, 8, a.seed),
-        "butterfly" if !ports.is_power_of_two() => return need("a power-of-two port count"),
-        "butterfly" => butterfly(ports, a.bytes),
-        "transpose" => {
-            let m = ports.isqrt();
-            if m * m != ports {
-                return need("a square port count");
-            }
-            transpose(m, a.bytes, 2)
-        }
-        "stencil3d" => {
-            let s = (ports as f64).cbrt().round() as usize;
-            if s * s * s != ports {
-                return need("a cubic port count of at least 8");
-            }
-            stencil3d(s, s, s, a.bytes, 2)
-        }
-        "ordered-mesh" => ordered_mesh(mesh()?, a.bytes, 4, 500, 100),
-        "random-mesh" => random_mesh(mesh()?, a.bytes, 4, 500, 100, a.seed),
-        "two-phase" => two_phase(mesh()?, a.bytes, 16, 500, 100, a.seed),
-        _ => usage(),
-    })
+    build_pattern(&a.pattern, a.ports, a.bytes, None, a.seed).map_err(|e| e.to_string())
 }
 
 /// A hybrid paradigm preloads its registers from the workload's pattern
@@ -307,15 +168,31 @@ fn build_paradigm(a: &Args) -> Paradigm {
             preload_slots: (a.paradigm.as_bytes()[6] - b'0') as usize,
             predictor,
         },
-        _ => usage(),
+        _ => fail(FlagError::BadValue {
+            flag: "--paradigm".into(),
+            value: a.paradigm.clone(),
+            expected: "one of wormhole circuit dynamic preload hybrid0 hybrid1 hybrid2",
+        }),
     }
 }
 
 fn main() {
-    let args = parse_args();
-    let workload = build_workload(&args).unwrap_or_else(|e| bad_geometry(e));
+    let args = cli::parse_env(USAGE, parse_args);
+    if args.flight.is_some() && (args.trace.is_some() || args.report.is_some()) {
+        fail(
+            "simulate: --flight-recorder keeps only a bounded ring of recent events; \
+             it cannot be combined with --trace or --report",
+        );
+    }
+    if args.flight.is_some() && args.serve.is_some() {
+        fail("simulate: --serve needs the full shared record buffer; it cannot be combined with --flight-recorder");
+    }
+    if args.slots == 0 {
+        fail("simulate: --slots needs at least 1 TDM slot, got 0");
+    }
+    let workload = build_workload(&args).unwrap_or_else(|e| fail(format!("simulate: {e}")));
     let paradigm = build_paradigm(&args);
-    check_preloads(&args, &paradigm, &workload).unwrap_or_else(|e| bad_geometry(e));
+    check_preloads(&args, &paradigm, &workload).unwrap_or_else(|e| fail(format!("simulate: {e}")));
     let params = SimParams::default()
         .with_ports(args.ports)
         .with_tdm_slots(args.slots)
@@ -378,10 +255,9 @@ fn main() {
         // `Paradigm`, and needs dynamically scheduled registers.
         let mode = match paradigm.tdm_mode() {
             Some(mode @ (TdmMode::Dynamic { .. } | TdmMode::Hybrid { .. })) => mode,
-            _ => {
-                eprintln!("--phase-detector needs a dynamic TDM paradigm (dynamic or hybrid0-2)");
-                std::process::exit(2);
-            }
+            _ => fail(
+                "simulate: --phase-detector needs a dynamic TDM paradigm (dynamic or hybrid0-2)",
+            ),
         };
         TdmSim::new(&workload, &params, mode)
             .with_phase_detector(PhaseDetectorConfig {
@@ -460,7 +336,6 @@ fn main() {
             ("paradigm", stats.paradigm.clone()),
             ("ports", args.ports.to_string()),
             ("k", args.slots.to_string()),
-            ("threads", args.threads.to_string()),
         ]);
     }
     if args.json {

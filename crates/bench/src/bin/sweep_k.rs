@@ -17,6 +17,7 @@ use pms_sim::{Paradigm, PredictorKind, SimParams};
 use pms_workloads::{ordered_mesh, MeshSpec};
 
 fn main() {
+    pms_trace::cli::parse_env("usage: sweep_k (no arguments)", |_| Ok(()));
     let mesh = MeshSpec::for_ports(64);
     let w = ordered_mesh(mesh, 512, 4, 500, 100);
     println!("K sweep — ordered mesh (Δ = 4), 64 processors, 512 B messages");

@@ -10,6 +10,7 @@ use pms_sched::timing::TABLE3_PUBLISHED;
 use pms_sched::{SlTimingModel, ASIC_DERATE, FPGA_STRATIX};
 
 fn main() {
+    pms_trace::cli::parse_env("usage: table3 (no arguments)", |_| Ok(()));
     println!("Table 3: Latency of the scheduling circuit");
     println!(
         "{:>12} {:>16} {:>14} {:>9} {:>14}",

@@ -14,6 +14,7 @@ fn b(x: bool) -> &'static str {
 }
 
 fn main() {
+    pms_trace::cli::parse_env("usage: table_logic (no arguments)", |_| Ok(()));
     println!("Table 1: pre-scheduling logic (R, B*, B^(s)) -> L");
     println!("{:>3} {:>4} {:>6} {:>3}  case", "R", "B*", "B^(s)", "L");
     for r in [false, true] {

@@ -13,13 +13,10 @@
 //! show what internal blocking costs on the same traffic. Results go to
 //! `results/topology.json`. `--quick` shrinks the grid for CI.
 
-use pms_bench::{run_grid_threads, threads_flag};
+use pms_bench::{run_grid_threads, write_results};
 use pms_sim::{MsTopology, Paradigm, PredictorKind, SimParams};
-use pms_trace::Json;
-use pms_workloads::{permutation, scatter, uniform, Workload};
-
-/// A named workload generator parameterized by message size.
-type PatternGen = Box<dyn Fn(u32) -> Workload>;
+use pms_trace::{cli, Json};
+use pms_workloads::{build_pattern, Workload};
 
 fn paradigms() -> Vec<Paradigm> {
     let pred = PredictorKind::Timeout(400);
@@ -45,8 +42,9 @@ fn paradigms() -> Vec<Paradigm> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_flag(&std::env::args().collect::<Vec<_>>()).unwrap_or_else(|e| e.exit());
+    let (quick, threads) = cli::parse_env("usage: topology [--quick] [--threads N]", |f| {
+        Ok((f.switch("--quick"), f.threads()?))
+    });
     let (ports, sizes): (usize, Vec<u32>) = if quick {
         (16, vec![64, 512])
     } else {
@@ -55,17 +53,17 @@ fn main() {
     let params = SimParams::default().with_ports(ports);
     let rate = params.link.bytes_per_ns();
 
-    let patterns: Vec<(&str, PatternGen)> = vec![
-        ("Scatter", Box::new(move |b| scatter(ports, b))),
-        (
-            "Permutation",
-            Box::new(move |b| permutation(ports, b, 6, 3)),
-        ),
-        ("Uniform", Box::new(move |b| uniform(ports, b, 24, 7))),
+    // (title, registry pattern, messages per processor, seed)
+    let patterns = [
+        ("Scatter", "scatter", None, 0),
+        ("Permutation", "permutation", Some(6), 3),
+        ("Uniform", "uniform", Some(24), 7),
     ];
 
     let mut json: Vec<(String, Json)> = Vec::new();
-    for (name, gen) in &patterns {
+    for (name, pattern, messages, seed) in patterns {
+        let gen =
+            |b| build_pattern(pattern, ports, b, messages, seed).expect("16 and 64 ports fit");
         let jobs: Vec<(u64, Workload, Paradigm)> = sizes
             .iter()
             .flat_map(|&b| paradigms().into_iter().map(move |p| (b as u64, gen(b), p)))
@@ -100,8 +98,5 @@ fn main() {
         json.push((name.to_string(), Json::Array(rows)));
     }
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/topology.json", Json::Object(json).render_pretty())
-        .expect("write results/topology.json");
-    println!("results written to results/topology.json");
+    write_results("topology", &Json::Object(json));
 }

@@ -28,6 +28,6 @@ pub use degradation::{
     blackout_plan, degradation_sweep, degradation_timeseries, degradation_timeseries_csv,
     render_degradation, DegradationRow, DegradationWindow,
 };
-pub use reporting::{finish, trace_and_report_flags, write_report_file, write_trace_file};
-pub use runner::{available_parallelism, run_cells, threads_flag, ThreadsFlagError};
+pub use reporting::{finish, write_report_file, write_results, write_trace_file, TraceFlags};
+pub use runner::run_cells;
 pub use sweep::{run_grid_threads, Cell, FigureTable};

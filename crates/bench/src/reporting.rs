@@ -5,8 +5,9 @@
 //! no matter which binary produced them.
 
 use pms_analyze::{build_report, Report, ReportConfig};
+use pms_trace::cli::{die, FlagError, Flags};
 use pms_trace::{
-    series_from_records, series_to_csv, write_chrome_trace, write_jsonl, AlertRules,
+    series_from_records, series_to_csv, write_chrome_trace, write_jsonl, AlertRules, Json,
     SnapshotConfig, TraceRecord, Tracer,
 };
 use std::io;
@@ -17,79 +18,93 @@ use std::io;
 /// clean drop, but `process::exit` skips them, and a drop can only
 /// swallow the I/O error this surfaces.
 pub fn finish(tracer: &mut Tracer) {
-    tracer.finish().unwrap_or_else(|e| {
-        eprintln!("cannot flush tracer: {e}");
-        std::process::exit(1);
-    });
+    tracer
+        .finish()
+        .unwrap_or_else(|e| die(format!("cannot flush tracer: {e}")));
 }
 
-/// Handles the figure binaries' `--trace OUT` / `--report OUT` /
-/// `--alerts RULES.txt` / `--timeseries-csv OUT.csv` flags: when any is
-/// present in `argv`, `run` re-runs the figure's representative cell
-/// once with the given tracer attached — the snapshot/alert pipeline
-/// over an in-memory sink, so traces and reports carry the per-window
-/// metrics-snapshot series (and any alert raises) — and the records are
-/// written as a trace file, analysis report, and/or time-series CSV.
-/// `label` names the cell in the progress lines.
-pub fn trace_and_report_flags(
-    argv: &[String],
-    label: &str,
-    run: impl FnOnce(Tracer) -> Vec<TraceRecord>,
-) {
-    let flag_value = |flag: &str| {
-        argv.iter().position(|a| a == flag).map(|i| {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a path");
-                std::process::exit(2);
-            })
+/// Writes a sweep's results to `results/<name>.json` and says so.
+pub fn write_results(name: &str, doc: &Json) {
+    let path = format!("results/{name}.json");
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, doc.render_pretty()))
+        .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+    println!("results written to {path}");
+}
+
+/// The figure binaries' `--trace OUT` / `--report OUT` / `--alerts
+/// RULES.txt` / `--timeseries-csv OUT.csv` flags.
+#[derive(Debug)]
+pub struct TraceFlags {
+    trace: Option<String>,
+    report: Option<String>,
+    alerts: Option<String>,
+    timeseries_csv: Option<String>,
+}
+
+impl TraceFlags {
+    /// Takes the four flags from the command line.
+    pub fn parse(f: &mut Flags) -> Result<Self, FlagError> {
+        Ok(Self {
+            trace: f.opt("--trace")?,
+            report: f.opt("--report")?,
+            alerts: f.opt("--alerts")?,
+            timeseries_csv: f.opt("--timeseries-csv")?,
         })
-    };
-    let trace = flag_value("--trace");
-    let report = flag_value("--report");
-    let alerts = flag_value("--alerts");
-    let timeseries_csv = flag_value("--timeseries-csv");
-    if trace.is_none() && report.is_none() && alerts.is_none() && timeseries_csv.is_none() {
-        return;
     }
-    let rules = alerts.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read alert rules {path}: {e}");
-            std::process::exit(2);
+
+    /// When any flag was given, `run` re-runs the figure's representative
+    /// cell once with the given tracer attached — the snapshot/alert
+    /// pipeline over an in-memory sink, so traces and reports carry the
+    /// per-window metrics-snapshot series (and any alert raises) — and
+    /// returns it; its records are written as a trace file, analysis
+    /// report, and/or time-series CSV. `label` names the cell in the
+    /// progress lines.
+    pub fn run(&self, label: &str, run: impl FnOnce(Tracer) -> Tracer) {
+        let Self {
+            trace,
+            report,
+            alerts,
+            timeseries_csv,
+        } = self;
+        if [trace, report, alerts, timeseries_csv]
+            .iter()
+            .all(|f| f.is_none())
+        {
+            return;
+        }
+        let rules = alerts.as_ref().map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(format!("cannot read alert rules {path}: {e}")));
+            AlertRules::parse(&text).unwrap_or_else(|e| die(format!("{path}: {e}")))
         });
-        AlertRules::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        })
-    });
-    let tracer = Tracer::pipeline(SnapshotConfig::default(), rules, Tracer::vec());
-    let records = run(tracer);
-    // I/O failures here are CLI errors (bad path, full disk), not bugs:
-    // report them and exit non-zero rather than panicking.
-    if let Some(path) = trace {
-        write_trace_file(&path, &records).unwrap_or_else(|e| {
-            eprintln!("cannot write trace {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("trace: {label}, {} events -> {path}", records.len());
-    }
-    if let Some(path) = report {
-        write_report_file(&path, &records, &ReportConfig::default()).unwrap_or_else(|e| {
-            eprintln!("cannot write report {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("report: {label} -> {path}");
-    }
-    if let Some(path) = timeseries_csv {
-        let series = series_from_records(&records);
-        std::fs::write(&path, series_to_csv(&series)).unwrap_or_else(|e| {
-            eprintln!("cannot write time series {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("time series: {label}, {} window(s) -> {path}", series.len());
-    }
-    if alerts.is_some() {
-        let a = pms_analyze::alerts(&records);
-        println!("alerts: {label}, {} raised, {} cleared", a.raises, a.clears);
+        let mut tracer = run(Tracer::pipeline(
+            SnapshotConfig::default(),
+            rules,
+            Tracer::vec(),
+        ));
+        finish(&mut tracer);
+        let records = tracer.records();
+        if let Some(path) = trace {
+            write_trace_file(path, &records)
+                .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));
+            println!("trace: {label}, {} events -> {path}", records.len());
+        }
+        if let Some(path) = report {
+            write_report_file(path, &records, &ReportConfig::default())
+                .unwrap_or_else(|e| die(format!("cannot write report {path}: {e}")));
+            println!("report: {label} -> {path}");
+        }
+        if let Some(path) = timeseries_csv {
+            let series = series_from_records(&records);
+            std::fs::write(path, series_to_csv(&series))
+                .unwrap_or_else(|e| die(format!("cannot write time series {path}: {e}")));
+            println!("time series: {label}, {} window(s) -> {path}", series.len());
+        }
+        if alerts.is_some() {
+            let a = pms_analyze::alerts(&records);
+            println!("alerts: {label}, {} raised, {} cleared", a.raises, a.clears);
+        }
     }
 }
 

@@ -1,78 +1,20 @@
 //! Sweep runner shared by every figure/sweep binary.
 //!
 //! All sweeps are embarrassingly parallel grids of independent,
-//! deterministic simulations. This module owns the two pieces every
-//! binary needs:
-//!
-//! * [`threads_flag`] — the common `--threads N` CLI contract (default:
-//!   all available cores, `1` = fully sequential, a malformed value is a
-//!   [`ThreadsFlagError`]);
-//! * [`run_cells`] — fan a job list over scoped threads that claim jobs
-//!   from a shared cursor, returning results in **job order** regardless
-//!   of which thread finished which job, so sweep output is
-//!   byte-identical at any thread count.
+//! deterministic simulations. [`run_cells`] fans a job list over scoped
+//! threads that claim jobs from a shared cursor, returning results in
+//! **job order** regardless of which thread finished which job, so sweep
+//! output is byte-identical at any thread count. The lane count comes
+//! from the shared `--threads` flag ([`pms_trace::cli::Flags::threads`]).
 //!
 //! Each cell's *simulation* is sequential; only the order in which cells
 //! run varies with the thread count. Results are re-assembled by job
 //! index, so the rendered tables, CSVs, and baselines never depend on
 //! `--threads`.
 
-use std::fmt;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// The number of hardware threads available, with a floor of 1.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// A `--threads` flag whose value is missing or not a lane count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadsFlagError {
-    /// The value as given (empty when it is missing).
-    pub value: String,
-}
-
-impl fmt::Display for ThreadsFlagError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "--threads expects a lane count, got `{}`", self.value)
-    }
-}
-
-impl std::error::Error for ThreadsFlagError {}
-
-impl ThreadsFlagError {
-    /// Prints the error and exits with status 2, the usage-error code
-    /// every binary uses.
-    pub fn exit(&self) -> ! {
-        eprintln!("{self}");
-        std::process::exit(2)
-    }
-}
-
-/// Parses `--threads N` (or `--threads=N`) out of `argv`, defaulting to
-/// every available core. `0` is read as `1`, the sequential path.
-pub fn threads_flag(args: &[String]) -> Result<usize, ThreadsFlagError> {
-    let mut threads = available_parallelism();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--threads" {
-            it.next().map_or("", String::as_str)
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            v
-        } else {
-            continue;
-        };
-        threads = value
-            .parse::<usize>()
-            .map_err(|_| ThreadsFlagError {
-                value: value.to_string(),
-            })?
-            .max(1);
-    }
-    Ok(threads)
-}
 
 /// Runs `f` over `jobs` on up to `threads` scoped threads and returns
 /// the results **in input order**. Threads claim the next job index
@@ -122,27 +64,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn threads_flag_parses_both_forms() {
-        assert_eq!(threads_flag(&argv(&["--threads", "3"])), Ok(3));
-        assert_eq!(threads_flag(&argv(&["--threads=5"])), Ok(5));
-        assert_eq!(threads_flag(&argv(&["--threads", "0"])), Ok(1));
-        assert_eq!(threads_flag(&argv(&[])), Ok(available_parallelism()));
-        // A malformed or missing value is an error, not a silent default.
-        for (args, value) in [
-            (&["--threads", "lots"][..], "lots"),
-            (&["--threads"], ""),
-            (&["--threads=-1"], "-1"),
-        ] {
-            let value = value.to_string();
-            assert_eq!(threads_flag(&argv(args)), Err(ThreadsFlagError { value }));
-        }
-    }
 
     #[test]
     fn run_cells_preserves_job_order() {

@@ -20,12 +20,16 @@
 //! * **Zero dependencies** — including JSON: [`json`] is a small
 //!   hand-rolled value tree + renderer (the build environment has no
 //!   registry access, and a trace writer has no business pulling one in).
+//!
+//! Being the one crate every binary links, it also holds [`cli`], the
+//! command-line parser and exit-status rule all of them share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alerts;
 pub mod chrome;
+pub mod cli;
 pub mod event;
 pub mod flight;
 pub mod json;

@@ -16,7 +16,10 @@
 //!   "elephant" flows plus many small "mice", Pareto-sized) in the
 //!   Costly-Circuits traffic model, and [`replay_trace_log`] — NPB-style
 //!   communication logs (`trace <src> <dst> <bytes>`) lowered through
-//!   the command-file path.
+//!   the command-file path;
+//! * [`build_pattern`] — the one name → workload table the command-line
+//!   tools share, with a typed [`PatternError`] for a port count the
+//!   pattern cannot take.
 //!
 //! All randomness is drawn from a caller-seeded [`rand::rngs::StdRng`], so
 //! every workload (and therefore every figure) regenerates bit-identically.
@@ -29,6 +32,7 @@ mod datacenter;
 mod dsl;
 mod patterns;
 mod program;
+mod registry;
 mod workload;
 
 pub use arrivals::{arrivals, ArrivalConfig, Arrivals, ConnRequest};
@@ -41,4 +45,5 @@ pub use patterns::{
     stencil3d, transpose, two_phase, uniform, HybridSpec, MeshSpec,
 };
 pub use program::{Command, Program};
+pub use registry::{build_pattern, PatternError, DEFAULT_SEED, PATTERNS};
 pub use workload::{MsgSpec, Workload};
