@@ -140,7 +140,7 @@ fn build_requests(a: &Args) -> Vec<ConnRequest> {
     };
     let source = a.from_file.as_deref().unwrap_or("stdin");
     let text = text.unwrap_or_else(|e| die(format!("cannot read {source}: {e}")));
-    parse_requests(&text).unwrap_or_else(|e| die(format!("{source}: {e}")))
+    parse_requests(&text, a.cfg.ports).unwrap_or_else(|e| die(format!("{source}: {e}")))
 }
 
 /// Builds the `--fabric` router, exiting 2 with a one-line message when

@@ -40,8 +40,9 @@ pub fn format_request(r: &ConnRequest) -> String {
     )
 }
 
-/// Parses a whole feed (see the module docs for the grammar).
-pub fn parse_requests(text: &str) -> Result<Vec<ConnRequest>, StreamError> {
+/// Parses a whole feed (see the module docs for the grammar) for a
+/// crossbar of `ports` ports: `src` and `dst` must lie below it.
+pub fn parse_requests(text: &str, ports: usize) -> Result<Vec<ConnRequest>, StreamError> {
     let mut out = Vec::new();
     let mut last_t = 0u64;
     for (idx, raw) in text.lines().enumerate() {
@@ -87,6 +88,13 @@ pub fn parse_requests(text: &str) -> Result<Vec<ConnRequest>, StreamError> {
                 return Err(err(format!("field '{name}' overflows u32: {value}")));
             }
         }
+        for (name, port) in [("src", src), ("dst", dst)] {
+            if port >= ports as u64 {
+                return Err(err(format!(
+                    "field '{name}' is port {port}, but the crossbar has {ports} ports"
+                )));
+            }
+        }
         if t_ns < last_t {
             return Err(err(format!(
                 "t_ns {t_ns} goes backwards (previous request at {last_t})"
@@ -115,7 +123,7 @@ mod tests {
 req 0 0 1 2
 req 50 1 2 3 4096  # bulk
 ";
-        let reqs = parse_requests(text).unwrap();
+        let reqs = parse_requests(text, 4).unwrap();
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].bytes, 64, "bytes defaults to 64");
         assert_eq!(reqs[1].bytes, 4096);
@@ -141,7 +149,7 @@ req 50 1 2 3 4096  # bulk
             },
         ];
         let text: String = reqs.iter().map(|r| format_request(r) + "\n").collect();
-        assert_eq!(parse_requests(&text).unwrap(), reqs);
+        assert_eq!(parse_requests(&text, 4).unwrap(), reqs);
     }
 
     #[test]
@@ -153,9 +161,15 @@ req 50 1 2 3 4096  # bulk
             ("req 100 0 1 2\nreq 50 0 1 2\n", 2, "goes backwards"),
             ("req 0 0 1 2 64 9\n", 1, "trailing field"),
             ("req 0 5000000000 1 2\n", 1, "overflows u32"),
+            (
+                "req 0 0 1 2\nreq 5 0 4 2\n",
+                2,
+                "field 'src' is port 4, but the crossbar has 4 ports",
+            ),
+            ("req 0 0 0 99 64\n", 1, "field 'dst' is port 99"),
         ];
         for (text, line, needle) in cases {
-            let e = parse_requests(text).unwrap_err();
+            let e = parse_requests(text, 4).unwrap_err();
             assert_eq!(e.line, line, "{text:?}");
             assert!(e.msg.contains(needle), "{e} !~ {needle}");
         }

@@ -1,6 +1,7 @@
 //! The `admit` binary rejects fabric geometries its stage graphs cannot
 //! build, and engine parameters that must be positive, with a one-line
-//! error and exit status 2, not a panic.
+//! error and exit status 2, not a panic; a request file naming a port
+//! the crossbar lacks is a runtime failure (exit 1).
 
 use std::process::Command;
 
@@ -99,6 +100,26 @@ fn usage_errors_exit_2_and_help_exits_0() {
     assert!(String::from_utf8(help.stdout)
         .unwrap()
         .starts_with("usage: admit"));
+}
+
+#[test]
+fn request_file_endpoints_must_fit_the_crossbar() {
+    let path = std::env::temp_dir().join(format!("admit-cli-reqs-{}.txt", std::process::id()));
+    std::fs::write(&path, "req 0 0 1 2\nreq 10 0 0 99 64\n").unwrap();
+    let file = path.to_str().unwrap();
+    let out = admit(&["--from-file", file, "--ports", "4", "--quiet"]);
+    let fits = admit(&["--from-file", file, "--ports", "100", "--quiet"]);
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, got {stderr:?}");
+    assert!(
+        stderr.contains(&format!(
+            "{file}: line 2: field 'dst' is port 99, but the crossbar has 4 ports"
+        )),
+        "{stderr}"
+    );
+    assert_eq!(fits.status.code(), Some(0));
 }
 
 fn admit_bench(args: &[&str]) -> std::process::Output {

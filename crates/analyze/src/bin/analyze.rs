@@ -46,6 +46,14 @@ const USAGE: &str = "usage: analyze TRACE.jsonl [--report PATH] [--heatmap-csv P
        analyze --diff A.jsonl B.jsonl [--epsilon FRAC] [--ports N]";
 
 fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    let ports = f.opt("--ports")?;
+    if ports == Some(0) {
+        return Err(FlagError::BadValue {
+            flag: "--ports".into(),
+            value: "0".into(),
+            expected: "a positive integer",
+        });
+    }
     Ok(Args {
         diff: f.opt("--diff")?,
         epsilon: f.get("--epsilon", DEFAULT_EPSILON)?,
@@ -56,15 +64,21 @@ fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
         timeseries_csv: f.opt("--timeseries-csv")?,
         alerts_json: f.opt("--alerts-json")?,
         window_ns: f.get("--window", ReportConfig::default().premature_window_ns)?,
-        ports: f.opt("--ports")?,
+        ports,
         quiet: f.switch("--quiet") | f.switch("-q"),
         trace: f.required("TRACE.jsonl")?,
     })
 }
 
-fn load(path: &str) -> Result<Replay, String> {
+/// Reads and parses the trace at `path`. A trace naming a port at or
+/// past `--ports` is a geometry error: exit 2 before any report.
+fn load(path: &str, cfg: &ReportConfig) -> Result<Replay, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+    let replay = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+    if let Err(e) = cfg.check_ports(&replay.records) {
+        cli::fail(format!("analyze: {path}: {e}"));
+    }
+    Ok(replay)
 }
 
 /// Writes `contents()` to the flag's `path`, if it gave one.
@@ -93,8 +107,11 @@ fn run(args: &Args) -> Result<bool, String> {
         ..ReportConfig::default()
     };
     if let Some(a_path) = &args.diff {
-        let a = build_report(&load(a_path)?.records, &cfg);
-        let b = build_report(&load(&args.trace)?.records, &cfg);
+        let (a, b) = (load(a_path, &cfg)?, load(&args.trace, &cfg)?);
+        let (a, b) = (
+            build_report(&a.records, &cfg),
+            build_report(&b.records, &cfg),
+        );
         let diff = diff_reports(&a, &b, args.epsilon);
         if !args.quiet {
             print!("{}", diff.render_text());
@@ -104,7 +121,7 @@ fn run(args: &Args) -> Result<bool, String> {
         })?;
         return Ok(diff.significant().is_empty());
     }
-    let replay = load(&args.trace)?;
+    let replay = load(&args.trace, &cfg)?;
     let report = build_report(&replay.records, &cfg);
     if !args.quiet {
         print!("{}", report.render_text());

@@ -79,7 +79,7 @@ pub use faults::{faults, ClassFaults, FaultsReport};
 pub use heatmap::{heatmap, Heatmap};
 pub use occupancy::{occupancy, OccupancyReport, SlotOccupancy};
 pub use replay::{parse_jsonl, parse_line, Replay};
-pub use report::{build_report, infer_ports, Report, ReportConfig};
+pub use report::{build_report, infer_ports, PortsError, Report, ReportConfig};
 pub use schedule::{schedule_quality, ConfigCoverage, ScheduleQualityReport};
 pub use spans::{spans, CriticalMsg, PhaseStats, SpansReport};
 pub use timeseries::{timeseries, timeseries_csv, TimeseriesReport};

@@ -17,6 +17,7 @@ use crate::occupancy::{occupancy, OccupancyReport};
 use crate::spans::{spans, SpansReport};
 use crate::timeseries::{timeseries, TimeseriesReport};
 use pms_trace::{Json, TraceEvent, TraceRecord};
+use std::fmt;
 
 /// Report tuning knobs.
 #[derive(Debug, Clone)]
@@ -76,21 +77,58 @@ pub struct Report {
 }
 
 /// Infers the crossbar size from a trace: one more than the largest
-/// port index mentioned by any event.
+/// port index mentioned by any event (1 when none is).
 pub fn infer_ports(records: &[TraceRecord]) -> usize {
-    let mut max_port = 0u32;
-    for rec in records {
-        let (src, dst) = match rec.event {
+    highest_port(records).map_or(1, |p| p + 1)
+}
+
+/// The largest port index mentioned by any event, if any is.
+fn highest_port(records: &[TraceRecord]) -> Option<usize> {
+    records
+        .iter()
+        .filter_map(|rec| match rec.event {
             TraceEvent::MsgInjected { src, dst, .. }
             | TraceEvent::MsgDelivered { src, dst, .. }
             | TraceEvent::ConnRequested { src, dst }
             | TraceEvent::ConnEstablished { src, dst, .. }
-            | TraceEvent::ConnEvicted { src, dst, .. } => (src, dst),
-            _ => continue,
-        };
-        max_port = max_port.max(src).max(dst);
+            | TraceEvent::ConnEvicted { src, dst, .. } => Some(src.max(dst) as usize),
+            _ => None,
+        })
+        .max()
+}
+
+/// A port-count override the trace does not fit: it names a port at or
+/// past the override, which the matrix-shaped sections cannot index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortsError {
+    /// The port-count override.
+    pub ports: usize,
+    /// The largest port index the trace names.
+    pub highest: usize,
+}
+
+impl fmt::Display for PortsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "--ports {} is below the trace's port count: it names port {}",
+            self.ports, self.highest
+        )
     }
-    max_port as usize + 1
+}
+
+impl std::error::Error for PortsError {}
+
+impl ReportConfig {
+    /// Checks the `ports` override against `records`: every port the
+    /// trace names must lie below it. [`build_report`] panics on a trace
+    /// that fails this check.
+    pub fn check_ports(&self, records: &[TraceRecord]) -> Result<(), PortsError> {
+        match (self.ports, highest_port(records)) {
+            (Some(ports), Some(highest)) if highest >= ports => Err(PortsError { ports, highest }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Builds the full report over an in-memory record stream.
@@ -480,6 +518,29 @@ mod tests {
         let r = build_report(&records, &ReportConfig::default());
         assert_eq!(r.ports, 4);
         assert_eq!(r.heatmap.msg_count(0, 3), 1);
+    }
+
+    #[test]
+    fn a_port_override_below_the_trace_is_an_error() {
+        let records = small_trace();
+        let cfg = |ports| ReportConfig {
+            ports: Some(ports),
+            ..ReportConfig::default()
+        };
+        assert_eq!(
+            cfg(3).check_ports(&records),
+            Err(PortsError {
+                ports: 3,
+                highest: 3
+            })
+        );
+        assert_eq!(cfg(4).check_ports(&records), Ok(()));
+        assert_eq!(ReportConfig::default().check_ports(&records), Ok(()));
+        assert_eq!(
+            cfg(1).check_ports(&[]),
+            Ok(()),
+            "an empty trace names no port"
+        );
     }
 
     #[test]

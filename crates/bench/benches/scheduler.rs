@@ -65,7 +65,7 @@ fn bench_sl_pass_kernel(c: &mut Criterion) {
     // sparse case is the idle-heavy steady state the simulators hit most;
     // the `paper128` case is the loaded pass of the paper's own system,
     // where nearly every request is a denial.
-    use pms_sched::{sl_pass, slarray::reference, Priority};
+    use pms_sched::{sl_pass, slarray::reference, Priority, SlInputs};
     let mut group = c.benchmark_group("sl_pass_kernel");
     let paper_l = paper128_requests();
     for n in [64usize, 128, 256] {
@@ -80,9 +80,14 @@ fn bench_sl_pass_kernel(c: &mut Criterion) {
             cases.push(("paper128", &paper_l));
         }
         for (tag, l) in cases {
-            group.bench_with_input(BenchmarkId::new(format!("fast_{tag}"), n), l, |bch, l| {
-                bch.iter(|| black_box(sl_pass(black_box(l), black_box(&b_s), pri)));
-            });
+            let inputs = SlInputs::from_l(l.clone(), &b_s);
+            group.bench_with_input(
+                BenchmarkId::new(format!("fast_{tag}"), n),
+                &inputs,
+                |bch, i| {
+                    bch.iter(|| black_box(sl_pass(black_box(i), black_box(&b_s), pri)));
+                },
+            );
             group.bench_with_input(
                 BenchmarkId::new(format!("reference_{tag}"), n),
                 l,

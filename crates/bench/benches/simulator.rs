@@ -1,7 +1,8 @@
 //! Criterion bench: end-to-end simulator throughput for each switching
 //! paradigm on a fixed 32-processor mesh round — the cost of one Figure-4
 //! grid cell — and on the paper's 128-processor Two Phase cell, where a
-//! program engine that rescans every processor per poll dominated.
+//! program engine that rescans every processor per poll dominated, and
+//! where (with 2048 B messages) the TDM slot walks dominate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pms_fabric::TorusNetwork;
@@ -57,6 +58,33 @@ fn bench_two_phase128(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two Phase with 2048 B messages on 128 ports: each message takes 32
+/// slot visits, so walking the active register's connections every
+/// 100 ns slot dominates the TDM runs.
+fn bench_slot_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tdm_slot_walk_two_phase128");
+    group.sample_size(10);
+    let workload = two_phase(MeshSpec::for_ports(128), 2048, 16, 500, 100, 11);
+    let params = SimParams::default().with_ports(128);
+    group.throughput(Throughput::Elements(workload.message_count() as u64));
+    for paradigm in [
+        Paradigm::DynamicTdm(PredictorKind::Drop),
+        Paradigm::PreloadTdm,
+    ] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(paradigm.label()),
+            &paradigm,
+            |b, paradigm| {
+                b.iter(|| {
+                    let stats = paradigm.run(black_box(&workload), black_box(&params));
+                    black_box(stats.delivered_bytes)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_multihop(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_multihop32");
     group.sample_size(20);
@@ -76,5 +104,11 @@ fn bench_multihop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_paradigms, bench_two_phase128, bench_multihop);
+criterion_group!(
+    benches,
+    bench_paradigms,
+    bench_two_phase128,
+    bench_slot_walk,
+    bench_multihop
+);
 criterion_main!(benches);

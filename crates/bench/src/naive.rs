@@ -182,7 +182,8 @@ mod tests {
             let b_s = BitMatrix::from_pairs(n, n, (0..n / 2).map(|u| (u, (u + 2) % n)));
             for pri in [Priority::default(), Priority { row: n - 1, col: 3 }] {
                 let naive = sl_pass(&l, &b_s, pri);
-                let fast = pms_sched::sl_pass(&l, &b_s, pri);
+                let inputs = pms_sched::SlInputs::from_l(l.clone(), &b_s);
+                let fast = pms_sched::sl_pass(&inputs, &b_s, pri);
                 assert_eq!(naive.established, fast.established);
                 assert_eq!(naive.released, fast.released);
                 assert_eq!(naive.denied, fast.denied);

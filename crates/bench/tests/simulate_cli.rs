@@ -69,6 +69,33 @@ fn command_files_must_match_the_port_count() {
 }
 
 #[test]
+fn command_files_must_send_between_their_processors() {
+    for (tag, p1, need) in [
+        (
+            "range",
+            "send 5 64\n",
+            "processor 1: line 1: destination 5 is not one of the 2 processors",
+        ),
+        (
+            "self",
+            "delay 10\nsend 1 64\n",
+            "processor 1: line 2: a processor cannot send to itself",
+        ),
+    ] {
+        let dir = scratch_dir(&format!("sends-{tag}"));
+        std::fs::write(dir.join("p0.cmd"), "send 1 64\n").unwrap();
+        std::fs::write(dir.join("p1.cmd"), p1).unwrap();
+        let out = simulate(&format!("--pattern dir:{} --ports 2", dir.display()));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{tag}: {stderr:?}");
+        assert!(stderr.contains(need), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}");
+    }
+}
+
+#[test]
 fn slots_must_be_positive() {
     assert_geometry_error("--slots 0 --ports 16", "--slots");
 }

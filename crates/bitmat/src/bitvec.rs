@@ -216,6 +216,14 @@ impl BitVec {
         &self.words
     }
 
+    /// Mutable raw storage words, for word-parallel kernels that write
+    /// the vector in place. The padding bits past `len` in the last word
+    /// must stay zero: every other method relies on it.
+    #[inline]
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Clears any bits in the last word that are beyond `len`.
     fn fixup_tail(&mut self) {
         if let Some(last) = self.words.last_mut() {

@@ -162,6 +162,21 @@ impl BitMatrix {
         &self.words[r * self.row_words..(r + 1) * self.row_words]
     }
 
+    /// Raw words of the whole matrix, row after row, each row
+    /// `cols.div_ceil(64)` words long.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Mutable raw words of the whole matrix, for word-parallel kernels
+    /// that write it in place. The padding bits past `cols` in each
+    /// row's last word must stay zero: every other method relies on it.
+    #[inline]
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// ORs row `src` of `other` into row `r` (word-parallel).
     ///
     /// # Panics
@@ -194,8 +209,18 @@ impl BitMatrix {
     }
 
     /// Iterator over all set `(row, col)` pairs in row-major order.
+    ///
+    /// One scan over the packed words: a zero word costs one test, and
+    /// the row and column base are derived once per non-zero word, so a
+    /// walk costs `rows * cols / 64` word tests plus one step per entry.
     pub fn iter_ones(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.rows).flat_map(move |r| self.iter_row_ones(r).map(move |c| (r, c)))
+        Ones {
+            words: self.words.iter().enumerate(),
+            row_words: self.row_words,
+            row: 0,
+            base: 0,
+            cur: 0,
+        }
     }
 
     /// The `AI` vector of the paper: bit `u` is 1 iff row `u` has any entry
@@ -423,6 +448,38 @@ impl BitMatrix {
     }
 }
 
+/// Iterator over the set `(row, col)` entries of a [`BitMatrix`], in
+/// row-major order; see [`BitMatrix::iter_ones`].
+struct Ones<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    row_words: usize,
+    /// Row of the word in `cur`.
+    row: usize,
+    /// Column of bit 0 of the word in `cur`.
+    base: usize,
+    /// The unvisited set bits of the current word.
+    cur: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        while self.cur == 0 {
+            let (i, &w) = self.words.next()?;
+            if w != 0 {
+                self.row = i / self.row_words;
+                self.base = i % self.row_words * WORD_BITS;
+                self.cur = w;
+            }
+        }
+        let bit = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some((self.row, self.base + bit))
+    }
+}
+
 impl fmt::Debug for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "BitMatrix {}x{} {{", self.rows, self.cols)?;
@@ -439,6 +496,50 @@ impl fmt::Debug for BitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row-by-row walk the flat [`BitMatrix::iter_ones`] replaced,
+    /// kept as its reference.
+    fn iter_ones_rowwise(m: &BitMatrix) -> Vec<(usize, usize)> {
+        (0..m.rows)
+            .flat_map(|r| m.iter_row_ones(r).map(move |c| (r, c)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The flat word scan yields the row-wise walk's pairs in the same
+        /// order, across row-word boundaries and padded tails, on empty,
+        /// all-ones, dense and sparse matrices.
+        #[test]
+        fn flat_iter_ones_matches_rowwise(
+            (rows, cols, fill, bits) in (
+                0usize..4,
+                prop::sample::select(vec![0usize, 1, 63, 64, 65, 130]),
+                0u8..4,
+            )
+                .prop_flat_map(|(rows, cols, fill)| {
+                    let bits = prop::collection::vec(0u8..8, rows * cols);
+                    (Just(rows), Just(cols), Just(fill), bits)
+                })
+        ) {
+            // fill 0: empty; 1: all ones; 2: half the cells; 3: an eighth.
+            let keep = |b: u8| match fill {
+                0 => false,
+                1 => true,
+                2 => b < 4,
+                _ => b == 0,
+            };
+            let mut m = BitMatrix::new(rows, cols);
+            for (i, &b) in bits.iter().enumerate() {
+                m.set(i / cols, i % cols, keep(b));
+            }
+            let flat: Vec<(usize, usize)> = m.iter_ones().collect();
+            prop_assert_eq!(&flat, &iter_ones_rowwise(&m));
+            prop_assert_eq!(flat.len(), m.count_ones());
+        }
+    }
 
     #[test]
     fn new_is_zero() {

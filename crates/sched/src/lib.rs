@@ -13,7 +13,8 @@
 //!
 //! Module map:
 //!
-//! * [`presched`] — Table 1: `(R, B*, B^(s)) -> L`;
+//! * [`presched`] — Table 1: `(R, B*, B^(s)) -> L`, swept together with
+//!   the occupancy vectors the SL array reads ([`SlInputs`]);
 //! * [`slcell`] — Table 2: one `SL_{u,v}` cell;
 //! * [`slarray`] — the rippled cell array with rotating priority;
 //! * [`tdm`] — the TDM slot counter that skips empty configurations;
@@ -32,7 +33,7 @@ pub mod slcell;
 pub mod tdm;
 pub mod timing;
 
-pub use presched::{presched_case, presched_matrix, PreschedCase};
+pub use presched::{presched_case, presched_matrix, PreschedCase, SlInputs};
 pub use scheduler::{
     BandwidthMode, HoldPolicy, PassReport, Scheduler, SchedulerConfig, SlotRouter,
 };

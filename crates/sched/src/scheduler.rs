@@ -18,7 +18,7 @@
 //!    predefined configuration into a register and protects it from
 //!    dynamic scheduling until [`Scheduler::unload`].
 
-use crate::presched::presched_matrix;
+use crate::presched::{presched_matrix, SlInputs};
 use crate::slarray::{sl_pass, Priority};
 use pms_bitmat::BitMatrix;
 
@@ -197,6 +197,8 @@ pub struct Scheduler {
     b_star: BitMatrix,
     latched: BitMatrix,
     multislot: BitMatrix,
+    /// The last pass's `L` and occupancy vectors, rewritten every pass.
+    inputs: SlInputs,
     sl_cursor: usize,
     priority: Priority,
     stats: SchedStats,
@@ -214,6 +216,7 @@ impl Scheduler {
             b_star: BitMatrix::square(n),
             latched: BitMatrix::square(n),
             multislot: BitMatrix::square(n),
+            inputs: SlInputs::new(n),
             sl_cursor: 0,
             priority: Priority::default(),
             stats: SchedStats::default(),
@@ -488,20 +491,16 @@ impl Scheduler {
                 &self.latched
             }
         };
-        let l = match self.cfg.bandwidth {
-            BandwidthMode::SingleSlot => presched_matrix(r_eff, &self.b_star, &self.configs[s]),
-            BandwidthMode::PerPairMultiSlot => {
-                // L = (!R & Bs) | (R & !B*) | (R & M & !Bs):
-                // marked pairs are (re)inserted into every slot with room.
-                let base = presched_matrix(r_eff, &self.b_star, &self.configs[s]);
-                let extra =
-                    BitMatrix::zip3_with(r_eff, &self.multislot, &self.configs[s], |r, m, bs| {
-                        r & m & !bs
-                    });
-                BitMatrix::zip2_with(&base, &extra, |a, b| a | b)
-            }
+        // L = (!R & Bs) | (R & !B*), plus (R & M & !Bs) under multi-slot
+        // bandwidth: marked pairs are (re)inserted into every slot with
+        // room.
+        let multislot = match self.cfg.bandwidth {
+            BandwidthMode::SingleSlot => None,
+            BandwidthMode::PerPairMultiSlot => Some(&self.multislot),
         };
-        let out = sl_pass(&l, &self.configs[s], self.priority);
+        self.inputs
+            .presched(r_eff, &self.b_star, &self.configs[s], multislot);
+        let out = sl_pass(&self.inputs, &self.configs[s], self.priority);
         // Commit the pass, `B^(s) ^= T`: the toggle matrix is exactly the
         // established and released pairs. `B*` changes only at those
         // pairs: an established pair is now in slot `s`, and a released

@@ -26,6 +26,7 @@
 //! and counts the denials by popcount. The cell-by-cell evaluation
 //! through [`sl_cell`] lives on as [`reference::sl_pass`].
 
+use crate::presched::SlInputs;
 use crate::slcell::{sl_cell, CellAction, CellInput};
 use pms_bitmat::BitMatrix;
 use pms_trace::prof::{ProfKernel, ProfScope};
@@ -96,8 +97,9 @@ fn first_set<F: Fn(usize) -> u64>(lo: usize, hi: usize, word: F) -> Option<usize
     None
 }
 
-/// Runs one combinational pass of the SL array for slot matrix `b_s` with
-/// change requests `l` (from [`presched_matrix`](crate::presched_matrix)).
+/// Runs one combinational pass of the SL array for slot matrix `b_s`
+/// with the change requests and occupancy vectors in `inputs` (from
+/// [`SlInputs::presched`], or [`SlInputs::from_l`] for a given `L`).
 ///
 /// The pass is an event-driven ripple. Along a row the cell array changes
 /// state only at two kinds of cell, so the pass jumps from one to the
@@ -111,20 +113,24 @@ fn first_set<F: Fn(usize) -> u64>(lo: usize, hi: usize, word: F) -> Option<usize
 ///   requested column of a connection the row holds in this slot with its
 ///   output still busy (`L ∧ B^(s) ∧ A`): it releases and frees both.
 ///
-/// Every `L = 1` cell skipped between events is a denial; denials are
-/// counted by popcount, never visited. Rows run in rotated order from
-/// `priority.row` and columns in rotated order from `priority.col`, and
-/// empty request rows are skipped via a word-parallel row-occupancy scan,
-/// so a pass costs `O(N²/64)` plus a few words per event. The result is
-/// exact for any `b_s` — not only partial permutations — and every output
-/// field, including `cells_visited` (the popcount of `L`), equals
-/// [`reference::sl_pass`] (proptest-enforced in `tests/prop.rs`).
+/// A row with no `L ∧ B^(s)` cell can never release, so a busy one has no
+/// event and a free one at most one establishment; the pass stops
+/// there. Every `L = 1` cell skipped between events is a denial;
+/// denials are counted by popcount, never visited. Rows run in rotated
+/// order from `priority.row` and columns in rotated order from
+/// `priority.col`, and empty request rows are skipped through `L`'s row
+/// occupancy, so a pass costs a few words per request row plus a few
+/// per event. The result is exact for any `b_s` — not only partial
+/// permutations — and every output field, including `cells_visited`
+/// (the popcount of `L`), equals [`reference::sl_pass`]
+/// (proptest-enforced in `tests/prop.rs`).
 ///
 /// # Panics
-/// Panics if `l` and `b_s` are not square matrices of equal size, or if the
-/// priority indices are out of range.
-pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutput {
+/// Panics if `inputs` and `b_s` are not square matrices of equal size, or
+/// if the priority indices are out of range.
+pub fn sl_pass(inputs: &SlInputs, b_s: &BitMatrix, priority: Priority) -> SlPassOutput {
     let n = b_s.rows();
+    let l = inputs.l();
     assert_eq!(b_s.cols(), n, "B^(s) must be square");
     assert_eq!((l.rows(), l.cols()), (n, n), "L must match B^(s)");
     assert!(
@@ -137,8 +143,8 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
     let mut prof = ProfScope::enter(ProfKernel::SlPass);
 
     // Ripple state: A per column, D per row, injected at (a, b).
-    let mut col_busy = b_s.col_or(); // AO
-    let row_busy_init = b_s.row_or(); // AI
+    let mut col_busy = inputs.ao().clone();
+    let row_busy_init = inputs.ai();
 
     let mut established = Vec::new();
     let mut released = Vec::new();
@@ -150,6 +156,18 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
         let (l_row, b_row) = (l.row_words(u), b_s.row_words(u));
         cells_visited += l_row.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         let mut d = row_busy_init.get(u);
+        if l_row.iter().zip(b_row).all(|(lw, bw)| lw & bw == 0) {
+            if d {
+                return;
+            }
+            let a = col_busy.words();
+            let free = |lo, hi| first_set(lo, hi, |wi| l_row[wi] & !a[wi]);
+            if let Some(v) = free(priority.col, n).or_else(|| free(0, priority.col)) {
+                established.push((u, v));
+                col_busy.set(v, true);
+            }
+            return;
+        }
         for (lo, hi) in [(priority.col, n), (0, priority.col)] {
             let mut from = lo;
             loop {
@@ -173,10 +191,10 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
         }
     };
     // Rows with at least one change request, visited in rotated order.
-    let active_rows = l.row_or();
+    let active_rows = inputs.l_rows().words();
     for (lo, hi) in [(priority.row, n), (0, priority.row)] {
         let mut from = lo;
-        while let Some(u) = first_set(from, hi, |wi| active_rows.words()[wi]) {
+        while let Some(u) = first_set(from, hi, |wi| active_rows[wi]) {
             visit_row(u);
             from = u + 1;
         }
@@ -197,7 +215,7 @@ pub fn sl_pass(l: &BitMatrix, b_s: &BitMatrix, priority: Priority) -> SlPassOutp
 }
 
 /// The original cell-by-cell SL pass, kept verbatim as the semantic
-/// reference for the event-driven [`sl_pass`](super::sl_pass) — proptests
+/// reference for the event-driven [`sl_pass`] — proptests
 /// assert the two produce identical outputs, and the perf harness measures
 /// the speedup between them.
 pub mod reference {
@@ -292,7 +310,6 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presched::presched_matrix;
 
     fn commit(b_s: &mut BitMatrix, out: &SlPassOutput) {
         for &(u, v) in out.established.iter().chain(&out.released) {
@@ -304,8 +321,9 @@ mod tests {
     fn pass(requests: &[(usize, usize)], b_s: &mut BitMatrix, priority: Priority) -> SlPassOutput {
         let n = b_s.rows();
         let r = BitMatrix::from_pairs(n, n, requests.iter().copied());
-        let l = presched_matrix(&r, &b_s.clone(), b_s);
-        let out = sl_pass(&l, b_s, priority);
+        let mut inputs = SlInputs::new(n);
+        inputs.presched(&r, &b_s.clone(), b_s, None);
+        let out = sl_pass(&inputs, b_s, priority);
         commit(b_s, &out);
         out
     }
@@ -441,7 +459,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_priority_panics() {
         let b = BitMatrix::square(4);
-        sl_pass(&BitMatrix::square(4), &b, Priority { row: 4, col: 0 });
+        sl_pass(&SlInputs::new(4), &b, Priority { row: 4, col: 0 });
     }
 
     /// The fast pass and the reference pass agree field-for-field on a
@@ -470,7 +488,7 @@ mod tests {
             Priority { row: 66, col: 41 },
             Priority { row: 3, col: 69 },
         ] {
-            let fast = sl_pass(&l, &b, priority);
+            let fast = sl_pass(&SlInputs::from_l(l.clone(), &b), &b, priority);
             let refr = reference::sl_pass(&l, &b, priority);
             let mut committed = b.clone();
             commit(&mut committed, &fast);

@@ -3,8 +3,8 @@
 
 use pms_bitmat::BitMatrix;
 use pms_sched::{
-    sl_pass, slarray::reference, BandwidthMode, HoldPolicy, Priority, Scheduler, SchedulerConfig,
-    SlPassOutput,
+    presched_matrix, sl_pass, slarray::reference, BandwidthMode, HoldPolicy, Priority, Scheduler,
+    SchedulerConfig, SlInputs, SlPassOutput,
 };
 use proptest::prelude::*;
 
@@ -44,6 +44,17 @@ fn to_partial_perm(n: usize, pairs: &[(usize, usize)]) -> BitMatrix {
         }
     }
     m
+}
+
+/// Clears `L ∧ B^(s)` on each of `rows`: such a row can never release,
+/// so the pass takes its early exit there (a busy row has no event, a
+/// free one at most one establishment).
+fn clear_releases(l: &mut BitMatrix, b_s: &BitMatrix, rows: &[usize]) {
+    for &u in rows {
+        for v in b_s.iter_row_ones(u) {
+            l.set(u, v, false);
+        }
+    }
 }
 
 /// The toggle matrix `T` a pass commits: its established and released
@@ -138,20 +149,21 @@ proptest! {
     /// random priority origins.
     #[test]
     fn fast_sl_pass_equals_reference(
-        (n, l_cells, b_cells, pri_row, pri_col) in (1usize..150).prop_flat_map(|n| {
+        (n, l_cells, b_cells, (pri_row, pri_col), quiet_rows) in (1usize..150).prop_flat_map(|n| {
             (
                 Just(n),
                 prop::collection::btree_set((0..n, 0..n), 0..80),
                 prop::collection::btree_set((0..n, 0..n), 0..80),
-                0..n,
-                0..n,
+                (0..n, 0..n),
+                prop::collection::vec(0..n, 0..8),
             )
         })
     ) {
-        let l = BitMatrix::from_pairs(n, n, l_cells.iter().copied());
+        let mut l = BitMatrix::from_pairs(n, n, l_cells.iter().copied());
         let b_s = BitMatrix::from_pairs(n, n, b_cells.iter().copied());
+        clear_releases(&mut l, &b_s, &quiet_rows);
         let pri = Priority { row: pri_row, col: pri_col };
-        let fast = sl_pass(&l, &b_s, pri);
+        let fast = sl_pass(&SlInputs::from_l(l.clone(), &b_s), &b_s, pri);
         let slow = reference::sl_pass(&l, &b_s, pri);
         prop_assert_eq!(&fast.established, &slow.established, "establish sets differ");
         prop_assert_eq!(&fast.released, &slow.released, "release sets differ");
@@ -168,13 +180,14 @@ proptest! {
     /// list must be exactly `L ∖ (established ∪ released)`.
     #[test]
     fn fast_sl_pass_equals_reference_on_dense_rows(
-        ((n, pri_row, pri_col), (b_pairs, dense_rows), (c1_pick, c2_pick, extra)) in
+        ((n, pri_row, pri_col), (b_pairs, dense_rows, quiet_rows), (c1_pick, c2_pick, extra)) in
             (16usize..200).prop_flat_map(|n| {
                 (
                     (Just(n), 0..n, 1..n),
                     (
                         prop::collection::vec((0..n, 0..n), 0..n),
                         prop::collection::vec((0..n, prop::collection::btree_set(0..n, 0..n / 2)), 1..n),
+                        prop::collection::vec(0..n, 0..n / 4),
                     ),
                     (0..n, 0..n, prop::collection::btree_set(0..n, 0..n)),
                 )
@@ -200,6 +213,8 @@ proptest! {
                 l.set(u, v, true);
             }
         }
+        let quiet_rows: Vec<usize> = quiet_rows.into_iter().filter(|&u| u != u0).collect();
+        clear_releases(&mut l, &b_s, &quiet_rows);
         // Row u0: its release cell, its establish cell, and requests the
         // ripple must deny — columns before the release and after the
         // establishment (the input is busy) and busy columns between them.
@@ -215,7 +230,7 @@ proptest! {
         }
 
         let pri = Priority { row: pri_row, col: pri_col };
-        let fast = sl_pass(&l, &b_s, pri);
+        let fast = sl_pass(&SlInputs::from_l(l.clone(), &b_s), &b_s, pri);
         let slow = reference::sl_pass(&l, &b_s, pri);
         prop_assert!(slow.released.contains(&(u0, c1)), "no release at ({u0}, {c1})");
         prop_assert!(slow.established.contains(&(u0, c2)), "no establish at ({u0}, {c2})");
@@ -232,6 +247,37 @@ proptest! {
         let mut denied = slow.denied.clone();
         denied.sort_unstable();
         prop_assert_eq!(denied, undecided.iter_ones().collect::<Vec<_>>(), "denials != L minus actions");
+    }
+
+    /// The fused Table 1 sweep writes the same `L` as `presched_matrix`
+    /// (OR-ed with the multi-slot term `R ∧ M ∧ ¬B^(s)` when `M` is
+    /// given) and the same occupancy vectors as `row_or`/`col_or`, over
+    /// sizes across word boundaries. The inputs are reused between the
+    /// two sweeps, so stale state from the first must not leak.
+    #[test]
+    fn fused_presched_sweep_equals_separate_reductions(
+        (n, r_cells, bs_cells, other_cells, m_cells) in (1usize..150).prop_flat_map(|n| {
+            let cells = || prop::collection::btree_set((0..n, 0..n), 0..120);
+            (Just(n), cells(), cells(), cells(), cells())
+        })
+    ) {
+        let r = BitMatrix::from_pairs(n, n, r_cells.iter().copied());
+        let b_s = BitMatrix::from_pairs(n, n, bs_cells.iter().copied());
+        let b_star = BitMatrix::from_pairs(n, n, bs_cells.iter().chain(&other_cells).copied());
+        let m = BitMatrix::from_pairs(n, n, m_cells.iter().copied());
+        let mut inputs = SlInputs::new(n);
+        for multislot in [Some(&m), None] {
+            inputs.presched(&r, &b_star, &b_s, multislot);
+            let mut l = presched_matrix(&r, &b_star, &b_s);
+            if let Some(m) = multislot {
+                let extra = BitMatrix::zip3_with(&r, m, &b_s, |r, m, bs| r & m & !bs);
+                l.or_assign(&extra);
+            }
+            prop_assert_eq!(inputs.l(), &l, "L differs");
+            prop_assert_eq!(inputs.l_rows(), &l.row_or(), "L row occupancy differs");
+            prop_assert_eq!(inputs.ai(), &b_s.row_or(), "AI differs");
+            prop_assert_eq!(inputs.ao(), &b_s.col_or(), "AO differs");
+        }
     }
 
     /// Multi-slot marking never breaks per-slot permutation validity.

@@ -19,27 +19,31 @@ use crate::params::SimParams;
 use crate::simcore::{Sim, SimCore, Switch};
 use crate::stats::SimStats;
 use crate::voq::Voqs;
+use pms_bitmat::BitMatrix;
 use pms_faults::FaultKind;
 use pms_sched::{Scheduler, SchedulerConfig};
 use pms_trace::{EvictCause, SpanPhase};
 use pms_workloads::Workload;
-use std::collections::{HashMap, HashSet};
 
 /// The circuit-switching simulator.
 pub type CircuitSim = Sim<Circuit>;
 
 /// The degree-1 scheduled crossbar behind [`CircuitSim`]. Circuit
 /// switching has no TDM slots, so its records are stamped `slot = 0`.
+///
+/// With one register `B*` is a partial permutation: each input holds at
+/// most one circuit, so the circuit state is kept per input port.
 pub struct Circuit {
     voqs: Voqs,
     scheduler: Scheduler,
-    /// Time from which each established circuit may carry data
-    /// (pass time + grant propagation).
-    usable_from: HashMap<(usize, usize), u64>,
+    /// Per input `u`, its established circuit `(v, t)`: output `v`, and
+    /// the time `t` from which it may carry data (pass time + grant
+    /// propagation). Exactly the pairs of `B*`.
+    usable_from: Vec<Option<(usize, u64)>>,
     /// Circuits whose message completed: the NIC drops the request and the
     /// circuit must be torn down (and re-requested) before the next message
     /// flows — pure per-message circuit switching (§5).
-    pending_release: HashSet<(usize, usize)>,
+    pending_release: BitMatrix,
 }
 
 impl CircuitSim {
@@ -50,8 +54,8 @@ impl CircuitSim {
             voqs: Voqs::new(params.ports, core.msgs.len())
                 .with_request_lines(params.request_wire_ns),
             scheduler: Scheduler::new(SchedulerConfig::new(params.ports, 1)),
-            usable_from: HashMap::new(),
-            pending_release: HashSet::new(),
+            usable_from: vec![None; params.ports],
+            pending_release: BitMatrix::square(params.ports),
         };
         Sim { core, switch }
     }
@@ -111,7 +115,7 @@ impl Circuit {
         // request: the handshake restarts after the release.
         self.voqs.raise_due(&core.msgs, at);
         let mut visible = core.visible_requests(&self.voqs, at);
-        for &(u, v) in &self.pending_release {
+        for (u, v) in self.pending_release.iter_ones() {
             visible.to_mut().set(u, v, false);
         }
         let pass = core.sl_pass(&mut self.scheduler, &visible, None, &self.voqs, at, 0);
@@ -122,8 +126,7 @@ impl Circuit {
             core.tracer.emit(at, 0, record);
         }
         for &(u, v) in &pass.established {
-            self.usable_from
-                .insert((u, v), at + core.params.request_wire_ns);
+            self.usable_from[u] = Some((v, at + core.params.request_wire_ns));
             core.established(at, 0, u, v);
             // Establishment ends the head message's `arrival`; `align`
             // then covers grant propagation until the first byte streams
@@ -135,10 +138,19 @@ impl Circuit {
             }
         }
         for &(u, v) in &pass.released {
-            self.usable_from.remove(&(u, v));
-            self.pending_release.remove(&(u, v));
+            self.tear_down(u, v);
             core.evicted(at, 0, u, v, EvictCause::Drop);
         }
+    }
+
+    /// Forgets the circuit `u -> v`, if it is the one input `u` holds. A
+    /// pass may release `u -> v` and establish `u -> w`; the new circuit
+    /// stays.
+    fn tear_down(&mut self, u: usize, v: usize) {
+        if self.usable_from[u].is_some_and(|(w, _)| w == v) {
+            self.usable_from[u] = None;
+        }
+        self.pending_release.set(u, v, false);
     }
 
     /// Replays fault boundaries up to `t`: teardown of circuits over
@@ -155,8 +167,7 @@ impl Circuit {
                 )
             {
                 core.break_pair(&mut self.scheduler, None, tr.t_ns, u, v);
-                self.usable_from.remove(&(u, v));
-                self.pending_release.remove(&(u, v));
+                self.tear_down(u, v);
             }
         }
     }
@@ -177,18 +188,22 @@ impl Circuit {
     fn transfer_window(&mut self, core: &mut SimCore, from: u64, to: u64) {
         let rate = core.params.link.bytes_per_ns();
         let path = core.params.link.path_latency_lvds_ns();
-        let pairs: Vec<(usize, usize)> = self.scheduler.b_star().iter_ones().collect();
-        for (u, v) in pairs {
-            if self.pending_release.contains(&(u, v)) {
+        // Inputs in ascending order: the row-major order of `B*`.
+        for u in 0..self.usable_from.len() {
+            let Some((v, usable)) = self.usable_from[u] else {
+                continue;
+            };
+            debug_assert!(self.scheduler.established(u, v), "({u},{v}) not in B*");
+            if self.pending_release.get(u, v) {
                 continue; // circuit is logically torn down
             }
             if !core.link_ok(u, v) {
                 continue; // dead link carries no data
             }
-            let start = match self.usable_from.get(&(u, v)) {
-                Some(&s) if s < to => s.max(from),
-                _ => continue,
-            };
+            if usable >= to {
+                continue;
+            }
+            let start = usable.max(from);
             let Some(head) = self.voqs.front(u, v) else {
                 continue;
             };
@@ -213,14 +228,14 @@ impl Circuit {
                     core.trace_delivery(head, 0);
                     // Per-message circuit switching: the NIC drops the
                     // request; the circuit is torn down by the next pass.
-                    self.pending_release.insert((u, v));
+                    self.pending_release.set(u, v, true);
                 }
                 // Corrupted frame: the request stays up, the circuit stays
                 // closed, and the whole message retransmits after backoff.
                 NicOutcome::Retry { .. } => {}
                 NicOutcome::Abandon { .. } => {
                     self.voqs.pop(u, v);
-                    self.pending_release.insert((u, v));
+                    self.pending_release.set(u, v, true);
                 }
             }
         }

@@ -417,11 +417,11 @@ impl SimCore {
         // Grant-blocking faults are a stateless admission mask beside the
         // (§6) fabric router; both are subset-closed.
         let fault_admit = self.faults.as_ref().filter(|f| f.any_grant_blocked());
-        let report = scheduler.pass_admitted(requests, router.as_deref_mut(), |cfg| {
+        let mut report = scheduler.pass_admitted(requests, router.as_deref_mut(), |cfg| {
             fault_admit.is_none_or(|f| f.admits(cfg))
         });
-        let mut established = report.established.clone();
-        let mut released = report.released.clone();
+        let mut established = std::mem::take(&mut report.established);
+        let mut released = std::mem::take(&mut report.released);
         let mut dropped: Vec<(usize, usize, u32)> = Vec::new();
         if let (Some(f), Some(slot)) = (&mut self.faults, report.slot) {
             // Never-release cells: the cross-point cannot open, so the
@@ -541,7 +541,8 @@ impl SimCore {
 pub(crate) struct PassOutcome {
     /// The slot the pass scheduled, as stamped on its records.
     pub slot: u32,
-    /// The scheduler's own report.
+    /// The scheduler's own report, its `established` and `released`
+    /// lists moved out into the fields below.
     pub report: PassReport,
     /// Establishments that survived grant drops.
     pub established: Vec<(usize, usize)>,

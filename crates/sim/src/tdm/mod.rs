@@ -153,6 +153,21 @@ pub struct Tdm {
     /// The TDM register most recently driving the crossbar, used to stamp
     /// trace records.
     cur_slot: u32,
+    /// The lists a slot visit fills, kept so a visit allocates nothing.
+    scratch: SlotScratch,
+}
+
+/// The lists one [`Tdm::do_slot`] visit fills, cleared at its start.
+#[derive(Default)]
+struct SlotScratch {
+    /// The active configuration's pairs.
+    pairs: Vec<(usize, usize)>,
+    /// Pairs that moved a fragment.
+    used_pairs: Vec<(usize, usize)>,
+    /// `(msg, time)` of each message delivered.
+    delivered: Vec<(usize, u64)>,
+    /// `(msg, time)` of each message abandoned.
+    abandoned: Vec<(usize, u64)>,
 }
 
 impl TdmSim {
@@ -306,6 +321,7 @@ impl TdmSim {
             router: None,
             fault_restores: Vec::new(),
             cur_slot: 0,
+            scratch: SlotScratch::default(),
         };
         Sim { core, switch }
     }
@@ -722,18 +738,32 @@ impl Tdm {
         let payload = core.params.slot_payload_bytes;
         let rate = core.params.link.bytes_per_ns();
         let path = core.params.link.path_latency_lvds_ns();
+        let SlotScratch {
+            pairs,
+            used_pairs,
+            delivered,
+            abandoned,
+        } = &mut self.scratch;
+        pairs.clear();
+        used_pairs.clear();
+        delivered.clear();
+        abandoned.clear();
 
         // The active register's pairs, plus (stream mode) the
         // configuration whose messages alone may move in this visit.
-        let (pairs, gate, active_slot): (Vec<(usize, usize)>, Option<usize>, u32) = match &mut self
-            .backend
-        {
+        let (gate, active_slot): (Option<usize>, u32) = match &mut self.backend {
             Backend::Scheduled { scheduler, tdm, .. } => match tdm.advance(scheduler.configs()) {
-                Some(s) => (scheduler.config(s).iter_ones().collect(), None, s as u32),
+                Some(s) => {
+                    pairs.extend(scheduler.config(s).iter_ones());
+                    (None, s as u32)
+                }
                 None => return,
             },
             Backend::Stream(stream) => match stream.advance(t) {
-                Some((reg, c)) => (stream.config(c).iter_ones().collect(), Some(c), reg as u32),
+                Some((reg, c)) => {
+                    pairs.extend(stream.config(c).iter_ones());
+                    (Some(c), reg as u32)
+                }
                 None => return,
             },
         };
@@ -751,15 +781,12 @@ impl Tdm {
             // A healed preloaded pair re-joins the fabric the first time a
             // resident configuration containing it drives the crossbar —
             // within one TDM period of the clear, traffic or not.
-            for (u, v) in stream.rejoined(&pairs) {
+            for (u, v) in stream.rejoined(pairs) {
                 core.established(t, active_slot, u, v);
             }
         }
 
-        let mut used_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut delivered: Vec<(usize, u64)> = Vec::new(); // (msg, time)
-        let mut abandoned: Vec<(usize, u64)> = Vec::new(); // (msg, time)
-        for (u, v) in pairs {
+        for &(u, v) in pairs.iter() {
             // A dead link carries no data even if a (stream-mode)
             // configuration still names the pair.
             if !core.link_ok(u, v) {
@@ -810,7 +837,7 @@ impl Tdm {
                 }
             }
         }
-        for &(msg, _) in &delivered {
+        for &(msg, _) in delivered.iter() {
             core.trace_delivery(msg, active_slot);
         }
 
@@ -818,7 +845,7 @@ impl Tdm {
         match &mut self.backend {
             Backend::Scheduled { predictor, .. } => {
                 if let Some(pred) = predictor {
-                    for &(u, v) in &used_pairs {
+                    for &(u, v) in used_pairs.iter() {
                         pred.on_use(u, v, t);
                     }
                 }
@@ -827,7 +854,7 @@ impl Tdm {
                 // Abandoned messages leave the stream the same way
                 // delivered ones do: their configuration's outstanding
                 // count must reach zero or the register never frees.
-                for &(msg, done_at) in delivered.iter().chain(&abandoned) {
+                for &(msg, done_at) in delivered.iter().chain(abandoned.iter()) {
                     let load_ns = core.params.preload_cfg_ns;
                     let Some((reg, c)) = stream.retire(msg, done_at, load_ns) else {
                         continue;
@@ -841,7 +868,7 @@ impl Tdm {
                             slot_idx,
                             TraceEvent::PreloadApplied {
                                 slot_idx,
-                                connections: cfg.iter_ones().count() as u32,
+                                connections: cfg.count_ones() as u32,
                             },
                         );
                         for (u, v) in cfg.iter_ones() {

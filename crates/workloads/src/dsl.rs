@@ -43,6 +43,15 @@ impl std::error::Error for ParseError {}
 
 /// Parses a command file into a [`Program`].
 pub fn parse_program(text: &str) -> Result<Program, ParseError> {
+    parse_checked(text, |_| Ok(()))
+}
+
+/// [`parse_program`], also running `check` on each command: an `Err`
+/// becomes a parse error on that command's line.
+pub(crate) fn parse_checked(
+    text: &str,
+    check: impl Fn(&Command) -> Result<(), String>,
+) -> Result<Program, ParseError> {
     let mut prog = Program::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -81,6 +90,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseError> {
         if let Some(extra) = parts.next() {
             return Err(err(format!("unexpected trailing token `{extra}`")));
         }
+        check(&cmd).map_err(err)?;
         prog.cmds.push(cmd);
     }
     Ok(prog)

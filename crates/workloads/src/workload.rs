@@ -146,18 +146,31 @@ impl Workload {
             .collect()
     }
 
-    /// Builds a workload from per-processor command-file texts.
+    /// Builds a workload from per-processor command-file texts, file `i`
+    /// being processor `i`'s program.
     ///
-    /// Returns the first parse error with its processor index.
+    /// Returns the first error with its processor index: a parse error,
+    /// or a `send` to a processor outside the file count or to the
+    /// sender itself, each with its line.
     pub fn from_command_files<S: AsRef<str>>(
         name: impl Into<String>,
         files: &[S],
     ) -> Result<Self, (usize, crate::dsl::ParseError)> {
-        let mut programs = Vec::with_capacity(files.len());
+        let n = files.len();
+        let mut programs = Vec::with_capacity(n);
         for (i, f) in files.iter().enumerate() {
-            programs.push(crate::dsl::parse_program(f.as_ref()).map_err(|e| (i, e))?);
+            let prog = crate::dsl::parse_checked(f.as_ref(), |cmd| match *cmd {
+                Command::Send { dst, .. } if dst >= n => Err(format!(
+                    "destination {dst} is not one of the {n} processors"
+                )),
+                Command::Send { dst, .. } if dst == i => {
+                    Err("a processor cannot send to itself".to_string())
+                }
+                _ => Ok(()),
+            });
+            programs.push(prog.map_err(|e| (i, e))?);
         }
-        Ok(Self::new(name, programs.len(), programs))
+        Ok(Self::new(name, n, programs))
     }
 }
 
@@ -241,6 +254,28 @@ mod tests {
         let (proc_idx, err) = Workload::from_command_files("bad", &files).unwrap_err();
         assert_eq!(proc_idx, 1);
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn from_command_files_rejects_bad_destinations_with_their_line() {
+        for (files, proc_idx, line, needle) in [
+            (
+                ["send 1 8\n", "delay 5\nsend 5 64\n"],
+                1,
+                2,
+                "destination 5 is not one of the 2 processors",
+            ),
+            (
+                ["# self\nsend 0 8\n", ""],
+                0,
+                2,
+                "a processor cannot send to itself",
+            ),
+        ] {
+            let (p, err) = Workload::from_command_files("bad", &files).unwrap_err();
+            assert_eq!((p, err.line), (proc_idx, line), "{err}");
+            assert!(err.message.contains(needle), "{err}");
+        }
     }
 
     #[test]
