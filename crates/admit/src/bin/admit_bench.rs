@@ -13,8 +13,8 @@
 //! rerun (same inputs, fresh engine), in-memory trace reconstruction
 //! ([`decisions_from_records`]), and a full JSONL write/parse/replay
 //! round trip — and the binary exits non-zero if any rendered decision
-//! stream differs by a single byte. This is the `bench_baseline`-style
-//! gate: CI runs it, so a determinism regression fails loudly.
+//! stream differs by a single byte. CI runs it, so a determinism
+//! regression fails loudly.
 //!
 //! Usage: `cargo run --release -p pms-admit --bin admit_bench
 //! [-- --ports N] [--messages M] [--seed S] [--json OUT.json]`

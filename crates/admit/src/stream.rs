@@ -41,7 +41,8 @@ pub fn format_request(r: &ConnRequest) -> String {
 }
 
 /// Parses a whole feed (see the module docs for the grammar) for a
-/// crossbar of `ports` ports: `src` and `dst` must lie below it.
+/// crossbar of `ports` ports: `src` and `dst` must lie below it and
+/// differ, as in every other workload source.
 pub fn parse_requests(text: &str, ports: usize) -> Result<Vec<ConnRequest>, StreamError> {
     let mut out = Vec::new();
     let mut last_t = 0u64;
@@ -94,6 +95,11 @@ pub fn parse_requests(text: &str, ports: usize) -> Result<Vec<ConnRequest>, Stre
                     "field '{name}' is port {port}, but the crossbar has {ports} ports"
                 )));
             }
+        }
+        if src == dst {
+            return Err(err(format!(
+                "src and dst are both port {src}: a port cannot send to itself"
+            )));
         }
         if t_ns < last_t {
             return Err(err(format!(
@@ -167,6 +173,11 @@ req 50 1 2 3 4096  # bulk
                 "field 'src' is port 4, but the crossbar has 4 ports",
             ),
             ("req 0 0 0 99 64\n", 1, "field 'dst' is port 99"),
+            (
+                "req 0 0 1 2\nreq 5 0 3 3\n",
+                2,
+                "src and dst are both port 3: a port cannot send to itself",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = parse_requests(text, 4).unwrap_err();

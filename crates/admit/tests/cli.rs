@@ -1,7 +1,8 @@
 //! The `admit` binary rejects fabric geometries its stage graphs cannot
 //! build, and engine parameters that must be positive, with a one-line
 //! error and exit status 2, not a panic; a request file naming a port
-//! the crossbar lacks is a runtime failure (exit 1).
+//! the crossbar lacks, or one port as both ends, is a runtime failure
+//! (exit 1).
 
 use std::process::Command;
 
@@ -120,6 +121,23 @@ fn request_file_endpoints_must_fit_the_crossbar() {
         "{stderr}"
     );
     assert_eq!(fits.status.code(), Some(0));
+}
+
+#[test]
+fn request_file_self_sends_are_rejected() {
+    let path = std::env::temp_dir().join(format!("admit-cli-self-{}.txt", std::process::id()));
+    std::fs::write(&path, "req 0 0 1 2\nreq 0 0 1 1 64\n").unwrap();
+    let file = path.to_str().unwrap();
+    let out = admit(&["--from-file", file, "--ports", "4"]);
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, got {stderr:?}");
+    assert!(
+        stderr.contains(&format!("{file}: line 2: src and dst are both port 1")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no grant is printed");
 }
 
 fn admit_bench(args: &[&str]) -> std::process::Output {

@@ -7,9 +7,6 @@
 //! change exceeds a significance threshold. Diffing a run against
 //! itself reports zero deltas ([`DiffReport::is_zero`]) — CI leans on
 //! that as a determinism check.
-//!
-//! The module also hosts the generic ratio-table formatter that
-//! `bench_baseline --check` uses for its per-kernel regression report.
 
 use crate::report::Report;
 use pms_trace::Json;
@@ -293,70 +290,6 @@ impl DiffReport {
     }
 }
 
-/// One row of a ratio table: a named quantity measured in a baseline
-/// (`a`) and a current (`b`) configuration.
-#[derive(Debug, Clone)]
-pub struct RatioRow {
-    /// Row label (kernel name, metric name, ...).
-    pub name: String,
-    /// Baseline value.
-    pub a: f64,
-    /// Current value.
-    pub b: f64,
-}
-
-impl RatioRow {
-    /// `b / a`; 1.0 when both are zero, infinite when only `a` is.
-    pub fn ratio(&self) -> f64 {
-        if self.a == 0.0 {
-            if self.b == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.b / self.a
-        }
-    }
-}
-
-/// Renders a fixed-width ratio table. Rows whose ratio falls below
-/// `1 - tolerance` (a regression) are marked with `!`.
-pub fn render_ratio_table(
-    headers: (&str, &str, &str),
-    rows: &[RatioRow],
-    tolerance: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "  {:<28} {:>12} {:>12} {:>8}\n",
-        headers.0, headers.1, headers.2, "ratio"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{} {:<28} {:>12.3} {:>12.3} {:>8.3}\n",
-            if r.ratio() < 1.0 - tolerance {
-                "!"
-            } else {
-                " "
-            },
-            r.name,
-            r.a,
-            r.b,
-            r.ratio()
-        ));
-    }
-    out
-}
-
-/// The worst regression in a row set: the row with the smallest ratio
-/// below `1 - tolerance`, if any.
-pub fn worst_regression(rows: &[RatioRow], tolerance: f64) -> Option<&RatioRow> {
-    rows.iter()
-        .filter(|r| r.ratio() < 1.0 - tolerance)
-        .min_by(|x, y| x.ratio().total_cmp(&y.ratio()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,33 +356,5 @@ mod tests {
         let x = diff_reports(&a, &b, DEFAULT_EPSILON).to_json().render();
         let y = diff_reports(&a, &b, DEFAULT_EPSILON).to_json().render();
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn ratio_table_marks_regressions_and_names_worst() {
-        let rows = vec![
-            RatioRow {
-                name: "fast-kernel".into(),
-                a: 2.0,
-                b: 2.1,
-            },
-            RatioRow {
-                name: "slow-kernel".into(),
-                a: 2.0,
-                b: 1.0,
-            },
-            RatioRow {
-                name: "worse-kernel".into(),
-                a: 2.0,
-                b: 0.5,
-            },
-        ];
-        let table = render_ratio_table(("kernel", "baseline", "current"), &rows, 0.1);
-        assert!(table.contains("! slow-kernel"));
-        assert!(table.contains("! worse-kernel"));
-        assert!(table.contains("  fast-kernel"));
-        let worst = worst_regression(&rows, 0.1).unwrap();
-        assert_eq!(worst.name, "worse-kernel");
-        assert!(worst_regression(&rows[..1], 0.1).is_none());
     }
 }

@@ -38,8 +38,7 @@
 //!   `alert-raised`/`alert-cleared` records, rendered identically live
 //!   (telemetry `/alerts`) and from replay;
 //! * [`diff`] — run-vs-run deltas (`analyze --diff`): per-metric and
-//!   per-phase changes with a significance flag, plus the ratio-table
-//!   formatter `bench_baseline --check` uses;
+//!   per-phase changes with a significance flag;
 //! * [`report`] — all of the above assembled into one deterministic
 //!   [`Report`](report::Report), rendered as JSON or terminal text.
 //!
@@ -71,10 +70,7 @@ pub use admission::{admission, AdmissionReport, TenantAdmission, FILL_BUCKETS};
 pub use alerts::{alerts, AlertsReport, RuleAlerts};
 pub use churn::{churn, CauseChurn, ChurnReport};
 pub use contention::{contention, ContentionReport, HolReport, HolStall, SetupAttribution};
-pub use diff::{
-    diff_reports, render_ratio_table, worst_regression, DiffReport, MetricDelta, RatioRow,
-    DEFAULT_EPSILON,
-};
+pub use diff::{diff_reports, DiffReport, MetricDelta, DEFAULT_EPSILON};
 pub use faults::{faults, ClassFaults, FaultsReport};
 pub use heatmap::{heatmap, Heatmap};
 pub use occupancy::{occupancy, OccupancyReport, SlotOccupancy};

@@ -1,6 +1,7 @@
 //! Criterion bench: the word-parallel bit-matrix kernel — the operations
 //! the scheduler executes on every SL clock (`B*` union, Table-1 `L`
-//! computation, partial-permutation checks).
+//! computation, row/column OR reductions and conflict tests,
+//! partial-permutation checks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pms_bitmat::BitMatrix;
@@ -43,11 +44,7 @@ fn bench_presched_formula(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_reductions_word_vs_naive(c: &mut Criterion) {
-    // The PR-4 headline comparison: word-parallel row/col OR reductions
-    // and conflict tests against the per-bit reference implementations
-    // (`pms_bench::naive`). `bench_baseline` records the same pairs into
-    // `BENCH_pr4.json`.
+fn bench_reductions(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitmat_reduction");
     for n in [64usize, 128, 256] {
         let m = dense(n, 3);
@@ -56,25 +53,11 @@ fn bench_reductions_word_vs_naive(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("col_or_word", n), &m, |b, m| {
             b.iter(|| black_box(black_box(m).col_or()));
         });
-        group.bench_with_input(BenchmarkId::new("col_or_naive", n), &m, |b, m| {
-            b.iter(|| black_box(pms_bench::naive::col_or(black_box(m))));
-        });
         group.bench_with_input(BenchmarkId::new("row_or_word", n), &m, |b, m| {
             b.iter(|| black_box(black_box(m).row_or()));
         });
-        group.bench_with_input(BenchmarkId::new("row_or_naive", n), &m, |b, m| {
-            b.iter(|| black_box(pms_bench::naive::row_or(black_box(m))));
-        });
         group.bench_with_input(BenchmarkId::new("intersects_word", n), &m, |b, m| {
             b.iter(|| black_box(black_box(m).intersects(black_box(&other))));
-        });
-        group.bench_with_input(BenchmarkId::new("intersects_naive", n), &m, |b, m| {
-            b.iter(|| {
-                black_box(pms_bench::naive::intersects(
-                    black_box(m),
-                    black_box(&other),
-                ))
-            });
         });
     }
     group.finish();
@@ -95,7 +78,7 @@ criterion_group!(
     benches,
     bench_union,
     bench_presched_formula,
-    bench_reductions_word_vs_naive,
+    bench_reductions,
     bench_permutation_check
 );
 criterion_main!(benches);

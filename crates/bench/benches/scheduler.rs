@@ -61,10 +61,10 @@ fn paper128_requests() -> BitMatrix {
 fn bench_sl_pass_kernel(c: &mut Criterion) {
     // The raw combinational pass, isolated from the scheduler wrapper:
     // the event-driven `sl_pass` vs the gather-and-sort `reference`
-    // module vs the fully per-bit grid walk (`pms_bench::naive`). The
-    // sparse case is the idle-heavy steady state the simulators hit most;
-    // the `paper128` case is the loaded pass of the paper's own system,
-    // where nearly every request is a denial.
+    // module the proptests hold it to. The sparse case is the idle-heavy
+    // steady state the simulators hit most; the `paper128` case is the
+    // loaded pass of the paper's own system, where nearly every request
+    // is a denial.
     use pms_sched::{sl_pass, slarray::reference, Priority, SlInputs};
     let mut group = c.benchmark_group("sl_pass_kernel");
     let paper_l = paper128_requests();
@@ -95,15 +95,6 @@ fn bench_sl_pass_kernel(c: &mut Criterion) {
                     bch.iter(|| black_box(reference::sl_pass(black_box(l), black_box(&b_s), pri)));
                 },
             );
-            group.bench_with_input(BenchmarkId::new(format!("naive_{tag}"), n), l, |bch, l| {
-                bch.iter(|| {
-                    black_box(pms_bench::naive::sl_pass(
-                        black_box(l),
-                        black_box(&b_s),
-                        pri,
-                    ))
-                });
-            });
         }
     }
     group.finish();

@@ -19,7 +19,6 @@
 
 pub mod degradation;
 pub mod figures;
-pub mod naive;
 pub mod reporting;
 pub mod runner;
 pub mod sweep;

@@ -81,6 +81,11 @@ fn command_files_must_send_between_their_processors() {
             "delay 10\nsend 1 64\n",
             "processor 1: line 2: a processor cannot send to itself",
         ),
+        (
+            "bytes",
+            "send 0 4294967360\n",
+            "processor 1: line 1: invalid byte count `4294967360`",
+        ),
     ] {
         let dir = scratch_dir(&format!("sends-{tag}"));
         std::fs::write(dir.join("p0.cmd"), "send 1 64\n").unwrap();
@@ -134,9 +139,8 @@ fn sweep_binaries_reject_a_malformed_threads_flag() {
 }
 
 /// Every `pms-bench` binary, by name.
-const BINS: [(&str, &str); 13] = [
+const BINS: [(&str, &str); 12] = [
     ("ablate", env!("CARGO_BIN_EXE_ablate")),
-    ("bench_baseline", env!("CARGO_BIN_EXE_bench_baseline")),
     ("degradation", env!("CARGO_BIN_EXE_degradation")),
     ("dump_cmdfiles", env!("CARGO_BIN_EXE_dump_cmdfiles")),
     ("fig4", env!("CARGO_BIN_EXE_fig4")),
@@ -204,11 +208,6 @@ fn misspelled_arguments_are_usage_errors() {
             "unknown flag `--quik`",
         ),
         (env!("CARGO_BIN_EXE_ablate"), &["rotaton"], "`rotaton`"),
-        (
-            env!("CARGO_BIN_EXE_bench_baseline"),
-            &["--chek"],
-            "`--chek`",
-        ),
         (
             env!("CARGO_BIN_EXE_simulate"),
             &["--ports", "lots"],

@@ -166,11 +166,20 @@ proptest! {
 
     #[test]
     fn union_count_at_most_sum((r, c, cells) in sparse_matrix()) {
+        // Three operands: two disjoint halves and every third cell, which
+        // overlaps both. Every cell of the union is the OR of its operands.
         let half = cells.len() / 2;
         let a = BitMatrix::from_pairs(r, c, cells[..half].iter().copied());
         let b = BitMatrix::from_pairs(r, c, cells[half..].iter().copied());
-        let u = BitMatrix::union([&a, &b]);
+        let third = BitMatrix::from_pairs(r, c, cells.iter().step_by(3).copied());
+        let u = BitMatrix::union([&a, &b, &third]);
         prop_assert_eq!(u.count_ones(), cells.len()); // cells are distinct
-        prop_assert!(u.count_ones() <= a.count_ones() + b.count_ones());
+        prop_assert!(u.count_ones() <= a.count_ones() + b.count_ones() + third.count_ones());
+        for i in 0..r {
+            for j in 0..c {
+                let or = a.get(i, j) || b.get(i, j) || third.get(i, j);
+                prop_assert_eq!(u.get(i, j), or, "cell ({}, {})", i, j);
+            }
+        }
     }
 }

@@ -70,14 +70,11 @@ pub(crate) fn parse_checked(
             "send" => {
                 let dst = parse_field(parts.next(), "destination", line_no, line)?;
                 let bytes = parse_field(parts.next(), "byte count", line_no, line)?;
-                Command::Send {
-                    dst,
-                    bytes: bytes as u32,
-                }
+                Command::Send { dst, bytes }
             }
             "delay" => {
                 let ns = parse_field(parts.next(), "nanoseconds", line_no, line)?;
-                Command::Delay { ns: ns as u64 }
+                Command::Delay { ns }
             }
             "barrier" => Command::Barrier,
             "flush" => Command::Flush,
@@ -96,12 +93,14 @@ pub(crate) fn parse_checked(
     Ok(prog)
 }
 
-fn parse_field(
+/// Parses one field; a token that is not a number, or does not fit the
+/// field's type (a byte count past `u32::MAX`), is an error.
+fn parse_field<T: std::str::FromStr>(
     tok: Option<&str>,
     what: &str,
     line: usize,
     context: &str,
-) -> Result<usize, ParseError> {
+) -> Result<T, ParseError> {
     let tok = tok.ok_or_else(|| ParseError {
         line,
         context: context.to_string(),
@@ -216,6 +215,22 @@ mod tests {
             .unwrap_err()
             .message
             .contains("missing"));
+    }
+
+    #[test]
+    fn byte_counts_past_u32_are_rejected_not_wrapped() {
+        // 2^32 + 64 once wrapped to a 64 B send.
+        let err = parse_program("send 1 8\nsend 1 4294967360\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.message, "invalid byte count `4294967360`");
+        let p = parse_program("send 1 4294967295").unwrap();
+        assert_eq!(
+            p.cmds,
+            vec![Command::Send {
+                dst: 1,
+                bytes: u32::MAX
+            }]
+        );
     }
 
     #[test]
