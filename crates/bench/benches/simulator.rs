@@ -2,12 +2,14 @@
 //! paradigm on a fixed 32-processor mesh round — the cost of one Figure-4
 //! grid cell — and on the paper's 128-processor Two Phase cell, where a
 //! program engine that rescans every processor per poll dominated, and
-//! where (with 2048 B messages) the TDM slot walks dominate.
+//! where (with 2048 B messages) the TDM slot walks dominate, and on two
+//! Figure 5 hybrid cells, where the VOQ request lines, engine polls and
+//! run statistics are paid per message.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pms_fabric::TorusNetwork;
 use pms_sim::{MultihopWormholeSim, Paradigm, PredictorKind, SimParams};
-use pms_workloads::{ordered_mesh, two_phase, uniform, MeshSpec};
+use pms_workloads::{hybrid, ordered_mesh, two_phase, uniform, HybridSpec, MeshSpec};
 use std::hint::black_box;
 
 fn bench_paradigms(c: &mut Criterion) {
@@ -85,6 +87,40 @@ fn bench_slot_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// Figure 5 cells at the paper's size: 128 ports, 96 64 B messages per
+/// processor at 50 % determinism, K = 3, with no and with two preloaded
+/// registers.
+fn bench_hybrid128(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulate_hybrid128");
+    group.sample_size(10);
+    let workload = hybrid(HybridSpec {
+        ports: 128,
+        determinism: 0.5,
+        messages_per_proc: 96,
+        bytes: 64,
+        seed: 1,
+    });
+    let params = SimParams::default().with_ports(128).with_tdm_slots(3);
+    group.throughput(Throughput::Elements(workload.message_count() as u64));
+    for preload_slots in [0, 2] {
+        let paradigm = Paradigm::HybridTdm {
+            preload_slots,
+            predictor: PredictorKind::Drop,
+        };
+        group.bench_with_input(
+            BenchmarkId::from_parameter(paradigm.label()),
+            &paradigm,
+            |b, paradigm| {
+                b.iter(|| {
+                    let stats = paradigm.run(black_box(&workload), black_box(&params));
+                    black_box(stats.delivered_bytes)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_multihop(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_multihop32");
     group.sample_size(20);
@@ -109,6 +145,7 @@ criterion_group!(
     bench_paradigms,
     bench_two_phase128,
     bench_slot_walk,
+    bench_hybrid128,
     bench_multihop
 );
 criterion_main!(benches);

@@ -21,7 +21,7 @@ use pms_trace::{
     series_to_csv, AlertRules, FlightConfig, SharedTracer, SnapshotConfig, Tracer,
     DEFAULT_WINDOW_SLOTS,
 };
-use pms_workloads::{build_pattern, Workload};
+use pms_workloads::{build_pattern, Command, Workload};
 
 struct Args {
     pattern: String,
@@ -149,6 +149,27 @@ fn check_preloads(a: &Args, paradigm: &Paradigm, workload: &Workload) -> Result<
             "--paradigm {name} preloads {preload_slots} of the pattern's configurations, but --pattern {} provides {configs}",
             a.pattern
         ));
+    }
+    // With every register preloaded and no `preload` command to swap
+    // them, a message whose pair no preloaded configuration holds never
+    // moves; the run would end on the deadlock guard.
+    let swaps = workload
+        .programs
+        .iter()
+        .flat_map(|p| &p.cmds)
+        .any(|c| matches!(c, Command::Preload { .. }));
+    if preload_slots == slots && !swaps {
+        let preloaded: Vec<_> = workload.patterns.iter().flatten().take(slots).collect();
+        let stranded = workload
+            .message_table()
+            .into_iter()
+            .find(|m| !preloaded.iter().any(|cfg| cfg.get(m.src, m.dst)));
+        if let Some(m) = stranded {
+            return Err(format!(
+                "--paradigm {name} preloads every register (--slots {slots}), but message {} ({} -> {}) is in none of the preloaded configurations and --pattern {} issues no preload command",
+                m.id, m.src, m.dst, a.pattern
+            ));
+        }
     }
     Ok(())
 }

@@ -32,6 +32,12 @@ fn hybrid_needs_preloadable_configurations() {
         "--paradigm hybrid2 --pattern scatter --ports 8 --slots 1",
         "--slots is 1",
     );
+    // Every register preloaded, no preload command, and traffic outside
+    // the preloaded configuration: nothing could ever schedule it.
+    assert_geometry_error(
+        "--paradigm hybrid1 --pattern scatter --ports 8 --slots 1",
+        "message 1 (0 -> 2) is in none of the preloaded configurations",
+    );
 }
 
 #[test]

@@ -173,7 +173,7 @@ impl Circuit {
     }
 
     fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
-        for (te, fx) in core.poll_engine(now) {
+        core.poll_engine(now, |core, te, fx| {
             // Circuit switching has no multi-slot state to flush or
             // preload.
             if let Effect::Inject(id) = fx {
@@ -181,7 +181,7 @@ impl Circuit {
                 let new_request = self.voqs.push(spec.src, spec.dst, id);
                 core.inject(id, te, 0, new_request);
             }
-        }
+        });
     }
 
     /// Streams data over every usable circuit during `[from, to)`.

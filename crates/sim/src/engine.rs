@@ -7,32 +7,31 @@
 //! *and* the network has drained; `flush`/`preload` raise control effects
 //! the paradigm simulator forwards to the scheduler.
 //!
-//! ## Ready-heap scheduling
+//! ## Ready-queue scheduling
 //!
 //! A poll costs what runs, not how many processors exist. The engine
 //! keeps every *runnable* processor (neither finished nor parked at a
-//! barrier) on a min-heap keyed by `(ready_at, proc)`, and counts the
-//! parked and finished ones. [`Engine::all_done`] is `finished == n` and
-//! [`Engine::next_wake`] is a heap peek, both O(1).
-//! [`Engine::poll`] pops only the processors due by `now`, runs them,
-//! and re-pushes the ones still runnable. A barrier can open only when
-//! `parked + finished == n`; the O(n) release loop runs only when one
-//! actually opens, and the released processors run in the next round of
-//! the same poll.
+//! barrier) on a monotone queue keyed by `ready_at` (see `WakeQueue`),
+//! and counts the parked and finished ones. [`Engine::all_done`] is
+//! `finished == n` and [`Engine::next_wake`] reads the queue's minimum,
+//! which the queue keeps; both are O(1). [`Engine::poll`] takes only the
+//! processors due by `now`, runs them, and re-queues the ones still
+//! runnable. A barrier can open only when `parked + finished == n`; the
+//! O(n) release loop runs only when one actually opens, and the released
+//! processors run in the next round of the same poll.
 //!
 //! Effect order is part of every simulator's output, so each round runs
-//! its due processors in ascending *index* order, not heap-pop order:
+//! its due processors in ascending *index* order, not queue order:
 //! the due list is a bitmap over processor indices, read low bit first.
 //! The effects of one round are then exactly what a scan over all
 //! processors would emit (processors that are not due emit nothing).
-//! The poll stable-sorts the rounds' concatenated effects by time, so
-//! equal times keep round order, then processor order, then command
-//! order. The full-scan engine this replaced is kept as the test oracle
-//! (`engine::reference`).
+//! When the rounds' concatenated effects are out of time order, the poll
+//! stable-sorts them by time, so equal times keep round order, then
+//! processor order, then command order; [`Engine::poll_into`] does this
+//! in a caller-owned buffer. The full-scan engine this replaced is kept
+//! as the test oracle (`engine::reference`).
 
 use pms_workloads::{Command, MsgSpec, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[cfg(test)]
 mod reference;
@@ -105,21 +104,112 @@ impl Proc {
     }
 }
 
+/// The runnable processors, keyed by `ready_at`: a radix heap.
+///
+/// Polls never go back in time, and a processor re-queued by a poll at
+/// `now` is due at `now` or later, so no entry is ever earlier than the
+/// last time taken out (`floor`). That lets entries sit in buckets by
+/// the highest bit in which their time differs from `floor`: a push is
+/// one list insert, and taking the due entries re-buckets the lowest
+/// non-empty bucket around its minimum, which moves every entry at that
+/// minimum into bucket 0 and every other one to a lower bucket. Entries
+/// only move down, so each moves at most 64 times, and once in the
+/// lockstep phases where every processor sends each NIC cycle; a binary
+/// heap paid two `log n` sifts for every processor run. A processor is
+/// queued at most once (the engine queues it only after taking it out
+/// or releasing it from a barrier), so each bucket is a list threaded
+/// through per-processor links, and the queue's memory is fixed at
+/// construction.
+struct WakeQueue {
+    /// The last due time taken out; no entry is earlier.
+    floor: u64,
+    /// The first processor of each bucket's list, [`NO_PROC`] if empty.
+    /// Bucket `b > 0` holds the entries whose time first differs from
+    /// `floor` in bit `b - 1`; bucket 0 holds those equal to it.
+    head: [u32; 65],
+    /// Per processor: the next processor in its bucket's list.
+    next: Vec<u32>,
+    /// Per processor: the time it is queued for.
+    at: Vec<u64>,
+    /// The earliest queued time.
+    min: Option<u64>,
+}
+
+/// The end of a [`WakeQueue`] bucket list.
+const NO_PROC: u32 = u32::MAX;
+
+impl WakeQueue {
+    fn new(procs: usize) -> Self {
+        assert!(procs < NO_PROC as usize, "{procs} processors");
+        Self {
+            floor: 0,
+            head: [NO_PROC; 65],
+            next: vec![NO_PROC; procs],
+            at: vec![0; procs],
+            min: None,
+        }
+    }
+
+    fn bucket(&self, t: u64) -> usize {
+        (u64::BITS - (t ^ self.floor).leading_zeros()) as usize
+    }
+
+    fn push(&mut self, t: u64, proc: usize) {
+        debug_assert!(t >= self.floor, "wake {t} before {}", self.floor);
+        let b = self.bucket(t);
+        self.at[proc] = t;
+        self.next[proc] = self.head[b];
+        self.head[b] = proc as u32;
+        self.min = Some(self.min.map_or(t, |m| m.min(t)));
+    }
+
+    /// Removes every entry due by `now`, handing its processor to `due`.
+    fn pop_due(&mut self, now: u64, mut due: impl FnMut(usize)) {
+        while let Some(min) = self.min.filter(|&m| m <= now) {
+            if self.head[0] == NO_PROC {
+                // Re-key the lowest non-empty bucket around its minimum.
+                let b = self.bucket(min);
+                self.floor = min;
+                let mut p = std::mem::replace(&mut self.head[b], NO_PROC);
+                while p != NO_PROC {
+                    let (i, after) = (p as usize, self.next[p as usize]);
+                    let to = self.bucket(self.at[i]);
+                    self.next[i] = self.head[to];
+                    self.head[to] = p;
+                    p = after;
+                }
+            }
+            let mut p = std::mem::replace(&mut self.head[0], NO_PROC);
+            while p != NO_PROC {
+                due(p as usize);
+                p = self.next[p as usize];
+            }
+            self.min = self.head.iter().find(|&&h| h != NO_PROC).map(|&h| {
+                let (mut p, mut m) = (h, u64::MAX);
+                while p != NO_PROC {
+                    m = m.min(self.at[p as usize]);
+                    p = self.next[p as usize];
+                }
+                m
+            });
+        }
+    }
+}
+
 /// Program-execution state for all processors.
 pub struct Engine {
     procs: Vec<Proc>,
     nic_cycle_ns: u64,
     /// Runnable processors (neither finished nor parked), keyed by
-    /// `(ready_at, proc)`.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// `ready_at`.
+    ready: WakeQueue,
     /// Processors parked at a barrier.
     parked: usize,
     /// Processors that executed their whole program.
     finished: usize,
     /// Whether a poll has run. Before the first one every runnable
     /// processor is due at time 0, so that poll takes them straight from
-    /// the program list and the heap is only built from what stays
-    /// runnable.
+    /// the program list and the queue only holds what stays runnable.
     started: bool,
     /// The processors due in the current round, one bit per processor,
     /// kept across polls. Set bits iterate in ascending index order.
@@ -153,7 +243,7 @@ impl Engine {
             finished: procs.iter().filter(|p| p.done()).count(),
             procs,
             nic_cycle_ns,
-            ready: BinaryHeap::new(),
+            ready: WakeQueue::new(n),
             parked: 0,
             started: false,
             due: vec![0; n.div_ceil(64)],
@@ -171,12 +261,13 @@ impl Engine {
         if !self.started {
             return (self.finished < self.procs.len()).then_some(0);
         }
-        self.ready.peek().map(|&Reverse((t, _))| t)
+        self.ready.min
     }
 
-    /// Runs every processor forward to `now`. `network_drained` must be
-    /// true iff no injected message is still undelivered; it gates barrier
-    /// release. Returns timestamped effects in nondecreasing time order.
+    /// Runs every processor forward to `now`, which must not decrease
+    /// between polls. `network_drained` must be true iff no injected
+    /// message is still undelivered; it gates barrier release. Returns
+    /// timestamped effects in nondecreasing time order.
     ///
     /// Release and execution iterate to a fixpoint, so a processor that
     /// reaches its barrier during this poll can still be released by it —
@@ -184,16 +275,33 @@ impl Engine {
     /// injection invalidates `network_drained`).
     pub fn poll(&mut self, now: u64, network_drained: bool) -> Vec<(u64, Effect)> {
         let mut effects = Vec::new();
+        self.poll_into(now, network_drained, &mut effects);
+        effects
+    }
+
+    /// [`poll`](Self::poll) into a caller-owned buffer, which is cleared
+    /// first, so a run that reuses one buffer allocates nothing per poll.
+    ///
+    /// Each round's effects are in processor order, and a barrier release
+    /// round runs at `now`, after every earlier effect. So the effects
+    /// are already in time order unless the poll came later than some
+    /// processor's wake-up and two processors' clocks interleave; every
+    /// switch polls at the engine's own wake-ups. Only then are they
+    /// stable-sorted by time, and equal times keep round, processor and
+    /// command order either way.
+    pub fn poll_into(&mut self, now: u64, network_drained: bool, effects: &mut Vec<(u64, Effect)>) {
+        effects.clear();
         loop {
-            self.run_due(now, &mut effects);
+            self.run_due(now, effects);
             let drained =
                 network_drained && !effects.iter().any(|(_, e)| matches!(e, Effect::Inject(_)));
             if !self.try_release_barrier(now, drained) {
                 break;
             }
         }
-        effects.sort_by_key(|&(t, _)| t);
-        effects
+        if !effects.is_sorted_by_key(|&(t, _)| t) {
+            effects.sort_by_key(|&(t, _)| t);
+        }
     }
 
     /// Runs, in index order, every runnable processor due by `now`, then
@@ -212,13 +320,7 @@ impl Engine {
                 .filter(|&i| !self.procs[i].done())
                 .for_each(&mut mark);
         } else {
-            while let Some(&Reverse((t, i))) = self.ready.peek() {
-                if t > now {
-                    break;
-                }
-                self.ready.pop();
-                mark(i);
-            }
+            self.ready.pop_due(now, &mut mark);
         }
         for (w, word) in due.iter_mut().enumerate().take(hi).skip(lo) {
             let mut bits = std::mem::take(word);
@@ -262,9 +364,9 @@ impl Engine {
         true
     }
 
-    /// Puts runnable processor `i` back on the ready heap.
+    /// Puts runnable processor `i` back on the ready queue.
     fn push_ready(&mut self, i: usize) {
-        self.ready.push(Reverse((self.procs[i].ready_at, i)));
+        self.ready.push(self.procs[i].ready_at, i);
     }
 }
 
@@ -360,6 +462,50 @@ mod tests {
         assert_eq!(fx, vec![(0, Effect::Preload(1)), (10, Effect::Flush)]);
     }
 
+    /// A poll past several wake-ups whose barrier opens: the first
+    /// round's effects interleave two processors' clocks, the release
+    /// round follows at `now`, and the reused buffer is sorted into
+    /// exactly what a fresh `poll` returns.
+    #[test]
+    fn poll_into_matches_poll_across_a_barrier_release() {
+        let build = || {
+            let mut a = Program::new();
+            a.cmds
+                .extend([Command::Flush, Command::Flush, Command::Flush]);
+            a.barrier();
+            a.cmds
+                .extend([Command::Flush, Command::Preload { pattern: 2 }]);
+            let mut b = Program::new();
+            b.delay(5);
+            b.cmds
+                .extend([Command::Preload { pattern: 1 }, Command::Flush]);
+            b.barrier();
+            b.cmds.push(Command::Flush);
+            let (w, table) = wl(vec![a, b]);
+            Engine::new(&w, &table, 10)
+        };
+        let (mut fresh, mut reused) = (build(), build());
+        let mut buf = vec![(7, Effect::Inject(99))];
+        for (now, drained) in [(0, false), (1_000, true), (1_010, true), (2_000, true)] {
+            reused.poll_into(now, drained, &mut buf);
+            assert_eq!(buf, fresh.poll(now, drained), "poll at {now}");
+            if now == 1_000 {
+                assert_eq!(
+                    buf,
+                    vec![
+                        (5, Effect::Preload(1)),
+                        (10, Effect::Flush),
+                        (15, Effect::Flush),
+                        (20, Effect::Flush),
+                        (1_000, Effect::Flush),
+                        (1_000, Effect::Flush),
+                    ]
+                );
+            }
+        }
+        assert!(reused.all_done() && fresh.all_done());
+    }
+
     #[test]
     fn finished_engine_has_no_wake() {
         let (w, table) = wl(vec![Program::new(), Program::new()]);
@@ -447,7 +593,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The ready-heap engine and the full-scan reference, driven in
+        /// The ready-queue engine and the full-scan reference, driven in
         /// lockstep through random polls (repeated `now` values and random
         /// drain flags included), then run to completion, agree on every
         /// `poll`, `next_wake` and `all_done`.

@@ -1,9 +1,9 @@
-//! The scan engine the ready-heap [`Engine`](super::Engine) replaced,
+//! The scan engine the ready-queue [`Engine`](super::Engine) replaced,
 //! kept as the oracle for the differential test in `super::tests`.
 //!
 //! Every call visits every processor: `poll` executes all of them in
 //! index order, then scans them twice more to decide barrier release;
-//! `next_wake` and `all_done` are full scans too. The ready-heap engine
+//! `next_wake` and `all_done` are full scans too. The ready-queue engine
 //! must agree with it on every `poll`, `next_wake` and `all_done`.
 
 use super::{Effect, Proc};

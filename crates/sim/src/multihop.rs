@@ -144,12 +144,12 @@ impl Switch for MultihopWormhole {
 
 impl MultihopWormhole {
     fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
-        for (t, fx) in core.poll_engine(now) {
+        core.poll_engine(now, |core, t, fx| {
             if let Effect::Inject(id) = fx {
                 core.inject(id, t, 0, true);
                 self.queue_worms(core, id, t);
             }
-        }
+        });
         core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 

@@ -101,6 +101,9 @@ pub struct SimCore {
     workload_name: String,
     pub(crate) msgs: Vec<MsgState>,
     pub(crate) engine: Engine,
+    /// The effect buffer every engine poll fills, kept so a poll
+    /// allocates nothing.
+    effects: Vec<(u64, Effect)>,
     /// Instants with an engine wake-up queued by
     /// [`queue_engine_wake`](Self::queue_engine_wake) that has not fired.
     engine_wakes: Vec<u64>,
@@ -136,6 +139,7 @@ impl SimCore {
             workload_name: workload.name.clone(),
             msgs: table.iter().map(|m| MsgState::new(*m)).collect(),
             engine,
+            effects: Vec::new(),
             engine_wakes: Vec::new(),
             undelivered: 0,
             faults: None,
@@ -161,11 +165,16 @@ impl SimCore {
         );
     }
 
-    /// Runs every processor forward to `now` and returns the timestamped
-    /// effects, in time order.
-    pub(crate) fn poll_engine(&mut self, now: u64) -> Vec<(u64, Effect)> {
-        let drained = self.undelivered == 0;
-        self.engine.poll(now, drained)
+    /// Runs every processor forward to `now` and hands each timestamped
+    /// effect, in time order, to `apply` together with the core.
+    pub(crate) fn poll_engine(&mut self, now: u64, mut apply: impl FnMut(&mut Self, u64, Effect)) {
+        let mut effects = std::mem::take(&mut self.effects);
+        self.engine
+            .poll_into(now, self.undelivered == 0, &mut effects);
+        for &(t, fx) in &effects {
+            apply(self, t, fx);
+        }
+        self.effects = effects;
     }
 
     /// Queues `wake` on `events` for the engine's next wake-up after

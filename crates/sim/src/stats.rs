@@ -111,10 +111,13 @@ impl SimStats {
             ws_hits: 0,
             msg_retries: 0,
             msgs_abandoned: 0,
-            latency_samples: Vec::new(),
+            // Exact size for a run that delivers everything: doubling
+            // growth would leave up to half of the buffer unused.
+            latency_samples: Vec::with_capacity(messages.len().min(Self::MAX_EXACT_SAMPLES)),
             latency_histogram: Histogram::new(),
         };
-        let mut senders = std::collections::BTreeSet::new();
+        // One bit per source port, grown to the highest one seen.
+        let mut senders: Vec<u64> = Vec::new();
         let mut rng = Self::RESERVOIR_SEED;
         let mut seen = 0u64;
         for m in messages {
@@ -138,11 +141,15 @@ impl SimStats {
                         *slot = lat;
                     }
                 }
-                senders.insert(m.spec.src);
+                let (word, bit) = (m.spec.src / 64, m.spec.src % 64);
+                if word >= senders.len() {
+                    senders.resize(word + 1, 0);
+                }
+                senders[word] |= 1 << bit;
             }
         }
         s.latency_samples.sort_unstable();
-        s.active_senders = senders.len();
+        s.active_senders = senders.iter().map(|w| w.count_ones() as usize).sum();
         s
     }
 
@@ -324,6 +331,38 @@ mod tests {
         assert_eq!(s.active_senders, 2);
         assert_eq!(s.max_latency_ns, 400);
         assert!((s.mean_latency_ns() - (200.0 + 400.0 + 100.0) / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn active_senders_counts_sparse_high_ports() {
+        // Ports far apart, one on each side of a word boundary, one
+        // repeated, and one sender whose only message is undelivered.
+        let mut msgs: Vec<MsgState> = [(0, 5), (1, 63), (2, 64), (3, 4_097), (4, 63), (5, 70_000)]
+            .into_iter()
+            .map(|(id, src)| msg(id, src, 8, 0, 10))
+            .collect();
+        let mut pending = MsgState::new(MsgSpec {
+            id: 6,
+            src: 9_999,
+            dst: 0,
+            bytes: 8,
+        });
+        pending.enqueued_at = Some(0);
+        msgs.push(pending);
+        let s = SimStats::from_messages("test", "wl", &msgs);
+        assert_eq!(s.active_senders, 5);
+    }
+
+    #[test]
+    fn latency_samples_are_sized_exactly_below_the_cap() {
+        for n in [1, 3, 100, 1_000] {
+            let msgs: Vec<MsgState> = (0..n)
+                .map(|i| msg(i, i % 4, 8, 0, (i as u64 + 1) * 10))
+                .collect();
+            let s = SimStats::from_messages("test", "wl", &msgs);
+            assert_eq!(s.latency_samples.len(), n);
+            assert_eq!(s.latency_samples.capacity(), n, "{n} deliveries");
+        }
     }
 
     #[test]

@@ -138,6 +138,9 @@ pub struct Tdm {
     /// when they rose, as `(u, v, head)`: their working-set lookup waits
     /// for the first pass that sees the line.
     hidden_heads: Vec<(usize, usize, usize)>,
+    /// The heads a pass classifies, filled by [`take_lookups`] and kept
+    /// so a pass allocates nothing.
+    lookups: Vec<(usize, usize, usize)>,
     phase_flushes: u64,
     ws_lookups: u64,
     ws_hits: u64,
@@ -175,7 +178,11 @@ impl TdmSim {
     ///
     /// # Panics
     /// Panics on port mismatches, or (Hybrid) when the workload does not
-    /// provide enough preloadable patterns for `preload_slots`.
+    /// provide enough preloadable patterns for `preload_slots`. A Hybrid
+    /// run with `preload_slots == K`, whose workload issues no `preload`
+    /// command and sends a message whose pair is in none of the preloaded
+    /// configurations, has no register to schedule that message: it
+    /// panics in `run` on the `max_sim_ns` deadlock guard.
     pub fn new(workload: &Workload, params: &SimParams, mode: TdmMode) -> Self {
         let core = SimCore::new(workload, params);
         let k = params.tdm_slots;
@@ -315,6 +322,7 @@ impl TdmSim {
             has_dynamic,
             phase_detector: None,
             hidden_heads: Vec::new(),
+            lookups: Vec::new(),
             phase_flushes: 0,
             ws_lookups: 0,
             ws_hits: 0,
@@ -464,22 +472,20 @@ impl Tdm {
         }
     }
     fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
-        for (te, fx) in core.poll_engine(now) {
-            match fx {
-                Effect::Inject(id) => {
-                    let spec = core.msgs[id].spec;
-                    let new_request = self.voqs.push(spec.src, spec.dst, id);
-                    core.inject(id, te, self.cur_slot, new_request);
-                }
-                Effect::Flush => {
-                    if let Backend::Scheduled { scheduler, .. } = &mut self.backend {
-                        let router = self.router.as_deref_mut();
-                        flush_dynamic(core, scheduler, router, te, self.cur_slot);
-                    }
-                }
-                Effect::Preload(pat) => self.load_pattern(core, pat, te),
+        core.poll_engine(now, |core, te, fx| match fx {
+            Effect::Inject(id) => {
+                let spec = core.msgs[id].spec;
+                let new_request = self.voqs.push(spec.src, spec.dst, id);
+                core.inject(id, te, self.cur_slot, new_request);
             }
-        }
+            Effect::Flush => {
+                if let Backend::Scheduled { scheduler, .. } = &mut self.backend {
+                    let router = self.router.as_deref_mut();
+                    flush_dynamic(core, scheduler, router, te, self.cur_slot);
+                }
+            }
+            Effect::Preload(pat) => self.load_pattern(core, pat, te),
+        });
     }
 
     /// A compiler preload command. Loading a pattern replaces whatever
@@ -895,7 +901,7 @@ impl Tdm {
         // Classify each newly visible head message as a working-set hit or
         // miss: the hit rate is the §5 metric, and misses feed the §3.3
         // phase detector when one is attached.
-        let lookups = take_lookups(&self.voqs, &mut self.hidden_heads, &r);
+        take_lookups(&self.voqs, &mut self.hidden_heads, &r, &mut self.lookups);
         let Backend::Scheduled {
             scheduler,
             predictor,
@@ -905,7 +911,7 @@ impl Tdm {
             return;
         };
         let mut flush = false;
-        for &(u, v, head) in &lookups {
+        for &(u, v, head) in &self.lookups {
             let hit = scheduler.established(u, v);
             self.ws_lookups += 1;
             if hit {
@@ -977,17 +983,18 @@ impl Tdm {
     }
 }
 
-/// Heads whose request line is visible in `r` for the first time, in
-/// `(u, v, head)` order: the heads the last [`Voqs::raise_due`] raised,
-/// plus earlier ones a grant-drop backoff hid until now. Heads still
-/// hidden stay in `hidden` for a later pass; heads that left their queue
-/// meanwhile are never classified.
+/// Fills `lookups` with the heads whose request line is visible in `r`
+/// for the first time, in `(u, v, head)` order: the heads the last
+/// [`Voqs::raise_due`] raised, plus earlier ones a grant-drop backoff hid
+/// until now. Heads still hidden stay in `hidden` for a later pass;
+/// heads that left their queue meanwhile are never classified.
 fn take_lookups(
     voqs: &Voqs,
     hidden: &mut Vec<(usize, usize, usize)>,
     r: &BitMatrix,
-) -> Vec<(usize, usize, usize)> {
-    let mut lookups = Vec::new();
+    lookups: &mut Vec<(usize, usize, usize)>,
+) {
+    lookups.clear();
     hidden.retain(|&(u, v, head)| {
         if voqs.front(u, v) != Some(head) {
             return false;
@@ -1006,7 +1013,6 @@ fn take_lookups(
         }
     }
     lookups.sort_unstable();
-    lookups
 }
 
 /// Traces a configuration landing in register `slot`: `PreloadApplied`,
@@ -1105,22 +1111,24 @@ mod tests {
         for (id, m) in msgs.iter().enumerate() {
             voqs.push(m.spec.src, m.spec.dst, id);
         }
-        let mut hidden = Vec::new();
+        let (mut hidden, mut lookups) = (Vec::new(), Vec::new());
         voqs.raise_due(&msgs, 80);
         let mut held = voqs.requests().clone();
         held.set(0, 3, false);
         held.set(1, 2, false);
-        assert!(take_lookups(&voqs, &mut hidden, &held).is_empty());
+        take_lookups(&voqs, &mut hidden, &held, &mut lookups);
+        assert!(lookups.is_empty());
         assert_eq!(hidden, vec![(0, 3, 0), (1, 2, 2)]);
 
         voqs.raise_due(&msgs, 160);
         held.set(1, 2, true);
-        assert_eq!(take_lookups(&voqs, &mut hidden, &held), vec![(1, 2, 2)]);
+        take_lookups(&voqs, &mut hidden, &held, &mut lookups);
+        assert_eq!(lookups, vec![(1, 2, 2)]);
         assert_eq!(hidden, vec![(0, 3, 0)]);
 
         voqs.pop(0, 3);
         voqs.raise_due(&msgs, 240);
-        let lookups = take_lookups(&voqs, &mut hidden, voqs.requests());
+        take_lookups(&voqs, &mut hidden, voqs.requests(), &mut lookups);
         assert_eq!(
             lookups,
             vec![(0, 3, 1)],

@@ -14,17 +14,26 @@
 //!
 //! A queue's request line rises one request-wire propagation after its
 //! head message was enqueued. With request lines enabled
-//! ([`Voqs::with_request_lines`]) the lines are kept incrementally: a
-//! message that becomes a queue head — pushed into an empty queue, or
-//! exposed by a pop — is keyed by the time its line is due onto a
-//! min-heap, and [`Voqs::raise_due`] moves the due heads into a persistent
-//! request matrix. A scheduler pass then costs what changed since the
-//! last pass, not what is queued.
+//! ([`Voqs::with_request_lines`]) the lines are kept incrementally, and
+//! each message costs O(1) bookkeeping on its way to the line:
+//!
+//! * a message pushed into an empty queue waits in one FIFO, in push
+//!   order, which is also the order of its due time (see
+//!   [`Voqs::raise_due`]);
+//! * a head exposed by a pop rises directly when its line is already
+//!   due, which is the common case: it was enqueued behind the head it
+//!   replaces;
+//! * only an exposed head enqueued less than one wire delay before it
+//!   was exposed waits on a small min-heap keyed by its due time.
+//!
+//! [`Voqs::raise_due`] moves the due heads into a persistent request
+//! matrix. A scheduler pass then costs what changed since the last pass,
+//! not what is queued.
 
 use crate::message::MsgState;
 use pms_bitmat::BitMatrix;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 const LINES_OFF: &str = "request lines are off; build with `with_request_lines`";
 
@@ -53,15 +62,24 @@ struct RequestLines {
     wire_ns: u64,
     /// Bit `(u, v)` is set iff queue `(u, v)`'s line is up.
     visible: BitMatrix,
-    /// Messages that became a queue head since the last
-    /// [`raise_due`](Voqs::raise_due), not yet keyed by their due time:
-    /// a pushed message's `enqueued_at` is stamped after the push, and a
-    /// pop does not see the message table.
-    fresh: Vec<u32>,
-    /// `(due time, head)` min-heap of lines waiting to rise. An entry
-    /// whose message left its queue head before it was due is stale and
-    /// dropped when it surfaces.
-    due: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Messages pushed into an empty queue whose line has not risen, in
+    /// push order (their due times never decrease). Ids only: a due time
+    /// is read from the message table when the entry reaches the front,
+    /// since a pushed message's `enqueued_at` is stamped after the push.
+    /// An entry whose message left its queue before it was due is stale
+    /// and dropped when it reaches the front.
+    pushed: VecDeque<u32>,
+    /// The due time of the last entry taken from `pushed`: the floor the
+    /// next one must not fall below.
+    pushed_due: u64,
+    /// Heads exposed by a pop since the last
+    /// [`raise_due`](Voqs::raise_due); a pop does not see the message
+    /// table.
+    exposed: Vec<u32>,
+    /// `(due time, head)` min-heap of exposed heads whose line was not
+    /// yet due when [`raise_due`](Voqs::raise_due) first saw them. Stale
+    /// entries are dropped when they surface, as in `pushed`.
+    young: BinaryHeap<Reverse<(u64, u32)>>,
     /// The heads raised by the last [`raise_due`](Voqs::raise_due), as
     /// `(u, v, head)` sorted by `(u, v)`.
     raised: Vec<(usize, usize, usize)>,
@@ -90,8 +108,10 @@ impl Voqs {
         self.lines = Some(RequestLines {
             wire_ns,
             visible: BitMatrix::square(self.ports),
-            fresh: Vec::new(),
-            due: BinaryHeap::new(),
+            pushed: VecDeque::new(),
+            pushed_due: 0,
+            exposed: Vec::new(),
+            young: BinaryHeap::new(),
             raised: Vec::new(),
         });
         self
@@ -121,7 +141,7 @@ impl Voqs {
             self.next[msg] = id;
             self.nonempty.set(u, v, true);
             if let Some(lines) = &mut self.lines {
-                lines.fresh.push(id);
+                lines.pushed.push_back(id);
             }
         } else {
             let last = (self.tail[i] - 1) as usize;
@@ -158,7 +178,7 @@ impl Voqs {
         };
         if let Some(lines) = &mut self.lines {
             lines.visible.set(u, v, false);
-            lines.fresh.extend(exposed);
+            lines.exposed.extend(exposed);
         }
         self.queued -= 1;
         Some(head)
@@ -200,32 +220,67 @@ impl Voqs {
 
     /// Raises every request line due by `now`: each queue whose head was
     /// enqueued at least one request-wire propagation ago. `now` must not
-    /// decrease between calls. The heads raised by this call are then
-    /// listed by [`raised`](Self::raised).
+    /// decrease between calls, and messages must be pushed in
+    /// nondecreasing `enqueued_at` order. The heads raised by this call
+    /// are then listed by [`raised`](Self::raised).
+    ///
+    /// The push order is the due order because every owner pushes a
+    /// message as it applies the engine's `Inject` effect and stamps
+    /// `enqueued_at` with the effect's time. `Engine::poll` returns each
+    /// poll's effects in nondecreasing time, and no effect of a later
+    /// poll is earlier than the `now` of the one before: a processor
+    /// still runnable after a poll has `ready_at > now`, and a barrier
+    /// release moves `ready_at` to at least `now`. So `enqueued_at +
+    /// wire_ns` never decreases along `pushed`, and the FIFO stops at its
+    /// first entry that is not yet due.
     ///
     /// # Panics
     /// Panics unless built [`with_request_lines`](Self::with_request_lines).
     pub fn raise_due(&mut self, msgs: &[MsgState], now: u64) {
-        let lines = self.lines.as_mut().expect(LINES_OFF);
-        for id in lines.fresh.drain(..) {
-            let enq = msgs[id as usize].enqueued_at.expect("queued => enqueued");
-            lines.due.push(Reverse((enq + lines.wire_ns, id)));
-        }
+        let mut lines = self.lines.take().expect(LINES_OFF);
+        let wire_ns = lines.wire_ns;
+        let due_at = |id: u32| msgs[id as usize].enqueued_at.expect("queued => enqueued") + wire_ns;
+        // Raises `id`'s line if it still heads its queue.
+        let raise = |lines: &mut RequestLines, id: u32| {
+            let spec = msgs[id as usize].spec;
+            if self.front(spec.src, spec.dst) == Some(id as usize) {
+                lines.visible.set(spec.src, spec.dst, true);
+                lines.raised.push((spec.src, spec.dst, id as usize));
+            }
+        };
         lines.raised.clear();
-        while let Some(&Reverse((due, id))) = lines.due.peek() {
+        while let Some(&id) = lines.pushed.front() {
+            let due = due_at(id);
             if due > now {
                 break;
             }
-            lines.due.pop();
-            let spec = msgs[id as usize].spec;
-            let (u, v, head) = (spec.src, spec.dst, id as usize);
-            let t = self.tail[u * self.ports + v];
-            if t != 0 && self.next[(t - 1) as usize] as usize == head {
-                lines.visible.set(u, v, true);
-                lines.raised.push((u, v, head));
+            debug_assert!(
+                due >= lines.pushed_due,
+                "message {id} pushed out of enqueue order"
+            );
+            lines.pushed_due = due;
+            lines.pushed.pop_front();
+            raise(&mut lines, id);
+        }
+        let mut exposed = std::mem::take(&mut lines.exposed);
+        for id in exposed.drain(..) {
+            let due = due_at(id);
+            if due <= now {
+                raise(&mut lines, id);
+            } else {
+                lines.young.push(Reverse((due, id)));
             }
         }
+        lines.exposed = exposed;
+        while let Some(&Reverse((due, id))) = lines.young.peek() {
+            if due > now {
+                break;
+            }
+            lines.young.pop();
+            raise(&mut lines, id);
+        }
         lines.raised.sort_unstable();
+        self.lines = Some(lines);
     }
 
     /// The request matrix `R` as of the last [`raise_due`](Self::raise_due):

@@ -196,14 +196,14 @@ impl Switch for Wormhole {
 
 impl Wormhole {
     fn poll_engine(&mut self, core: &mut SimCore, now: u64) {
-        for (t, fx) in core.poll_engine(now) {
+        core.poll_engine(now, |core, t, fx| {
             // A wormhole network has no connection state to flush or
             // preload; those commands are no-ops here.
             if let Effect::Inject(id) = fx {
                 core.inject(id, t, 0, true);
                 self.queue_worms(core, id, t);
             }
-        }
+        });
         core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 
