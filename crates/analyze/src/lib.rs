@@ -43,7 +43,7 @@
 //!   [`Report`](report::Report), rendered as JSON or terminal text.
 //!
 //! [`replay`] parses JSONL traces (as written by
-//! [`pms_trace::JsonlTracer`] or [`pms_trace::write_jsonl`]) back into
+//! [`pms_trace::write_jsonl`]) back into
 //! [`pms_trace::TraceRecord`]s, so the `analyze` binary reproduces the
 //! exact report a live `simulate --report` run would have produced:
 //! reports are pure functions of the record stream.

@@ -8,13 +8,28 @@
 
 use pms_analyze::parse_jsonl;
 use pms_faults::{FaultKind, FaultPlan};
-use pms_sim::{Paradigm, PredictorKind, SimParams};
+use pms_sim::{Paradigm, PredictorKind, RunSpec, SimParams, SimStats};
 use pms_trace::{
     record_json, replay_alerts, AlertRules, SnapshotConfig, TraceEvent, TraceRecord, Tracer,
     DEFAULT_WINDOW_SLOTS,
 };
 use pms_workloads::{Program, Workload};
 use proptest::prelude::*;
+
+/// Runs `paradigm` on `w` under `plan` through the validated entry point.
+fn run_with_plan(
+    paradigm: &Paradigm,
+    w: &Workload,
+    params: &SimParams,
+    plan: FaultPlan,
+    tracer: Tracer,
+) -> (SimStats, Tracer) {
+    let spec = RunSpec {
+        plan,
+        ..RunSpec::new(w, params.clone(), paradigm.clone())
+    };
+    spec.validate().expect("valid run").run(tracer)
+}
 
 const PORTS: usize = 8;
 
@@ -123,13 +138,13 @@ proptest! {
         ];
         for p in paradigms {
             let tracer = Tracer::pipeline(cfg, Some(rules.clone()), Tracer::vec());
-            let (_, tracer) = p.run_faulted(&w, &params, fault_plan(faulted), tracer);
+            let (_, tracer) = run_with_plan(&p, &w, &params, fault_plan(faulted), tracer);
             let live = tracer.records();
             let live_alerts = alert_records(&live);
 
             // Live reruns are bit-identical: the engine has no hidden state.
             let tracer2 = Tracer::pipeline(cfg, Some(rules.clone()), Tracer::vec());
-            let (_, tracer2) = p.run_faulted(&w, &params, fault_plan(faulted), tracer2);
+            let (_, tracer2) = run_with_plan(&p, &w, &params, fault_plan(faulted), tracer2);
             prop_assert_eq!(
                 &live_alerts,
                 &alert_records(&tracer2.records()),

@@ -48,14 +48,16 @@ fn main() {
         Paradigm::PreloadTdm,
     ];
     let duties = [0, 10, 20, 30, 40, 50, 60];
-    let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, threads);
+    let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, threads)
+        .unwrap_or_else(|e| cli::fail(format!("degradation: {e}")));
     println!(
         "blackout degradation: {} ({} ports, {} B, 2000 ns period)",
         w.name, ports, bytes
     );
     print!("{}", render_degradation(&rows, params.link.bytes_per_ns()));
     if let Some(path) = timeseries_csv {
-        let windows = degradation_timeseries(&w, &params, &paradigms, duty, 2_000);
+        let windows = degradation_timeseries(&w, &params, &paradigms, duty, 2_000)
+            .unwrap_or_else(|e| cli::fail(format!("degradation: {e}")));
         std::fs::write(&path, degradation_timeseries_csv(&windows))
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
         eprintln!(

@@ -18,7 +18,7 @@
 //! OUT.csv` exports the cell's per-window metrics series.
 
 use pms_bench::{figures, write_results, TraceFlags};
-use pms_sim::{Paradigm, PredictorKind};
+use pms_sim::{Paradigm, PredictorKind, RunSpec};
 use pms_trace::cli;
 use pms_workloads::scatter;
 
@@ -55,8 +55,8 @@ fn main() {
 
     write_results("fig4", &fig.to_json());
 
-    traced.run("scatter/64B dynamic-tdm", |tracer| {
-        let paradigm = Paradigm::DynamicTdm(PredictorKind::Drop);
-        paradigm.run_traced(&scatter(ports, 64), params, tracer).1
-    });
+    let workload = scatter(ports, 64);
+    let paradigm = Paradigm::DynamicTdm(PredictorKind::Drop);
+    let spec = RunSpec::new(&workload, params.clone(), paradigm);
+    traced.run("scatter/64B dynamic-tdm", spec);
 }

@@ -18,7 +18,7 @@
 //! `--timeseries-csv OUT.csv` exports the cell's per-window series.
 
 use pms_bench::{figures, write_results, TraceFlags};
-use pms_sim::{Paradigm, PredictorKind};
+use pms_sim::{Paradigm, PredictorKind, RunSpec};
 use pms_trace::cli;
 use pms_workloads::{hybrid, HybridSpec};
 
@@ -77,18 +77,17 @@ fn main() {
 
     write_results("fig5", &fig.to_json());
 
-    traced.run("hybrid 85%/1p", |tracer| {
-        let workload = hybrid(HybridSpec {
-            ports,
-            determinism: 0.85,
-            messages_per_proc: msgs,
-            bytes: 64,
-            seed: 1,
-        });
-        let paradigm = Paradigm::HybridTdm {
-            preload_slots: 1,
-            predictor: PredictorKind::Drop,
-        };
-        paradigm.run_traced(&workload, params, tracer).1
+    let workload = hybrid(HybridSpec {
+        ports,
+        determinism: 0.85,
+        messages_per_proc: msgs,
+        bytes: 64,
+        seed: 1,
     });
+    let paradigm = Paradigm::HybridTdm {
+        preload_slots: 1,
+        predictor: PredictorKind::Drop,
+    };
+    let spec = RunSpec::new(&workload, params.clone(), paradigm);
+    traced.run("hybrid 85%/1p", spec);
 }

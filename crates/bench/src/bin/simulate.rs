@@ -14,14 +14,14 @@ use pms_analyze::ReportConfig;
 use pms_bench::{write_report_file, write_trace_file};
 use pms_faults::FaultPlan;
 use pms_predict::PhaseDetectorConfig;
-use pms_sim::{Paradigm, PredictorKind, SimParams, TdmMode, TdmSim};
+use pms_sim::{Paradigm, PredictorKind, RunSpec, SimParams};
 use pms_telemetry::TelemetryServer;
 use pms_trace::cli::{self, die, fail, FlagError, Flags};
 use pms_trace::{
     series_to_csv, AlertRules, FlightConfig, SharedTracer, SnapshotConfig, Tracer,
     DEFAULT_WINDOW_SLOTS,
 };
-use pms_workloads::{build_pattern, Command, Workload};
+use pms_workloads::{build_pattern, Workload};
 
 struct Args {
     pattern: String,
@@ -96,8 +96,8 @@ paradigms: wormhole circuit dynamic preload hybrid0 hybrid1 hybrid2
            (outputs are byte-identical either way; only wall-clock
            changes — see DESIGN.md, Performance model)";
 
-/// Builds the `--pattern` workload, or says why `--ports` does not fit it.
-fn build_workload(a: &Args) -> Result<Workload, String> {
+/// Builds the `--pattern` workload.
+fn build_workload(a: &Args) -> Workload {
     // `dir:<path>` loads per-processor command files (as written by the
     // dump_cmdfiles tool) instead of generating a pattern.
     if let Some(dir) = a.pattern.strip_prefix("dir:") {
@@ -117,61 +117,11 @@ fn build_workload(a: &Args) -> Result<Workload, String> {
                     .unwrap_or_else(|e| die(format!("cannot read {}: {e}", p.display())))
             })
             .collect();
-        let w = Workload::from_command_files(format!("dir:{dir}"), &files)
+        return Workload::from_command_files(format!("dir:{dir}"), &files)
             .unwrap_or_else(|(p, e)| die(format!("processor {p}: {e}")));
-        if w.ports != a.ports {
-            return Err(format!(
-                "{dir} holds {} processors, but --ports is {}",
-                w.ports, a.ports
-            ));
-        }
-        return Ok(w);
     }
-    build_pattern(&a.pattern, a.ports, a.bytes, None, a.seed).map_err(|e| e.to_string())
-}
-
-/// A hybrid paradigm preloads its registers from the workload's pattern
-/// table: it needs that many slots and that many preloadable
-/// configurations.
-fn check_preloads(a: &Args, paradigm: &Paradigm, workload: &Workload) -> Result<(), String> {
-    let Paradigm::HybridTdm { preload_slots, .. } = *paradigm else {
-        return Ok(());
-    };
-    let (name, slots) = (&a.paradigm, a.slots);
-    if preload_slots > slots {
-        return Err(format!(
-            "--paradigm {name} preloads {preload_slots} slots, but --slots is {slots}"
-        ));
-    }
-    let configs: usize = workload.patterns.iter().map(Vec::len).sum();
-    if configs < preload_slots {
-        return Err(format!(
-            "--paradigm {name} preloads {preload_slots} of the pattern's configurations, but --pattern {} provides {configs}",
-            a.pattern
-        ));
-    }
-    // With every register preloaded and no `preload` command to swap
-    // them, a message whose pair no preloaded configuration holds never
-    // moves; the run would end on the deadlock guard.
-    let swaps = workload
-        .programs
-        .iter()
-        .flat_map(|p| &p.cmds)
-        .any(|c| matches!(c, Command::Preload { .. }));
-    if preload_slots == slots && !swaps {
-        let preloaded: Vec<_> = workload.patterns.iter().flatten().take(slots).collect();
-        let stranded = workload
-            .message_table()
-            .into_iter()
-            .find(|m| !preloaded.iter().any(|cfg| cfg.get(m.src, m.dst)));
-        if let Some(m) = stranded {
-            return Err(format!(
-                "--paradigm {name} preloads every register (--slots {slots}), but message {} ({} -> {}) is in none of the preloaded configurations and --pattern {} issues no preload command",
-                m.id, m.src, m.dst, a.pattern
-            ));
-        }
-    }
-    Ok(())
+    build_pattern(&a.pattern, a.ports, a.bytes, None, a.seed)
+        .unwrap_or_else(|e| fail(format!("simulate: {e}")))
 }
 
 fn build_paradigm(a: &Args) -> Paradigm {
@@ -208,17 +158,13 @@ fn main() {
     if args.flight.is_some() && args.serve.is_some() {
         fail("simulate: --serve needs the full shared record buffer; it cannot be combined with --flight-recorder");
     }
-    if args.slots == 0 {
-        fail("simulate: --slots needs at least 1 TDM slot, got 0");
-    }
-    let workload = build_workload(&args).unwrap_or_else(|e| fail(format!("simulate: {e}")));
-    let paradigm = build_paradigm(&args);
-    check_preloads(&args, &paradigm, &workload).unwrap_or_else(|e| fail(format!("simulate: {e}")));
-    let params = SimParams::default()
+    let workload = build_workload(&args);
+    let mut params = SimParams::default()
         .with_ports(args.ports)
-        .with_tdm_slots(args.slots)
         .with_idle_skip(args.idle_skip);
+    params.tdm_slots = args.slots;
     let rate = params.link.bytes_per_ns();
+    let snap_cfg = SnapshotConfig::per_slots(params.slot_ns, DEFAULT_WINDOW_SLOTS);
     let plan = match &args.faults {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -227,6 +173,17 @@ fn main() {
         }
         None => FaultPlan::new(),
     };
+    let run = RunSpec {
+        plan,
+        phase_detector: args.phase_detector.then_some(PhaseDetectorConfig {
+            window: 8,
+            miss_threshold: 0.75,
+            cooldown: 16,
+        }),
+        ..RunSpec::new(&workload, params, build_paradigm(&args))
+    }
+    .validate()
+    .unwrap_or_else(|e| fail(format!("simulate: {e}")));
 
     let rules = args.alerts.as_ref().map(|path| {
         let text = std::fs::read_to_string(path)
@@ -258,7 +215,6 @@ fn main() {
     // series), and whenever snapshots or alerts were asked for
     // explicitly. The flight recorder dumps on alert-raised records
     // flowing through it, so it always gets a rule set.
-    let snap_cfg = SnapshotConfig::per_slots(params.slot_ns, DEFAULT_WINDOW_SLOTS);
     let want_alerts = rules.is_some();
     let tracer = if base.enabled() || want_alerts || args.timeseries_csv.is_some() {
         let rules = match (rules, args.flight.is_some()) {
@@ -271,27 +227,7 @@ fn main() {
         base
     };
     let wall_start = std::time::Instant::now();
-    let (stats, mut tracer) = if args.phase_detector {
-        // The phase detector is a `TdmSim` builder, not reachable through
-        // `Paradigm`, and needs dynamically scheduled registers.
-        let mode = match paradigm.tdm_mode() {
-            Some(mode @ (TdmMode::Dynamic { .. } | TdmMode::Hybrid { .. })) => mode,
-            _ => fail(
-                "simulate: --phase-detector needs a dynamic TDM paradigm (dynamic or hybrid0-2)",
-            ),
-        };
-        TdmSim::new(&workload, &params, mode)
-            .with_phase_detector(PhaseDetectorConfig {
-                window: 8,
-                miss_threshold: 0.75,
-                cooldown: 16,
-            })
-            .with_faults(plan)
-            .with_tracer(tracer)
-            .run_traced()
-    } else {
-        paradigm.run_faulted(&workload, &params, plan, tracer)
-    };
+    let (stats, mut tracer) = run.run(tracer);
     eprintln!(
         "wall-clock   : {:.3} ms{}",
         wall_start.elapsed().as_secs_f64() * 1e3,

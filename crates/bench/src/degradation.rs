@@ -8,7 +8,7 @@
 //! paradigm (graceful degradation, not collapse).
 
 use pms_faults::{FaultKind, FaultPlan};
-use pms_sim::{Paradigm, SimParams, SimStats};
+use pms_sim::{Paradigm, RunError, RunSpec, SimParams, SimStats};
 use pms_trace::{Snapshot, SnapshotConfig, Tracer, DEFAULT_WINDOW_SLOTS};
 use pms_workloads::Workload;
 
@@ -61,24 +61,27 @@ pub fn degradation_sweep(
     duties: &[u64],
     period_ns: u64,
     threads: usize,
-) -> Vec<DegradationRow> {
+) -> Result<Vec<DegradationRow>, RunError> {
     let jobs: Vec<(u64, Paradigm)> = duties
         .iter()
         .flat_map(|&d| paradigms.iter().map(move |p| (d, p.clone())))
         .collect();
     let cells = crate::runner::run_cells(threads, jobs, |_, (duty_pct, p)| {
-        let plan = blackout_plan(workload.ports as u32, duty_pct, period_ns);
-        let (stats, _) = p.run_faulted(workload, params, plan, Tracer::Null);
-        (p.label(), stats)
+        let spec = RunSpec {
+            plan: blackout_plan(workload.ports as u32, duty_pct, period_ns),
+            ..RunSpec::new(workload, params.clone(), p.clone())
+        };
+        Ok((p.label(), spec.validate()?.run(Tracer::Null).0))
     });
-    duties
+    let cells = cells.into_iter().collect::<Result<Vec<_>, RunError>>()?;
+    Ok(duties
         .iter()
         .zip(cells.chunks(paradigms.len().max(1)))
         .map(|(&duty_pct, row)| DegradationRow {
             duty_pct,
             cells: row.to_vec(),
         })
-        .collect()
+        .collect())
 }
 
 /// One emitted snapshot window of a paradigm's run under blackout
@@ -107,14 +110,17 @@ pub fn degradation_timeseries(
     paradigms: &[Paradigm],
     duty_pct: u64,
     period_ns: u64,
-) -> Vec<DegradationWindow> {
+) -> Result<Vec<DegradationWindow>, RunError> {
     let cfg = SnapshotConfig::per_slots(params.slot_ns, DEFAULT_WINDOW_SLOTS);
     let rate = params.link.bytes_per_ns();
     let mut out = Vec::new();
     for p in paradigms {
-        let plan = blackout_plan(workload.ports as u32, duty_pct, period_ns);
+        let spec = RunSpec {
+            plan: blackout_plan(workload.ports as u32, duty_pct, period_ns),
+            ..RunSpec::new(workload, params.clone(), p.clone())
+        };
         let tracer = Tracer::pipeline(cfg, None, Tracer::Null);
-        let (stats, tracer) = p.run_faulted(workload, params, plan, tracer);
+        let (stats, tracer) = spec.validate()?.run(tracer);
         let capacity = cfg.window_ns as f64 * stats.active_senders.max(1) as f64 * rate;
         for snap in tracer.snapshots() {
             out.push(DegradationWindow {
@@ -125,7 +131,7 @@ pub fn degradation_timeseries(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Renders the per-window series as CSV, one row per emitted window.
@@ -200,7 +206,7 @@ mod tests {
             Paradigm::PreloadTdm,
         ];
         let duties = [0, 30, 60];
-        let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, 1);
+        let rows = degradation_sweep(&w, &params, &paradigms, &duties, 2_000, 1).unwrap();
         let rate = params.link.bytes_per_ns();
         for (col, (label, _)) in rows[0].cells.iter().enumerate() {
             let effs: Vec<f64> = rows
@@ -233,7 +239,7 @@ mod tests {
         params.tdm_slots = 8;
         params.max_sim_ns = 1_000_000;
         let paradigms = [Paradigm::Wormhole, Paradigm::PreloadTdm];
-        let rows = degradation_timeseries(&w, &params, &paradigms, 30, 2_000);
+        let rows = degradation_timeseries(&w, &params, &paradigms, 30, 2_000).unwrap();
         assert!(!rows.is_empty(), "no snapshot windows emitted");
         for p in ["wormhole", "preload-tdm"] {
             assert!(rows.iter().any(|r| r.paradigm == p), "missing {p}");
@@ -249,7 +255,7 @@ mod tests {
             );
         }
         // Determinism: the same sweep yields the identical CSV.
-        let again = degradation_timeseries(&w, &params, &paradigms, 30, 2_000);
+        let again = degradation_timeseries(&w, &params, &paradigms, 30, 2_000).unwrap();
         assert_eq!(
             degradation_timeseries_csv(&rows),
             degradation_timeseries_csv(&again)

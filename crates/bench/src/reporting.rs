@@ -5,7 +5,8 @@
 //! no matter which binary produced them.
 
 use pms_analyze::{build_report, Report, ReportConfig};
-use pms_trace::cli::{die, FlagError, Flags};
+use pms_sim::RunSpec;
+use pms_trace::cli::{die, fail, FlagError, Flags};
 use pms_trace::{
     series_from_records, series_to_csv, write_chrome_trace, write_jsonl, AlertRules, Json,
     SnapshotConfig, TraceRecord, Tracer,
@@ -53,14 +54,13 @@ impl TraceFlags {
         })
     }
 
-    /// When any flag was given, `run` re-runs the figure's representative
-    /// cell once with the given tracer attached — the snapshot/alert
-    /// pipeline over an in-memory sink, so traces and reports carry the
-    /// per-window metrics-snapshot series (and any alert raises) — and
-    /// returns it; its records are written as a trace file, analysis
-    /// report, and/or time-series CSV. `label` names the cell in the
-    /// progress lines.
-    pub fn run(&self, label: &str, run: impl FnOnce(Tracer) -> Tracer) {
+    /// When any flag was given, `run` runs `spec`, the figure's
+    /// representative cell, once with the snapshot/alert pipeline over an
+    /// in-memory sink attached, so traces and reports carry the
+    /// per-window metrics-snapshot series (and any alert raises); its
+    /// records are written as a trace file, analysis report, and/or
+    /// time-series CSV. `label` names the cell in the progress lines.
+    pub fn run(&self, label: &str, spec: RunSpec) {
         let Self {
             trace,
             report,
@@ -78,11 +78,11 @@ impl TraceFlags {
                 .unwrap_or_else(|e| die(format!("cannot read alert rules {path}: {e}")));
             AlertRules::parse(&text).unwrap_or_else(|e| die(format!("{path}: {e}")))
         });
-        let mut tracer = run(Tracer::pipeline(
-            SnapshotConfig::default(),
-            rules,
-            Tracer::vec(),
-        ));
+        let run = spec
+            .validate()
+            .unwrap_or_else(|e| fail(format!("{label}: {e}")));
+        let tracer = Tracer::pipeline(SnapshotConfig::default(), rules, Tracer::vec());
+        let (_, mut tracer) = run.run(tracer);
         finish(&mut tracer);
         let records = tracer.records();
         if let Some(path) = trace {

@@ -30,7 +30,7 @@ fn hybrid_needs_preloadable_configurations() {
     );
     assert_geometry_error(
         "--paradigm hybrid2 --pattern scatter --ports 8 --slots 1",
-        "--slots is 1",
+        "cannot preload 2 TDM slots of 1",
     );
     // Every register preloaded, no preload command, and traffic outside
     // the preloaded configuration: nothing could ever schedule it.
@@ -67,7 +67,7 @@ fn command_files_must_match_the_port_count() {
     let dir_arg = format!("--pattern dir:{}", dir.display());
     assert_geometry_error(
         &format!("{dir_arg} --ports 8"),
-        "holds 2 processors, but --ports is 8",
+        "workload holds 2 processors, switch has 8 ports",
     );
     let out = simulate(&format!("{dir_arg} --ports 2"));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -108,7 +108,25 @@ fn command_files_must_send_between_their_processors() {
 
 #[test]
 fn slots_must_be_positive() {
-    assert_geometry_error("--slots 0 --ports 16", "--slots");
+    assert_geometry_error("--slots 0 --ports 16", "at least 1 TDM slot, got 0");
+}
+
+#[test]
+fn fault_plans_must_name_existing_ports() {
+    let dir = scratch_dir("fault-port");
+    let plan = dir.join("plan.txt");
+    std::fs::write(&plan, "link-down start=0 dur=1000 src=0 dst=99\n").unwrap();
+    let args = format!("--pattern uniform --ports 16 --faults {}", plan.display());
+    assert_geometry_error(&args, "fault plan names port 99, switch has 16 ports");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn phase_detector_needs_dynamic_slots() {
+    assert_geometry_error(
+        "--paradigm preload --pattern scatter --ports 8 --phase-detector",
+        "the phase detector needs a dynamically scheduled slot",
+    );
 }
 
 #[test]

@@ -23,6 +23,9 @@
 //!   compiled preloading, or the hybrid split of Figure 5;
 //! * [`multihop::MultihopWormholeSim`] — buffered wormhole on a torus.
 //!
+//! A [`Paradigm`] run goes through [`RunSpec::validate`], which rejects
+//! what it cannot run as a typed [`RunError`] before any cycle.
+//!
 //! All simulators are deterministic: integer nanosecond timestamps, no
 //! wall-clock or unseeded randomness anywhere.
 
@@ -36,6 +39,7 @@ pub mod guard;
 pub mod message;
 pub mod multihop;
 pub mod params;
+pub mod run;
 mod simcore;
 pub mod stats;
 pub mod tdm;
@@ -49,16 +53,15 @@ pub use guard::GuardBand;
 pub use message::MsgState;
 pub use multihop::MultihopWormholeSim;
 pub use params::{LinkTiming, SimParams};
+pub use run::{RunError, RunSpec, ValidRun};
 pub use simcore::Sim;
 pub use stats::SimStats;
 pub use tdm::{PredictorKind, TdmMode, TdmSim};
 pub use wormhole::{WormholeQueueing, WormholeSim};
 
-use pms_faults::FaultPlan;
-use pms_multistage::{MultistageRouter, StageGraph};
+use pms_multistage::StageGraph;
 use pms_trace::Tracer;
 use pms_workloads::Workload;
-use simcore::Switch;
 
 /// Stage-graph topology selector for [`Paradigm::MultistageTdm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,20 +84,25 @@ pub enum MsTopology {
 }
 
 impl MsTopology {
-    /// Builds the stage graph for `ports` external ports.
-    pub fn build(&self, ports: usize) -> StageGraph {
-        match *self {
-            MsTopology::Crossbar => StageGraph::crossbar(ports),
-            MsTopology::Omega => StageGraph::omega(ports),
-            MsTopology::Butterfly => StageGraph::butterfly(ports),
-            MsTopology::FatTree { arity, ratio } => {
-                assert!(
-                    ratio >= 1 && arity % ratio == 0,
-                    "oversubscription ratio {ratio} must divide arity {arity}"
-                );
-                StageGraph::fat_tree(ports, arity, arity / ratio)
+    /// Builds the stage graph for `ports` external ports, if it exists.
+    pub fn build(&self, ports: usize) -> Result<StageGraph, RunError> {
+        let need = match *self {
+            MsTopology::Crossbar => return Ok(StageGraph::crossbar(ports)),
+            MsTopology::Omega | MsTopology::Butterfly if ports < 2 || !ports.is_power_of_two() => {
+                "a power-of-two port count of at least 2"
             }
-        }
+            MsTopology::Omega => return Ok(StageGraph::omega(ports)),
+            MsTopology::Butterfly => return Ok(StageGraph::butterfly(ports)),
+            MsTopology::FatTree { arity, ratio }
+                if ratio == 0 || arity % ratio != 0 || !ports.is_multiple_of(arity) =>
+            {
+                "its ratio to divide its arity and its arity to divide the port count"
+            }
+            MsTopology::FatTree { arity, ratio } => {
+                return Ok(StageGraph::fat_tree(ports, arity, arity / ratio))
+            }
+        };
+        Err(RunError::Fabric(self.tag(), ports, need))
     }
 
     /// Short topology tag for labels.
@@ -166,13 +174,15 @@ impl Paradigm {
         }
     }
 
-    /// Runs the workload under this paradigm and returns the statistics.
+    /// Runs the workload under this paradigm and returns the statistics;
+    /// panics on a run [`RunSpec::validate`] rejects.
     pub fn run(&self, workload: &Workload, params: &SimParams) -> SimStats {
         self.run_traced(workload, params, Tracer::Null).0
     }
 
     /// Runs the workload with the given event tracer attached; returns the
-    /// statistics and the tracer (with its collected records).
+    /// statistics and the tracer (with its collected records). Panics on a
+    /// run [`RunSpec::validate`] rejects.
     ///
     /// ```
     /// use pms_sim::{Paradigm, PredictorKind, SimParams};
@@ -191,39 +201,10 @@ impl Paradigm {
         params: &SimParams,
         tracer: Tracer,
     ) -> (SimStats, Tracer) {
-        self.run_faulted(workload, params, FaultPlan::new(), tracer)
-    }
-
-    /// Runs the workload with a deterministic fault plan injected; see
-    /// `pms_faults`. An empty plan is a strict no-op — the run is
-    /// byte-identical to [`run_traced`](Self::run_traced) — so this is
-    /// the single dispatch point for faulted and unfaulted runs alike.
-    pub fn run_faulted(
-        &self,
-        workload: &Workload,
-        params: &SimParams,
-        plan: FaultPlan,
-        tracer: Tracer,
-    ) -> (SimStats, Tracer) {
-        fn go<S: Switch>(sim: Sim<S>, plan: FaultPlan, tracer: Tracer) -> (SimStats, Tracer) {
-            sim.with_faults(plan).with_tracer(tracer).run_traced()
-        }
-        let Some(mode) = self.tdm_mode() else {
-            return match self {
-                Paradigm::Wormhole => go(WormholeSim::new(workload, params), plan, tracer),
-                _ => go(CircuitSim::new(workload, params), plan, tracer),
-            };
-        };
-        let sim = TdmSim::new(workload, params, mode);
-        let sim = match self {
-            Paradigm::MultistageTdm { topology, .. } => {
-                let router = MultistageRouter::new(topology.build(params.ports), params.tdm_slots);
-                sim.with_router(Box::new(router))
-                    .with_mode_label(self.label())
-            }
-            _ => sim,
-        };
-        go(sim, plan, tracer)
+        RunSpec::new(workload, params.clone(), self.clone())
+            .validate()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run(tracer)
     }
 
     /// The [`TdmMode`] a multiplexed paradigm runs ([`None`] for wormhole

@@ -153,17 +153,16 @@ impl MultihopWormhole {
         core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 
-    /// Cuts message `id` into worms at its source host.
+    /// Cuts message `id` into worms at its source host; a zero-byte
+    /// message is one empty worm.
     fn queue_worms(&mut self, core: &SimCore, id: usize, t: u64) {
-        let spec = core.msgs[id].spec;
-        let mut left = spec.bytes;
-        while left > 0 {
-            let chunk = left.min(core.params.worm_max_bytes);
-            left -= chunk;
+        let (spec, max) = (core.msgs[id].spec, core.params.worm_max_bytes);
+        for start in (0..spec.bytes.max(1)).step_by(max as usize) {
+            let left = spec.bytes - start;
             self.source_fifo[spec.src].push_back(Worm {
                 msg: id,
-                bytes: chunk,
-                last: left == 0,
+                bytes: left.min(max),
+                last: left <= max,
                 hop: 0,
             });
         }

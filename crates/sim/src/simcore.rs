@@ -5,8 +5,8 @@
 //! program engine, the NIC's completion path (deliver, retry, abandon),
 //! fault replay, trace and span emission, and the SL-pass fault
 //! post-processing the scheduled switches share. The switch owns its
-//! fabric state and its event loop. `with_faults`, `with_tracer`, `run`
-//! and `run_traced` exist once, here, for every paradigm.
+//! fabric state and its event loop. `with_tracer`, `run` and `run_traced`
+//! exist once, here; faults attach through [`RunSpec`](crate::RunSpec).
 
 use crate::engine::{Effect, Engine};
 use crate::faultrt::{FaultRt, NicOutcome};
@@ -15,7 +15,7 @@ use crate::params::SimParams;
 use crate::stats::SimStats;
 use crate::voq::Voqs;
 use pms_bitmat::BitMatrix;
-use pms_faults::{FaultKind, FaultPlan, Transition};
+use pms_faults::{FaultKind, Transition};
 use pms_sched::{PassReport, Scheduler, SlotRouter};
 use pms_trace::{span::SpanTracker, EvictCause, TraceEvent, Tracer};
 use pms_workloads::Workload;
@@ -49,14 +49,6 @@ pub trait Switch {
 }
 
 impl<S: Switch> Sim<S> {
-    /// Attaches a deterministic fault plan (see `pms_faults`). An empty
-    /// plan is a strict no-op: the simulator takes exactly the unfaulted
-    /// code path and produces byte-identical statistics and traces.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.core.faults = FaultRt::new(self.core.params.ports, plan, self.core.msgs.len());
-        self
-    }
-
     /// Attaches an event tracer; see [`pms_trace::Tracer`] for the sinks.
     /// Retrieve it (with the collected records) via
     /// [`run_traced`](Self::run_traced).
@@ -125,8 +117,8 @@ impl SimCore {
     /// Builds the message table and the program engine for `workload`.
     ///
     /// # Panics
-    /// Panics if the workload and the parameters disagree on the port
-    /// count.
+    /// Panics on a port mismatch, which
+    /// [`RunSpec::validate`](crate::RunSpec::validate) rejects.
     pub(crate) fn new(workload: &Workload, params: &SimParams) -> Self {
         assert_eq!(
             workload.ports, params.ports,

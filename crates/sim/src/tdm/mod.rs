@@ -29,6 +29,7 @@ mod stream;
 use crate::engine::Effect;
 use crate::faultrt::NicOutcome;
 use crate::params::SimParams;
+use crate::run::RunError;
 use crate::simcore::{Sim, SimCore, Switch};
 use crate::stats::SimStats;
 use crate::voq::Voqs;
@@ -40,7 +41,7 @@ use pms_predict::{
 };
 use pms_sched::{HoldPolicy, Scheduler, SchedulerConfig, SlotRouter, TdmCounter};
 use pms_trace::{EvictCause, SpanPhase, TraceEvent};
-use pms_workloads::Workload;
+use pms_workloads::{Command, MsgSpec, Workload};
 use stream::Stream;
 
 /// Eviction policy for dynamically scheduled connections.
@@ -123,13 +124,13 @@ pub type TdmSim = Sim<Tdm>;
 /// (caught by the `max_sim_ns` assertion) — bound fault windows in the
 /// plan.
 pub struct Tdm {
-    mode_label: String,
+    pub(crate) mode_label: String,
     voqs: Voqs,
     backend: Backend,
     patterns: Vec<Vec<BitMatrix>>,
     preload_loads: u64,
     evictions: u64,
-    has_dynamic: bool,
+    pub(crate) has_dynamic: bool,
     /// §3.3 dynamic reconfiguration: a miss-rate phase detector that
     /// flushes the dynamic working set when the program's communication
     /// pattern shifts.
@@ -177,13 +178,17 @@ impl TdmSim {
     /// Builds the simulator for a workload in the given mode.
     ///
     /// # Panics
-    /// Panics on port mismatches, or (Hybrid) when the workload does not
-    /// provide enough preloadable patterns for `preload_slots`. A Hybrid
-    /// run with `preload_slots == K`, whose workload issues no `preload`
-    /// command and sends a message whose pair is in none of the preloaded
-    /// configurations, has no register to schedule that message: it
-    /// panics in `run` on the `max_sim_ns` deadlock guard.
+    /// On a run [`RunSpec::validate`](crate::RunSpec::validate) rejects.
     pub fn new(workload: &Workload, params: &SimParams, mode: TdmMode) -> Self {
+        Self::try_new(workload, params, mode).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), returning the hybrid preload conditions as errors.
+    pub(crate) fn try_new(
+        workload: &Workload,
+        params: &SimParams,
+        mode: TdmMode,
+    ) -> Result<Self, RunError> {
         let core = SimCore::new(workload, params);
         let k = params.tdm_slots;
         let scheduled = |predictor: PredictorKind, preloads: &[&BitMatrix]| {
@@ -219,27 +224,34 @@ impl TdmSim {
                 preload_slots,
                 predictor,
             } => {
-                assert!(
-                    preload_slots <= k,
-                    "cannot preload {preload_slots} of {k} slots"
-                );
+                if preload_slots > k {
+                    return Err(RunError::PreloadSlots(preload_slots, k));
+                }
                 // Fill the preloaded registers from the workload's pattern
                 // table, flattened in order.
                 let flat: Vec<&BitMatrix> = workload.patterns.iter().flatten().collect();
-                assert!(
-                    flat.len() >= preload_slots,
-                    "workload provides {} preloadable configs, need {preload_slots}",
-                    flat.len()
-                );
+                let preloaded = flat
+                    .get(..preload_slots)
+                    .ok_or(RunError::TooFewConfigs(preload_slots, flat.len()))?;
+                // With every register preloaded and no `preload` command to
+                // swap them, a message none of them carries never moves.
+                let mut cmds = workload.programs.iter().flat_map(|p| &p.cmds);
+                if preload_slots == k && !cmds.any(|c| matches!(c, Command::Preload { .. })) {
+                    let carried = |m: &MsgSpec| preloaded.iter().any(|c| c.get(m.src, m.dst));
+                    if let Some(m) = core.msgs.iter().map(|m| m.spec).find(|m| !carried(m)) {
+                        return Err(RunError::Stranded(m.id, m.src, m.dst));
+                    }
+                }
                 (
-                    scheduled(predictor, &flat[..preload_slots]),
+                    scheduled(predictor, preloaded),
                     format!("hybrid-{preload_slots}p"),
                     preload_slots < k,
                     preload_slots as u64,
                 )
             }
         };
-        Self::assemble(workload, core, backend, mode_label, has_dynamic, loads)
+        let sim = Self::assemble(workload, core, backend, mode_label, has_dynamic, loads);
+        Ok(sim)
     }
 
     /// Builds the simulator in preloaded-stream mode over an *explicit*
@@ -357,13 +369,6 @@ impl TdmSim {
             );
         }
         tdm.router = Some(router);
-        self
-    }
-
-    /// Overrides the paradigm label stamped on the statistics (e.g. to
-    /// distinguish stage-graph topologies sharing the dynamic backend).
-    pub fn with_mode_label(mut self, label: impl Into<String>) -> Self {
-        self.switch.mode_label = label.into();
         self
     }
 

@@ -540,7 +540,7 @@ mod tests {
     /// of every queue head counted.
     #[test]
     fn tdm_lookups_under_the_ci_grant_drop_plan() {
-        use crate::{Paradigm, PredictorKind, SimParams};
+        use crate::{Paradigm, PredictorKind, RunSpec, SimParams};
         use pms_faults::FaultPlan;
         use pms_trace::Tracer;
         use pms_workloads::{scatter, uniform};
@@ -566,12 +566,11 @@ mod tests {
         ];
         for (w, predictor, lookups, hits, retries) in cases {
             let params = SimParams::default().with_ports(16);
-            let (stats, _) = Paradigm::DynamicTdm(predictor).run_faulted(
-                &w,
-                &params,
-                plan.clone(),
-                Tracer::Null,
-            );
+            let spec = RunSpec {
+                plan: plan.clone(),
+                ..RunSpec::new(&w, params, Paradigm::DynamicTdm(predictor))
+            };
+            let (stats, _) = spec.validate().unwrap().run(Tracer::Null);
             let got = (stats.ws_lookups, stats.ws_hits, stats.msg_retries);
             assert_eq!(got, (lookups, hits, retries), "{} {predictor:?}", w.name);
         }

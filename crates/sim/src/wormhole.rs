@@ -207,23 +207,21 @@ impl Wormhole {
         core.queue_engine_wake(&mut self.events, now, Ev::EngineWake);
     }
 
-    /// Cuts message `id` into worms of at most `worm_max_bytes` and
-    /// queues them at its source input.
+    /// Cuts message `id` into worms of at most `worm_max_bytes` (a
+    /// zero-byte message is one empty worm) and queues them at its source.
     fn queue_worms(&mut self, core: &SimCore, id: usize, t: u64) {
         let spec = core.msgs[id].spec;
-        let mut left = spec.bytes;
         let max = core.params.worm_max_bytes;
         let lane = match self.queueing {
             WormholeQueueing::SingleFifo => 0,
             WormholeQueueing::Voq => spec.dst,
         };
-        while left > 0 {
-            let chunk = left.min(max);
-            left -= chunk;
+        for start in (0..spec.bytes.max(1)).step_by(max as usize) {
+            let left = spec.bytes - start;
             self.queues[spec.src][lane].push_back(Worm {
                 msg: id,
-                bytes: chunk,
-                last: left == 0,
+                bytes: left.min(max),
+                last: left <= max,
             });
         }
         self.try_upload(core, spec.src, t);

@@ -8,9 +8,24 @@
 use pms_bitmat::BitMatrix;
 use pms_faults::{FaultKind, FaultPlan};
 use pms_predict::PhaseDetectorConfig;
-use pms_sim::{Paradigm, PredictorKind, SimParams, TdmMode, TdmSim};
+use pms_sim::{Paradigm, PredictorKind, RunSpec, SimParams, SimStats, TdmMode, TdmSim};
 use pms_trace::Tracer;
 use pms_workloads::{Program, Workload};
+
+/// Runs `paradigm` on `w` under `plan` through the validated entry point.
+fn run_with_plan(
+    paradigm: &Paradigm,
+    w: &Workload,
+    params: &SimParams,
+    plan: FaultPlan,
+    tracer: Tracer,
+) -> (SimStats, Tracer) {
+    let spec = RunSpec {
+        plan,
+        ..RunSpec::new(w, params.clone(), paradigm.clone())
+    };
+    spec.validate().expect("valid run").run(tracer)
+}
 
 const PORTS: usize = 8;
 
@@ -113,9 +128,9 @@ fn faulted_runs_identical_with_and_without_skip() {
     plan.push(0, 200_000, FaultKind::GrantDrop { src: 0, dst: 3 });
     for p in paradigms() {
         let (fast_stats, fast_tracer) =
-            p.run_faulted(&w, &params(true), plan.clone(), Tracer::vec());
+            run_with_plan(&p, &w, &params(true), plan.clone(), Tracer::vec());
         let (slow_stats, slow_tracer) =
-            p.run_faulted(&w, &params(false), plan.clone(), Tracer::vec());
+            run_with_plan(&p, &w, &params(false), plan.clone(), Tracer::vec());
         assert_eq!(
             fast_stats,
             slow_stats,

@@ -4,10 +4,27 @@
 
 use pms_fabric::TorusNetwork;
 use pms_faults::{FaultKind, FaultPlan};
-use pms_sim::{MsTopology, MultihopWormholeSim, Paradigm, PredictorKind, SimParams};
+use pms_sim::{
+    MsTopology, MultihopWormholeSim, Paradigm, PredictorKind, RunSpec, SimParams, SimStats,
+};
 use pms_trace::{TraceEvent, TraceRecord, Tracer};
 use pms_workloads::{Program, Workload};
 use proptest::prelude::*;
+
+/// Runs `paradigm` on `w` under `plan` through the validated entry point.
+fn run_with_plan(
+    paradigm: &Paradigm,
+    w: &Workload,
+    params: &SimParams,
+    plan: FaultPlan,
+    tracer: Tracer,
+) -> (SimStats, Tracer) {
+    let spec = RunSpec {
+        plan,
+        ..RunSpec::new(w, params.clone(), paradigm.clone())
+    };
+    spec.validate().expect("valid run").run(tracer)
+}
 
 const PORTS: usize = 8;
 
@@ -182,7 +199,7 @@ proptest! {
         for p in cases {
             for faulted in [false, true] {
                 let plan = if faulted { span_fault_plan() } else { FaultPlan::new() };
-                let (_, tracer) = p.run_faulted(&w, &params, plan, Tracer::vec());
+                let (_, tracer) = run_with_plan(&p, &w, &params, plan, Tracer::vec());
                 let res = check_span_pairing(&tracer.records(), &p.label());
                 prop_assert!(res.is_ok(), "faulted={faulted}: {}", res.unwrap_err());
             }

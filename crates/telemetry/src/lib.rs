@@ -31,9 +31,9 @@
 //!   the same records (both are `alerts(..).to_json().render_pretty()`);
 //!   alert events carry rule indices, not names, so replay needs no
 //!   rules file.
-//! * `/flight` lines are exactly the [`JsonlTracer`](pms_trace::JsonlTracer)
-//!   stream format (`write_record_line` + newline), so the dump
-//!   feeds straight into the `analyze` binary.
+//! * `/flight` lines are exactly what [`pms_trace::write_jsonl`] writes
+//!   (`write_record_line` + newline), so the dump feeds straight into the
+//!   `analyze` binary.
 
 #![forbid(unsafe_code)]
 
@@ -318,7 +318,7 @@ fn timeseries_body(records: &[TraceRecord]) -> String {
     .render_pretty()
 }
 
-/// The snapshot in `JsonlTracer` stream format; `?n=N` keeps only the
+/// The snapshot in `write_jsonl` line format; `?n=N` keeps only the
 /// last N records.
 fn flight_body(records: &[TraceRecord], query: &str) -> Result<String, String> {
     let tail = match query_param(query, "n") {

@@ -139,7 +139,7 @@ impl FlightRecorder {
 
     fn dump(&mut self, trigger: TraceRecord, rule: u32, seq: u32, value: u64, threshold: u64) {
         // A full disk must not take the simulation down: I/O errors are
-        // swallowed (matching JsonlTracer), the trigger is still counted.
+        // swallowed, the trigger is still counted.
         self.triggers += 1;
         if self.out.is_none() {
             match File::create(&self.path) {

@@ -3,7 +3,7 @@
 //! The workspace builds offline with zero external dependencies, so this
 //! is hand-rolled. Numbers are emitted losslessly for integers; floats
 //! use `{:?}` formatting (shortest round-trip representation). The
-//! parser exists so that JSONL traces written by [`crate::JsonlTracer`]
+//! parser exists so that JSONL traces written by [`crate::write_jsonl`]
 //! can be replayed (by `pms-analyze`); it accepts any standard JSON
 //! document, preferring `UInt`/`Int` for integral numbers so that `u64`
 //! values round-trip exactly.

@@ -50,8 +50,8 @@ pub use json::{Json, ParseError};
 pub use metrics::{prometheus_name, Histogram, MetricsRegistry, PROMETHEUS_CONTENT_TYPE};
 pub use prof::{KernelSnapshot, ProfKernel, ProfScope};
 pub use sink::{
-    record_json, write_jsonl, write_record_line, JsonlTracer, NullTracer, PipelineTracer,
-    RingTracer, SharedTracer, TraceSink, Tracer, VecTracer,
+    record_json, write_jsonl, write_record_line, PipelineTracer, RingTracer, SharedTracer,
+    TraceSink, Tracer, VecTracer,
 };
 pub use span::{SpanTracker, NO_MSG, NO_PARENT};
 pub use timeseries::{

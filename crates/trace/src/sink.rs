@@ -23,23 +23,6 @@ use std::path::Path;
 pub trait TraceSink {
     /// Receives one record.
     fn record(&mut self, rec: TraceRecord);
-
-    /// Whether recording does anything; callers may skip event
-    /// construction when `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl TraceSink for NullTracer {
-    fn record(&mut self, _rec: TraceRecord) {}
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// Fixed-capacity ring buffer keeping the most recent records.
@@ -126,62 +109,6 @@ impl TraceSink for VecTracer {
     }
 }
 
-/// Streams records as JSON Lines (one record object per line) through a
-/// buffered writer. Useful for runs too long to hold in memory.
-#[derive(Debug)]
-pub struct JsonlTracer {
-    out: BufWriter<File>,
-    /// Reused line buffer: steady-state records render without
-    /// allocating.
-    line: String,
-    written: u64,
-}
-
-impl JsonlTracer {
-    /// Creates/truncates `path` and streams records to it.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlTracer {
-            out: BufWriter::new(File::create(path)?),
-            line: String::new(),
-            written: 0,
-        })
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes buffered lines to disk.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-impl TraceSink for JsonlTracer {
-    // Outlined: serialization is heavy, and keeping it out of
-    // `Tracer::emit`'s inlined match keeps the hot arms hot.
-    #[inline(never)]
-    fn record(&mut self, rec: TraceRecord) {
-        self.line.clear();
-        write_record_line(&mut self.line, &rec);
-        self.line.push('\n');
-        // A full disk mid-trace should not take the simulation down.
-        let _ = self.out.write_all(self.line.as_bytes());
-        self.written += 1;
-    }
-}
-
-impl Drop for JsonlTracer {
-    /// Best-effort flush so a tracer dropped without an explicit
-    /// [`Tracer::finish`] still leaves complete final lines on disk
-    /// (binaries should still call `finish()` to *observe* I/O errors —
-    /// a drop can only swallow them).
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 /// Clone-able handle onto a shared, thread-safe record buffer.
 ///
 /// Built for live telemetry: the simulator emits through a
@@ -227,15 +154,18 @@ impl TraceSink for SharedTracer {
     }
 }
 
-/// Writes a slice of records to `path` as JSON Lines — the batch
-/// counterpart of streaming through a [`JsonlTracer`]; both produce
-/// byte-identical files for the same records.
+/// Writes a slice of records to `path` as JSON Lines, one
+/// [`write_record_line`] per record.
 pub fn write_jsonl(path: impl AsRef<Path>, records: &[TraceRecord]) -> io::Result<()> {
-    let mut t = JsonlTracer::create(path)?;
+    let mut out = BufWriter::new(File::create(path)?);
+    let mut line = String::new();
     for rec in records {
-        t.record(*rec);
+        line.clear();
+        write_record_line(&mut line, rec);
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
     }
-    t.flush()
+    out.flush()
 }
 
 /// Renders one record as a JSON object: `kind`, `t_ns`, `slot`, then
@@ -418,8 +348,6 @@ pub enum Tracer {
     Ring(RingTracer),
     /// Keep every record in memory (tests, exporters).
     Vec(VecTracer),
-    /// Stream records to a JSONL file.
-    Jsonl(JsonlTracer),
     /// Flight recorder: ring buffer dumped to JSONL on anomalies.
     Flight(Box<crate::flight::FlightRecorder>),
     /// Shared in-memory buffer snapshotted by a telemetry server thread.
@@ -473,23 +401,21 @@ impl Tracer {
             Tracer::Null => {}
             Tracer::Ring(t) => t.record(TraceRecord { t_ns, slot, event }),
             Tracer::Vec(t) => t.record(TraceRecord { t_ns, slot, event }),
-            Tracer::Jsonl(t) => t.record(TraceRecord { t_ns, slot, event }),
             Tracer::Flight(t) => t.record(TraceRecord { t_ns, slot, event }),
             Tracer::Shared(t) => t.record(TraceRecord { t_ns, slot, event }),
             Tracer::Pipeline(t) => t.record(TraceRecord { t_ns, slot, event }),
         }
     }
 
-    /// The collected records, oldest first (empty for `Null`/`Jsonl` —
-    /// JSONL records are already on disk; the flight recorder reports
-    /// its current, not-yet-dumped window; the pipeline reports whatever
-    /// its inner tracer holds, synthesized records included).
+    /// The collected records, oldest first (empty for `Null`; the
+    /// flight recorder reports its current, not-yet-dumped window; the
+    /// pipeline reports whatever its inner tracer holds, synthesized
+    /// records included).
     pub fn records(&self) -> Vec<TraceRecord> {
         match self {
             Tracer::Null => Vec::new(),
             Tracer::Ring(t) => t.records(),
             Tracer::Vec(t) => t.records.clone(),
-            Tracer::Jsonl(_) => Vec::new(),
             Tracer::Flight(t) => t.records(),
             Tracer::Shared(t) => t.snapshot(),
             Tracer::Pipeline(t) => t.inner().records(),
@@ -515,10 +441,9 @@ impl Tracer {
         }
     }
 
-    /// Flushes any buffered output (JSONL, flight-recorder dumps).
+    /// Flushes any buffered output (flight-recorder dumps).
     pub fn finish(&mut self) -> io::Result<()> {
         match self {
-            Tracer::Jsonl(t) => t.flush(),
             Tracer::Flight(t) => t.flush(),
             Tracer::Pipeline(t) => t.inner.finish(),
             _ => Ok(()),
@@ -698,18 +623,26 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_tracer_writes_lines() {
-        let path = std::env::temp_dir().join("pms-trace-jsonl-test.jsonl");
-        {
-            let mut t = Tracer::Jsonl(JsonlTracer::create(&path).unwrap());
-            t.emit(1, 0, TraceEvent::SlotAdvanced { slot_idx: 0 });
-            t.emit(2, 1, TraceEvent::PhaseFlush { cleared: 3 });
-            t.finish().unwrap();
-        }
+    fn write_jsonl_writes_lines() {
+        let path = std::env::temp_dir().join("pms-trace-write-jsonl-test.jsonl");
+        let records = [
+            rec(1),
+            TraceRecord {
+                t_ns: 2,
+                slot: 1,
+                event: TraceEvent::PhaseFlush { cleared: 3 },
+            },
+        ];
+        write_jsonl(&path, &records).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        std::fs::remove_file(&path).ok();
+        for (line, rec) in lines.iter().zip(&records) {
+            let mut want = String::new();
+            write_record_line(&mut want, rec);
+            assert_eq!(*line, want);
+        }
+        assert!(text.ends_with('\n'));
     }
 }

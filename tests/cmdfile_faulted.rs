@@ -8,9 +8,25 @@
 //! `Paradigm::PreloadTdm`) -> `TdmSim` with a `FaultPlan` attached.
 
 use pms::faults::{FaultKind, FaultPlan};
+use pms::sim::RunSpec;
 use pms::trace::{TraceEvent, Tracer};
 use pms::workloads::{two_phase, uniform, MeshSpec, Workload};
-use pms::{Paradigm, PredictorKind, SimParams};
+use pms::{Paradigm, PredictorKind, SimParams, SimStats};
+
+/// Runs `paradigm` on `w` under `plan` through the validated entry point.
+fn run_with_plan(
+    paradigm: &Paradigm,
+    w: &Workload,
+    params: &SimParams,
+    plan: FaultPlan,
+    tracer: Tracer,
+) -> (SimStats, Tracer) {
+    let spec = RunSpec {
+        plan,
+        ..RunSpec::new(w, params.clone(), paradigm.clone())
+    };
+    spec.validate().expect("valid run").run(tracer)
+}
 
 fn params(ports: usize) -> SimParams {
     let mut p = SimParams::default().with_ports(ports);
@@ -35,7 +51,13 @@ fn command_file_schedule_survives_link_faults_in_preload_mode() {
     // pair later. Both are bounded, so traffic must fully recover.
     plan.push(500, 3_000, FaultKind::LinkDown { src: 0, dst: 1 });
     plan.push(2_000, 2_500, FaultKind::LinkDown { src: 5, dst: 4 });
-    let (stats, tracer) = Paradigm::PreloadTdm.run_faulted(&w, &params(ports), plan, Tracer::vec());
+    let (stats, tracer) = run_with_plan(
+        &Paradigm::PreloadTdm,
+        &w,
+        &params(ports),
+        plan,
+        Tracer::vec(),
+    );
     assert_eq!(stats.delivered_messages as usize, w.message_count());
     assert_eq!(stats.delivered_bytes, w.total_bytes());
     assert_eq!(stats.msgs_abandoned, 0);
@@ -67,9 +89,9 @@ fn command_file_round_trip_is_byte_identical_under_faults() {
         Paradigm::DynamicTdm(PredictorKind::Timeout(400)),
     ] {
         let (a_stats, a_trace) =
-            paradigm.run_faulted(&original, &params(ports), plan(), Tracer::vec());
+            run_with_plan(&paradigm, &original, &params(ports), plan(), Tracer::vec());
         let (b_stats, b_trace) =
-            paradigm.run_faulted(&roundtrip, &params(ports), plan(), Tracer::vec());
+            run_with_plan(&paradigm, &roundtrip, &params(ports), plan(), Tracer::vec());
         assert_eq!(a_stats, b_stats, "{}: stats diverged", paradigm.label());
         assert_eq!(
             a_trace.records(),
@@ -93,7 +115,7 @@ fn command_file_schedule_through_faulted_multistage_tdm() {
         topology: MsTopology::FatTree { arity: 4, ratio: 2 },
         predictor: PredictorKind::Timeout(400),
     };
-    let (stats, _) = paradigm.run_faulted(&w, &params(ports), plan, Tracer::vec());
+    let (stats, _) = run_with_plan(&paradigm, &w, &params(ports), plan, Tracer::vec());
     assert_eq!(stats.delivered_messages as usize, w.message_count());
     assert_eq!(stats.delivered_bytes, w.total_bytes());
     assert_eq!(stats.msgs_abandoned, 0);

@@ -2,6 +2,7 @@
 //! loudly (deadlock guards, validation panics) rather than silently
 //! mis-simulate.
 
+use pms::sim::{RunError, RunSpec};
 use pms::workloads::{Program, Workload};
 use pms::{Paradigm, PredictorKind, SimParams};
 
@@ -26,10 +27,11 @@ fn lopsided_barriers_release_cleanly() {
 }
 
 #[test]
-fn traffic_with_no_dynamic_slot_trips_the_deadlock_guard() {
+fn traffic_with_no_dynamic_slot_is_rejected_before_the_run() {
     // All K registers preloaded with a pattern that does not cover the
-    // traffic: the dynamic request has nowhere to go, and the simulation
-    // must panic at the deadline rather than hang.
+    // traffic: the dynamic request has nowhere to go, so validation
+    // rejects the run before any cycle is simulated, instead of letting
+    // it hang until the deadlock guard.
     let w = pms::workloads::hybrid(pms::workloads::HybridSpec {
         ports: 8,
         determinism: 0.0, // traffic is uniform random...
@@ -39,16 +41,19 @@ fn traffic_with_no_dynamic_slot_trips_the_deadlock_guard() {
     });
     let mut params = tight_params(8);
     params.tdm_slots = 2; // ...and both slots are preloaded static shifts
-    let result = std::panic::catch_unwind(|| {
-        Paradigm::HybridTdm {
-            preload_slots: 2,
-            predictor: PredictorKind::Drop,
-        }
-        .run(&w, &params)
-    });
-    let err = result.expect_err("must not hang or silently drop traffic");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("exceeded"), "guard message, got: {msg}");
+    let paradigm = Paradigm::HybridTdm {
+        preload_slots: 2,
+        predictor: PredictorKind::Drop,
+    };
+    let err = RunSpec::new(&w, params.clone(), paradigm.clone())
+        .validate()
+        .err()
+        .expect("must not hang or silently drop traffic");
+    assert!(matches!(err, RunError::Stranded { .. }), "{err:?}");
+    let result = std::panic::catch_unwind(|| paradigm.run(&w, &params));
+    let panic = result.expect_err("Paradigm::run panics on a rejected run");
+    let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert_eq!(msg, err.to_string());
 }
 
 #[test]

@@ -8,9 +8,26 @@
 //!    only after the budget, dropped grants retry forever but never drop.
 
 use pms::faults::{FaultKind, FaultPlan, RetryPolicy};
+use pms::sim::RunSpec;
 use pms::trace::{TraceEvent, Tracer};
 use pms::workloads::scatter;
-use pms::{Paradigm, PredictorKind, SimParams};
+use pms::workloads::Workload;
+use pms::{Paradigm, PredictorKind, SimParams, SimStats};
+
+/// Runs `paradigm` on `w` under `plan` through the validated entry point.
+fn run_with_plan(
+    paradigm: &Paradigm,
+    w: &Workload,
+    params: &SimParams,
+    plan: FaultPlan,
+    tracer: Tracer,
+) -> (SimStats, Tracer) {
+    let spec = RunSpec {
+        plan,
+        ..RunSpec::new(w, params.clone(), paradigm.clone())
+    };
+    spec.validate().expect("valid run").run(tracer)
+}
 
 /// Short deadline + a TDM period wide enough to hold scatter's stream.
 fn params(ports: usize) -> SimParams {
@@ -40,7 +57,7 @@ fn empty_plan_is_byte_identical_for_every_paradigm() {
     });
     for paradigm in paradigms {
         let (base_stats, base_trace) = paradigm.run_traced(&w, &p, Tracer::vec());
-        let (stats, trace) = paradigm.run_faulted(&w, &p, FaultPlan::new(), Tracer::vec());
+        let (stats, trace) = run_with_plan(&paradigm, &w, &p, FaultPlan::new(), Tracer::vec());
         assert_eq!(
             base_stats,
             stats,
@@ -54,7 +71,7 @@ fn empty_plan_is_byte_identical_for_every_paradigm() {
             paradigm.label()
         );
         // And the faulted entry point itself is deterministic.
-        let (again, _) = paradigm.run_faulted(&w, &p, FaultPlan::new(), Tracer::vec());
+        let (again, _) = run_with_plan(&paradigm, &w, &p, FaultPlan::new(), Tracer::vec());
         assert_eq!(stats, again, "{}: nondeterministic rerun", paradigm.label());
     }
 }
@@ -66,7 +83,7 @@ fn link_down_window_delays_but_still_delivers() {
     for paradigm in four_paradigms() {
         let mut plan = FaultPlan::new();
         plan.push(200, 2_000, FaultKind::LinkDown { src: 0, dst: 1 });
-        let (stats, trace) = paradigm.run_faulted(&w, &p, plan, Tracer::vec());
+        let (stats, trace) = run_with_plan(&paradigm, &w, &p, plan, Tracer::vec());
         assert_eq!(
             stats.delivered_messages,
             7,
@@ -100,7 +117,7 @@ fn preload_tdm_recovers_a_broken_pipe_within_one_tdm_period() {
     let p = params(8);
     let mut plan = FaultPlan::new();
     plan.push(200, 2_000, FaultKind::LinkDown { src: 0, dst: 1 });
-    let (stats, trace) = Paradigm::PreloadTdm.run_faulted(&w, &p, plan, Tracer::vec());
+    let (stats, trace) = run_with_plan(&Paradigm::PreloadTdm, &w, &p, plan, Tracer::vec());
     assert_eq!(stats.delivered_messages, 7);
 
     let records = trace.records();
@@ -144,7 +161,7 @@ fn nic_transient_abandons_only_after_the_retry_budget() {
         };
         // Never clears: every completion from port 0 fails.
         plan.push(0, u64::MAX, FaultKind::NicTransient { port: 0 });
-        let (stats, trace) = paradigm.run_faulted(&w, &p, plan, Tracer::vec());
+        let (stats, trace) = run_with_plan(&paradigm, &w, &p, plan, Tracer::vec());
         assert_eq!(
             stats.delivered_messages,
             0,
@@ -177,7 +194,7 @@ fn grant_drops_retry_with_backoff_but_never_abandon() {
     ] {
         let mut plan = FaultPlan::new();
         plan.push(0, 3_000, FaultKind::GrantDrop { src: 0, dst: 1 });
-        let (stats, trace) = paradigm.run_faulted(&w, &p, plan, Tracer::vec());
+        let (stats, trace) = run_with_plan(&paradigm, &w, &p, plan, Tracer::vec());
         assert_eq!(stats.delivered_messages, 7, "{}", paradigm.label());
         assert_eq!(
             stats.msgs_abandoned,
@@ -213,8 +230,13 @@ fn periodic_fault_windows_reuse_the_fault_id() {
     let p = params(8);
     let mut plan = FaultPlan::new();
     plan.push_periodic(100, 300, 1_000, FaultKind::LinkDown { src: 0, dst: 2 });
-    let (stats, trace) =
-        Paradigm::DynamicTdm(PredictorKind::Drop).run_faulted(&w, &p, plan, Tracer::vec());
+    let (stats, trace) = run_with_plan(
+        &Paradigm::DynamicTdm(PredictorKind::Drop),
+        &w,
+        &p,
+        plan,
+        Tracer::vec(),
+    );
     assert_eq!(stats.delivered_messages, 7);
     let ids: Vec<u32> = trace
         .records()
