@@ -13,8 +13,9 @@
 //! rerun (same inputs, fresh engine), in-memory trace reconstruction
 //! ([`decisions_from_records`]), and a full JSONL write/parse/replay
 //! round trip — and the binary exits non-zero if any rendered decision
-//! stream differs by a single byte. CI runs it, so a determinism
-//! regression fails loudly.
+//! stream differs by a single byte, so a determinism regression fails
+//! loudly; `crates/admit/tests/prop.rs` checks the same three identities
+//! on random streams under `cargo test`.
 //!
 //! Usage: `cargo run --release -p pms-admit --bin admit_bench
 //! [-- --ports N] [--messages M] [--seed S] [--json OUT.json]`

@@ -636,7 +636,7 @@ impl AdmitEngine {
 /// from JSONL). Decisions are emitted in the same order as their trace
 /// events, so this is an exact inverse of [`AdmitEngine::run`]'s
 /// decision output — the byte-identical-replay property the benchmark
-/// and CI smoke test pin.
+/// and the property tests pin.
 pub fn decisions_from_records(records: &[TraceRecord]) -> Vec<Decision> {
     records
         .iter()

@@ -5,8 +5,8 @@
 //! and diffs them here: per-event-kind count deltas, per-span-phase
 //! quantile shifts, and section totals, each flagged when the relative
 //! change exceeds a significance threshold. Diffing a run against
-//! itself reports zero deltas ([`DiffReport::is_zero`]) — CI leans on
-//! that as a determinism check.
+//! itself reports zero deltas ([`DiffReport::is_zero`]), which
+//! `crates/analyze/tests/cli.rs` checks on a golden trace.
 
 use crate::report::Report;
 use pms_trace::Json;

@@ -6,7 +6,7 @@
 //!
 //! This is a wall-clock timing test, so it is `#[ignore]`d by default
 //! and run explicitly — in release mode, on an otherwise idle machine —
-//! by the CI bench-smoke job:
+//! by CI's `test` job:
 //!
 //! ```text
 //! cargo test --release -p pms-bench --test overhead_gate -- --ignored
@@ -63,7 +63,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// cadence in *both* arms, so "turning the profiler on" is measured
 /// against the deployment the telemetry server actually runs.
 #[test]
-#[ignore = "wall-clock gate; run explicitly with --release (see CI bench-smoke)"]
+#[ignore = "wall-clock gate; run explicitly with --release (see CI's test job)"]
 fn profiler_overhead_with_default_snapshot_cadence_is_within_two_percent() {
     let mesh = MeshSpec::for_ports(64);
     let workload = ordered_mesh(mesh, 64, 4, 500, 100);
@@ -117,7 +117,7 @@ fn profiler_overhead_with_default_snapshot_cadence_is_within_two_percent() {
 /// the measured [`MAX_PIPELINE_OVERHEAD`] budget (see its doc comment
 /// for why this gate is deliberately looser than 2 %).
 #[test]
-#[ignore = "wall-clock gate; run explicitly with --release (see CI bench-smoke)"]
+#[ignore = "wall-clock gate; run explicitly with --release (see CI's test job)"]
 fn snapshot_pipeline_overhead_on_ring_sink_is_within_budget() {
     let mesh = MeshSpec::for_ports(64);
     let workload = ordered_mesh(mesh, 64, 4, 500, 100);

@@ -1,6 +1,9 @@
 //! Cross-crate integration: every paradigm, several workloads —
 //! conservation, determinism, and termination.
 
+use pms::predict::PhaseDetectorConfig;
+use pms::sim::RunSpec;
+use pms::trace::Tracer;
 use pms::workloads::{butterfly, gather, ring, scatter, transpose};
 use pms::{Paradigm, PredictorKind, SimParams, Workload};
 
@@ -60,18 +63,6 @@ fn transpose_conserves_under_all_paradigms() {
 #[test]
 fn butterfly_conserves_under_all_paradigms() {
     check_conservation(&butterfly(16, 48));
-}
-
-#[test]
-fn simulations_are_deterministic() {
-    let w =
-        pms::workloads::random_mesh(pms::workloads::MeshSpec::for_ports(16), 64, 3, 500, 100, 77);
-    let params = SimParams::default().with_ports(16);
-    for paradigm in all_paradigms() {
-        let a = paradigm.run(&w, &params);
-        let b = paradigm.run(&w, &params);
-        assert_eq!(a, b, "{} is nondeterministic", paradigm.label());
-    }
 }
 
 #[test]
@@ -173,5 +164,30 @@ fn hybrid_paradigm_runs_with_all_preload_counts() {
         }
         .run(&w, &params);
         assert_eq!(stats.delivered_messages as usize, w.message_count());
+    }
+}
+
+/// `simulate --pattern scatter --ports 16 --paradigm hybrid1 --timeout
+/// 400 --phase-detector` emits each of the nine simulator event kinds.
+#[test]
+fn hybrid_with_a_phase_detector_emits_every_simulator_event_kind() {
+    let w = scatter(16, 64);
+    let paradigm = Paradigm::HybridTdm {
+        preload_slots: 1,
+        predictor: PredictorKind::Timeout(400),
+    };
+    let mut detector = PhaseDetectorConfig::default();
+    (detector.window, detector.miss_threshold, detector.cooldown) = (8, 0.75, 16);
+    let spec = RunSpec {
+        phase_detector: Some(detector),
+        ..RunSpec::new(&w, SimParams::default().with_ports(16), paradigm)
+    };
+    let (stats, tracer) = spec.validate().unwrap().run(Tracer::vec());
+    assert_eq!(stats.delivered_messages, 15);
+    let records = tracer.records();
+    let kinds = "msg-injected msg-delivered conn-requested conn-established conn-evicted \
+                 slot-advanced sched-pass preload-applied phase-flush";
+    for kind in kinds.split_whitespace() {
+        assert!(records.iter().any(|r| r.event.kind() == kind), "no {kind}");
     }
 }

@@ -157,12 +157,3 @@ fn fat_tree_and_butterfly_deliver_everything() {
         );
     }
 }
-
-#[test]
-fn multistage_runs_are_deterministic() {
-    let n = 16;
-    let w = uniform(n, 64, 10, 13);
-    let params = SimParams::default().with_ports(n);
-    let run = || mstdm(MsTopology::Omega, PredictorKind::Timeout(400)).run(&w, &params);
-    assert_eq!(run(), run());
-}
