@@ -7,7 +7,7 @@
 //! run statistics are paid per message.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pms_fabric::TorusNetwork;
+use pms_multistage::TorusNetwork;
 use pms_sim::{MultihopWormholeSim, Paradigm, PredictorKind, SimParams};
 use pms_workloads::{hybrid, ordered_mesh, two_phase, uniform, HybridSpec, MeshSpec};
 use std::hint::black_box;

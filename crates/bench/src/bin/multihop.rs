@@ -6,8 +6,7 @@
 //! cargo run --release -p pms-bench --bin multihop
 //! ```
 
-use pms_fabric::TorusNetwork;
-use pms_multistage::TorusRouter;
+use pms_multistage::{TorusNetwork, TorusRouter};
 use pms_sim::{MultihopWormholeSim, PredictorKind, SimParams, TdmMode, TdmSim};
 use pms_workloads::uniform;
 

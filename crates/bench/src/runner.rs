@@ -64,15 +64,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
+    /// Each job waits until every lane holds a job of its round, so each
+    /// lane runs one job per round: lane results concatenated without
+    /// sorting by job index would come back out of order.
     #[test]
     fn run_cells_preserves_job_order() {
         for threads in [1, 2, 4] {
-            let out = run_cells(threads, (0..37).collect(), |i, x: i32| {
-                assert_eq!(i as i32, x);
+            let arrived = (Mutex::new(0), Condvar::new());
+            let jobs = threads * 5;
+            let out = run_cells(threads, (0..jobs).collect(), |i, x: usize| {
+                assert_eq!(i, x);
+                let (count, all_here) = &arrived;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                all_here.notify_all();
+                let round_full = (i / threads + 1) * threads;
+                let (count, wait) = all_here
+                    .wait_timeout_while(count, Duration::from_secs(60), |n| *n < round_full)
+                    .unwrap();
+                drop(count);
+                assert!(!wait.timed_out(), "job {i}: lanes never all held a job");
                 x * 2
             });
-            assert_eq!(out, (0..37).map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!(out, (0..jobs).map(|x| x * 2).collect::<Vec<_>>());
         }
     }
 

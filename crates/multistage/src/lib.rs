@@ -11,7 +11,8 @@
 //! existing scheduler semantics are preserved exactly there; Omega,
 //! butterfly, and fat-tree graphs expose the internal blocking the paper's
 //! multiplexed switching is designed to hide. [`TorusRouter`] covers the
-//! §6 multi-hop torus, whose routes do not fit a stage sequence.
+//! §6 multi-hop torus, whose dimension-order routes ([`TorusNetwork`])
+//! do not fit a stage sequence.
 //!
 //! Both implement `pms_sched::SlotRouter`, the one way a fabric
 //! constrains scheduling (`Scheduler::pass_admitted`, `TdmSim::with_router`).
@@ -25,4 +26,4 @@ pub mod torus;
 
 pub use graph::StageGraph;
 pub use router::MultistageRouter;
-pub use torus::TorusRouter;
+pub use torus::{TorusNetwork, TorusRouter};

@@ -9,11 +9,10 @@
 //! * Omega admission agrees with destination-tag path conflicts, and
 //!   fat-tree admission with per-leaf up-link and down-link counts;
 //! * [`TorusRouter`] admission agrees with pairwise link-disjointness of
-//!   the torus's dimension-order routes.
+//!   the torus's dimension-order routes, which are themselves well formed.
 
 use pms_bitmat::BitMatrix;
-use pms_fabric::TorusNetwork;
-use pms_multistage::{MultistageRouter, StageGraph, TorusRouter};
+use pms_multistage::{MultistageRouter, StageGraph, TorusNetwork, TorusRouter};
 use pms_sched::SlotRouter;
 use proptest::prelude::*;
 
@@ -348,5 +347,28 @@ proptest! {
     fn torus_single_connection_admits(u in 0usize..32, v in 0usize..32) {
         let mut r = TorusRouter::new(TorusNetwork::new(4, 4, 2), 1);
         prop_assert!(r.try_admit(0, u, v));
+    }
+
+    /// Routes only use real link ids and have dimension-order length.
+    #[test]
+    fn torus_routes_are_well_formed(u in 0usize..32, v in 0usize..32) {
+        let t = TorusNetwork::new(4, 4, 2);
+        let route = t.route(u, v);
+        for &l in &route {
+            prop_assert!(l < t.links(), "link id {l} out of range");
+        }
+        // Hop count bounded by the torus diameter (2 + 2).
+        prop_assert!(route.len() <= 4);
+        // Same switch -> empty route.
+        if t.switch_of(u) == t.switch_of(v) {
+            prop_assert!(route.is_empty());
+        } else {
+            prop_assert!(!route.is_empty());
+        }
+        // A dimension-order route never claims a link twice.
+        let mut sorted = route.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert_eq!(sorted.len(), route.len());
     }
 }

@@ -849,6 +849,20 @@ mod tests {
     }
 
     #[test]
+    fn unload_returns_register_to_dynamic_scheduling() {
+        let mut s = Scheduler::new(SchedulerConfig::new(8, 2));
+        s.preload(1, BitMatrix::from_pairs(8, 8, [(0, 1)]));
+        s.unload(1);
+        assert!(!s.is_preloaded(1));
+        assert!(!s.established(0, 1), "unload evicts the register's pairs");
+        // Both registers take dynamic passes again.
+        let r = reqs(8, &[(2, 3)]);
+        assert_eq!(s.pass(&r).slot, Some(0));
+        assert_eq!(s.pass(&r).slot, Some(1));
+        s.check_invariants();
+    }
+
+    #[test]
     fn flush_all_clears_everything() {
         let mut s = Scheduler::new(SchedulerConfig::new(8, 3));
         s.preload(2, BitMatrix::from_pairs(8, 8, [(7, 7)]));

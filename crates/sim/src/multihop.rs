@@ -15,13 +15,13 @@
 //! incoming buffer until the next link accepts it; each directed link
 //! serves one worm at a time in FIFO request order.
 //!
-//! [`TorusNetwork`]: pms_fabric::TorusNetwork
+//! [`TorusNetwork`]: pms_multistage::TorusNetwork
 
 use crate::engine::Effect;
 use crate::params::SimParams;
 use crate::simcore::{EventQueue, Sim, SimCore, Switch};
 use crate::stats::SimStats;
-use pms_fabric::TorusNetwork;
+use pms_multistage::TorusNetwork;
 use pms_trace::SpanPhase;
 use pms_workloads::Workload;
 use std::collections::VecDeque;

@@ -2,8 +2,8 @@
 //! latency sanity, and causal-span pairing for random small workloads
 //! under every paradigm.
 
-use pms_fabric::TorusNetwork;
 use pms_faults::{FaultKind, FaultPlan};
+use pms_multistage::TorusNetwork;
 use pms_sim::{
     MsTopology, MultihopWormholeSim, Paradigm, PredictorKind, RunSpec, SimParams, SimStats,
 };

@@ -2,8 +2,8 @@
 //! a typed `RunError`, before any cycle is simulated; and every paradigm
 //! delivers a zero-byte message.
 
-use pms_fabric::TorusNetwork;
 use pms_faults::FaultPlan;
+use pms_multistage::TorusNetwork;
 use pms_predict::PhaseDetectorConfig;
 use pms_sim::{
     MsTopology, MultihopWormholeSim, Paradigm, PredictorKind, RunError, RunSpec, SimParams,

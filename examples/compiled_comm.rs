@@ -68,3 +68,8 @@ fn main() {
         dynamic.connections_established
     );
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -5,8 +5,7 @@
 //! cargo run --release --example multihop_torus
 //! ```
 
-use pms::fabric::TorusNetwork;
-use pms::multistage::TorusRouter;
+use pms::multistage::{TorusNetwork, TorusRouter};
 use pms::sched::{Scheduler, SchedulerConfig};
 use pms::sim::{PredictorKind, TdmMode, TdmSim};
 use pms::workloads::uniform;
@@ -90,4 +89,9 @@ fn main() {
         multihop.efficiency(0.8) * 100.0,
         multihop.makespan_ns
     );
+}
+
+#[test]
+fn runs() {
+    main();
 }

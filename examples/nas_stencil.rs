@@ -49,3 +49,8 @@ fn main() {
     println!("run-time establishment); dynamic scheduling of the same burst packs");
     println!("greedily and pays for it — the gap is the value of compilation (SS3.1).");
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -10,7 +10,7 @@
 use pms::bitmat::BitMatrix;
 use pms::multistage::{MultistageRouter, StageGraph};
 use pms::sched::{Scheduler, SchedulerConfig, SlotRouter};
-use pms::Technology;
+use pms::SimParams;
 
 fn main() {
     let n = 16;
@@ -18,7 +18,7 @@ fn main() {
     let stages = graph.num_stages();
     println!(
         "Omega network: {n} ports, {stages} stages, {} ns propagation",
-        stages as u64 * Technology::Digital.propagation_delay_ns()
+        stages as u64 * SimParams::default().digital_switch_ns
     );
 
     // Whether one slot of the fabric can carry every pair at once.
@@ -77,4 +77,9 @@ fn main() {
     println!("\na crossbar realizes bit-reversal in one slot; the blocking omega");
     println!("fabric needs several TDM slots — multiplexing buys back connectivity");
     println!("that the cheaper fabric gives up.");
+}
+
+#[test]
+fn runs() {
+    main();
 }

@@ -50,3 +50,8 @@ fn main() {
     println!("set at the network's capacity, holding stale connections starves");
     println!("pending requests — the eviction policy sets that balance.");
 }
+
+#[test]
+fn runs() {
+    main();
+}

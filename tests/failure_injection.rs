@@ -129,23 +129,11 @@ fn preload_command_with_missing_pattern_is_ignored_not_fatal() {
 
 #[test]
 fn scheduler_rejects_corrupt_preload_configurations() {
-    use pms::{BitMatrix, SystemBuilder};
-    let mut sys = SystemBuilder::new(4).slots(2).build();
+    use pms::{BitMatrix, Scheduler, SchedulerConfig};
+    let mut sched = Scheduler::new(SchedulerConfig::new(4, 2));
     let conflicting = BitMatrix::from_pairs(4, 4, [(0, 1), (2, 1)]);
     assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sys.preload(0, conflicting);
-    }))
-    .is_err());
-}
-
-#[test]
-fn fabric_rejects_configurations_it_cannot_realize() {
-    use pms::fabric::{Crossbar, FabricState, Technology};
-    use pms::BitMatrix;
-    let mut st = FabricState::new(Crossbar::new(4, Technology::Lvds));
-    let bad = BitMatrix::from_pairs(4, 4, [(0, 2), (1, 2)]);
-    assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        st.load(&bad);
+        sched.preload(0, conflicting);
     }))
     .is_err());
 }

@@ -2,8 +2,7 @@
 //! (§6 "fabrics other than crossbars") — an Omega stage graph and the
 //! multi-hop torus — each attached as a slot router.
 
-use pms::fabric::TorusNetwork;
-use pms::multistage::{MultistageRouter, StageGraph, TorusRouter};
+use pms::multistage::{MultistageRouter, StageGraph, TorusNetwork, TorusRouter};
 use pms::sim::{PredictorKind, TdmMode, TdmSim};
 use pms::workloads::{permutation, uniform};
 use pms::{SimParams, Workload};
