@@ -254,14 +254,19 @@ fn main() {
         }
         print!("{out}");
     }
+    // One copy of the trace serves both the trace file and the report.
+    let records = if args.trace.is_some() || args.report.is_some() {
+        tracer.records()
+    } else {
+        Vec::new()
+    };
     if let Some(path) = &args.trace {
-        let records = tracer.records();
         write_jsonl(path, &records)
             .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));
         eprintln!("trace        : {} events -> {path}", records.len());
     }
     if let Some(path) = &args.report {
-        let report = build_report(&tracer.records(), &ReportConfig::default());
+        let report = build_report(&records, &ReportConfig::default());
         std::fs::write(path, report.to_json().render_pretty())
             .unwrap_or_else(|e| die(format!("cannot write report {path}: {e}")));
         eprint!("{}", report.render_text());

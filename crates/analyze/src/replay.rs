@@ -183,7 +183,8 @@ pub fn parse_jsonl(text: &str) -> Result<Replay, String> {
 mod tests {
     use super::*;
     use pms_trace::{
-        record_json, write_record_line, EvictCause, FaultClass, RejectCause, SpanPhase, Width,
+        record_json, write_record_line, EvictCause, FaultClass, MetricsWindow, RejectCause,
+        SpanPhase, Width,
     };
     use proptest::prelude::*;
 
@@ -359,7 +360,7 @@ mod tests {
             mk(
                 1000,
                 1,
-                TraceEvent::MetricsSnapshot {
+                TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
                     seq: 3,
                     delivered: 2,
                     bytes: 1024,
@@ -378,7 +379,7 @@ mod tests {
                     granted: 1,
                     rejected: 1,
                     batches: 1,
-                },
+                })),
             ),
             mk(
                 1000,
@@ -646,7 +647,7 @@ mod tests {
             write_record_line(&mut line, &rec);
             let tree = record_json(&rec);
             prop_assert_eq!(&line, &tree.render());
-            prop_assert_eq!(parse_line(&line), Ok(Some(rec)));
+            prop_assert_eq!(parse_line(&line), Ok(Some(rec.clone())));
 
             let Json::Object(pairs) = tree else { unreachable!() };
             let mut shuffled = pairs.clone();
@@ -669,7 +670,7 @@ mod tests {
                 if i == variants.len() - 1 && !junk.trim().is_empty() {
                     prop_assert!(new.is_err(), "trailing bytes accepted: {}", v);
                 } else {
-                    prop_assert_eq!(new, Ok(Some(rec)), "{}", v);
+                    prop_assert_eq!(new, Ok(Some(rec.clone())), "{}", v);
                 }
             }
 

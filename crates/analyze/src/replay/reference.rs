@@ -4,7 +4,9 @@
 //! out-of-range `u32` field (`as u32`) where the schema reader rejects
 //! it, so the two agree on exactly the lines whose values fit.
 
-use pms_trace::{EvictCause, FaultClass, Json, RejectCause, TraceEvent, TraceRecord};
+use pms_trace::{
+    EvictCause, FaultClass, Json, MetricsWindow, RejectCause, TraceEvent, TraceRecord,
+};
 
 /// Parses one JSONL line. Returns `Ok(None)` for unknown kinds.
 pub fn parse_line(line: &str) -> Result<Option<TraceRecord>, String> {
@@ -166,7 +168,7 @@ pub fn parse_line(line: &str) -> Result<Option<TraceRecord>, String> {
             denied: field32("denied")?,
             pending: field32("pending")?,
         },
-        "metrics-snapshot" => TraceEvent::MetricsSnapshot {
+        "metrics-snapshot" => TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
             seq: field32("seq")?,
             delivered: field32("delivered")?,
             bytes: field("bytes")?,
@@ -185,7 +187,7 @@ pub fn parse_line(line: &str) -> Result<Option<TraceRecord>, String> {
             granted: field32("granted")?,
             rejected: field32("rejected")?,
             batches: field32("batches")?,
-        },
+        })),
         "alert-raised" => TraceEvent::AlertRaised {
             rule: field32("rule")?,
             seq: field32("seq")?,

@@ -54,23 +54,23 @@ pub fn summarize(series: &[Snapshot]) -> TimeseriesReport {
         return r;
     };
     r.windows = series.len() as u64;
-    r.first_seq = first.seq;
-    r.last_seq = last.seq;
+    r.first_seq = first.window.seq;
+    r.last_seq = last.window.seq;
     r.span_ns = last.t_ns.saturating_sub(first.t_ns);
     for s in series {
-        r.delivered += s.delivered as u64;
-        r.bytes += s.bytes;
-        r.established += s.established as u64;
-        r.retries += s.retries as u64;
-        r.abandoned += s.abandoned as u64;
-        r.faults_injected += s.faults_injected as u64;
-        if s.delivered > r.peak_delivered {
-            r.peak_delivered = s.delivered;
-            r.peak_delivered_seq = s.seq;
+        r.delivered += s.window.delivered as u64;
+        r.bytes += s.window.bytes;
+        r.established += s.window.established as u64;
+        r.retries += s.window.retries as u64;
+        r.abandoned += s.window.abandoned as u64;
+        r.faults_injected += s.window.faults_injected as u64;
+        if s.window.delivered > r.peak_delivered {
+            r.peak_delivered = s.window.delivered;
+            r.peak_delivered_seq = s.window.seq;
         }
-        if s.setup_max_ns > r.peak_setup_ns {
-            r.peak_setup_ns = s.setup_max_ns;
-            r.peak_setup_seq = s.seq;
+        if s.window.setup_max_ns > r.peak_setup_ns {
+            r.peak_setup_ns = s.window.setup_max_ns;
+            r.peak_setup_seq = s.window.seq;
         }
     }
     r
@@ -134,13 +134,13 @@ impl TimeseriesReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pms_trace::TraceEvent;
+    use pms_trace::{MetricsWindow, TraceEvent};
 
     fn snap_rec(seq: u32, t_ns: u64, delivered: u32, setup_max_ns: u64) -> TraceRecord {
         TraceRecord {
             t_ns,
             slot: 0,
-            event: TraceEvent::MetricsSnapshot {
+            event: TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
                 seq,
                 delivered,
                 bytes: delivered as u64 * 64,
@@ -159,7 +159,7 @@ mod tests {
                 granted: 0,
                 rejected: 0,
                 batches: 0,
-            },
+            })),
         }
     }
 

@@ -103,7 +103,7 @@ fn alert_records(records: &[TraceRecord]) -> Vec<TraceRecord> {
                 TraceEvent::AlertRaised { .. } | TraceEvent::AlertCleared { .. }
             )
         })
-        .copied()
+        .cloned()
         .collect()
 }
 

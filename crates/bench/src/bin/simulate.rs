@@ -238,8 +238,13 @@ fn main() {
         }
     );
     pms_bench::finish(&mut tracer);
+    // One copy of the trace serves both the trace file and the report.
+    let records = if args.trace.is_some() || args.report.is_some() {
+        tracer.records()
+    } else {
+        Vec::new()
+    };
     if let Some(path) = &args.trace {
-        let records = tracer.records();
         write_trace_file(path, &records)
             .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));
         eprintln!("trace        : {} events -> {path}", records.len());
@@ -282,7 +287,7 @@ fn main() {
         eprintln!("time series  : {} window(s) -> {path}", snaps.len());
     }
     if let Some(path) = &args.report {
-        let report = write_report_file(path, &tracer.records(), &ReportConfig::default())
+        let report = write_report_file(path, &records, &ReportConfig::default())
             .unwrap_or_else(|e| die(format!("cannot write report {path}: {e}")));
         eprint!("{}", report.render_text());
         eprintln!("report       : -> {path}");

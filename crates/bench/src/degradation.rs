@@ -127,7 +127,7 @@ pub fn degradation_timeseries(
                 paradigm: p.label(),
                 duty_pct,
                 snap,
-                efficiency: snap.bytes as f64 / capacity,
+                efficiency: snap.window.bytes as f64 / capacity,
             });
         }
     }
@@ -145,14 +145,14 @@ pub fn degradation_timeseries_csv(rows: &[DegradationWindow]) -> String {
             "{},{},{},{},{},{},{},{},{},{},{:.6}\n",
             r.paradigm,
             r.duty_pct,
-            r.snap.seq,
+            r.snap.window.seq,
             r.snap.t_ns,
-            r.snap.delivered,
-            r.snap.bytes,
-            r.snap.faults_injected,
-            r.snap.faults_cleared,
-            r.snap.retries,
-            r.snap.abandoned,
+            r.snap.window.delivered,
+            r.snap.window.bytes,
+            r.snap.window.faults_injected,
+            r.snap.window.faults_cleared,
+            r.snap.window.retries,
+            r.snap.window.abandoned,
             r.efficiency
         ));
     }
@@ -246,7 +246,7 @@ mod tests {
         }
         // Faults were actually observed window-by-window, and every
         // window's efficiency is a sane fraction.
-        assert!(rows.iter().any(|r| r.snap.faults_injected > 0));
+        assert!(rows.iter().any(|r| r.snap.window.faults_injected > 0));
         for r in &rows {
             assert!(
                 (0.0..=1.0 + 1e-9).contains(&r.efficiency),

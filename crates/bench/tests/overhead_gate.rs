@@ -1,8 +1,9 @@
 //! The observability overhead gates: enabling the kernel profiler
 //! ([`pms_trace::prof`]) must cost at most 2 % even with the metrics
-//! snapshot pipeline attached at its default cadence, and the snapshot
+//! snapshot pipeline attached at its default cadence, the snapshot
 //! pipeline itself must stay within a small measured budget of a bare
-//! ring sink.
+//! ring sink, and keeping every record of a run must stay within a
+//! measured budget of tracing off.
 //!
 //! This is a wall-clock timing test, so it is `#[ignore]`d by default
 //! and run explicitly — in release mode, on an otherwise idle machine —
@@ -38,6 +39,18 @@ const MAX_OVERHEAD: f64 = 1.02;
 /// simulations spend far more time outside the tracer, so their
 /// relative cost is much smaller than this gate's.
 const MAX_PIPELINE_OVERHEAD: f64 = 1.08;
+/// Allowed cost of keeping every record (`Tracer::vec()`, then taking
+/// the records as the CLIs do) over tracing off (`Tracer::Null`): 240 %.
+///
+/// Measured like [`MAX_PIPELINE_OVERHEAD`], with the same 2x headroom
+/// over the overhead observed: a median ratio of 2.21 (12 alternating
+/// runs on a 2-vCPU VM; 1.91 with the 104 B `Copy` records before the
+/// `metrics-snapshot` payload was boxed). This gate's 17k-record trace
+/// stays in cache, so halving the record saves little here, while
+/// cloning and dropping the trace now visit every record instead of
+/// one `memcpy` and `free`. On traces that leave the cache the smaller
+/// record wins: see `trace.tap_overhead` in pmsbench's probe.
+const MAX_TRACE_ON_OVERHEAD: f64 = 3.40;
 /// Timed run pairs; medians are taken over this many samples per arm.
 const SAMPLES: usize = 15;
 
@@ -157,5 +170,49 @@ fn snapshot_pipeline_overhead_on_ring_sink_is_within_budget() {
         "snapshot-pipeline overhead {:.2}% exceeds the {:.0}% budget",
         (ratio - 1.0) * 100.0,
         (MAX_PIPELINE_OVERHEAD - 1.0) * 100.0
+    );
+}
+
+/// Tracing on against tracing off: the cost of keeping every record of
+/// the run in memory, bounded by the measured [`MAX_TRACE_ON_OVERHEAD`].
+#[test]
+#[ignore = "wall-clock gate; run explicitly with --release (see CI's test job)"]
+fn trace_on_overhead_over_trace_off_is_within_budget() {
+    let mesh = MeshSpec::for_ports(64);
+    let workload = ordered_mesh(mesh, 64, 4, 500, 100);
+    let params = SimParams::default().with_ports(64);
+    let paradigm = Paradigm::DynamicTdm(PredictorKind::Timeout(400));
+    let off_tracer = || Tracer::Null;
+    let on_tracer = Tracer::vec;
+
+    for _ in 0..3 {
+        timed_traced_run(&paradigm, &workload, &params, on_tracer);
+    }
+
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        off.push(timed_traced_run(&paradigm, &workload, &params, off_tracer));
+        on.push(timed_traced_run(&paradigm, &workload, &params, on_tracer));
+    }
+
+    // The traced arm must actually have kept records, or the gate is
+    // vacuous.
+    let (_, tracer) = paradigm.run_traced(&workload, &params, on_tracer());
+    let records = tracer.records().len();
+    assert!(records > 0, "traced run kept no records; gate is vacuous");
+
+    let (m_off, m_on) = (median(off), median(on));
+    let ratio = m_on / m_off;
+    eprintln!(
+        "trace off: {:.3} ms, on: {:.3} ms ({records} records), ratio {:.4} (gate {MAX_TRACE_ON_OVERHEAD})",
+        m_off * 1e3,
+        m_on * 1e3,
+        ratio
+    );
+    assert!(
+        ratio <= MAX_TRACE_ON_OVERHEAD,
+        "trace-on overhead {:.2}% exceeds the {:.0}% budget",
+        (ratio - 1.0) * 100.0,
+        (MAX_TRACE_ON_OVERHEAD - 1.0) * 100.0
     );
 }

@@ -419,7 +419,7 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
 mod tests {
     use super::*;
     use pms_trace::span::SpanTracker;
-    use pms_trace::{record_json, TraceSink, Tracer};
+    use pms_trace::{record_json, MetricsWindow, TraceSink, Tracer};
     use std::io::Read;
 
     /// Blocking mini-client: one GET, returns (status, headers, body).
@@ -526,7 +526,7 @@ mod tests {
             sink.record(TraceRecord {
                 t_ns,
                 slot: 0,
-                event: TraceEvent::MetricsSnapshot {
+                event: TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
                     seq,
                     delivered: 2,
                     bytes: 128,
@@ -545,7 +545,7 @@ mod tests {
                     granted: 0,
                     rejected: 0,
                     batches: 0,
-                },
+                })),
             });
         }
         let server = TelemetryServer::start("127.0.0.1:0", shared).expect("start");

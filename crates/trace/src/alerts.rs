@@ -32,7 +32,7 @@
 //! happened at all. This is deliberate: an idle fabric has no new
 //! evidence either way.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{MetricsWindow, TraceEvent, TraceRecord};
 use crate::timeseries::Snapshot;
 use std::fmt;
 
@@ -125,26 +125,26 @@ impl Metric {
         Metric::Batches,
     ];
 
-    /// Reads this metric out of a snapshot.
-    pub fn value(self, snap: &Snapshot) -> u64 {
+    /// Reads this metric out of a snapshot window.
+    pub fn value(self, w: &MetricsWindow) -> u64 {
         match self {
-            Metric::Delivered => snap.delivered as u64,
-            Metric::Bytes => snap.bytes,
-            Metric::Established => snap.established as u64,
-            Metric::Evicted => snap.evicted as u64,
-            Metric::Denied => snap.denied as u64,
-            Metric::Retries => snap.retries as u64,
-            Metric::Abandoned => snap.abandoned as u64,
-            Metric::FaultsInjected => snap.faults_injected as u64,
-            Metric::FaultsCleared => snap.faults_cleared as u64,
-            Metric::Setups => snap.setups as u64,
-            Metric::SetupMaxNs => snap.setup_max_ns,
-            Metric::SetupMeanNs => snap.setup_mean_ns(),
-            Metric::Passes => snap.passes as u64,
-            Metric::Enqueued => snap.enqueued as u64,
-            Metric::Granted => snap.granted as u64,
-            Metric::Rejected => snap.rejected as u64,
-            Metric::Batches => snap.batches as u64,
+            Metric::Delivered => w.delivered as u64,
+            Metric::Bytes => w.bytes,
+            Metric::Established => w.established as u64,
+            Metric::Evicted => w.evicted as u64,
+            Metric::Denied => w.denied as u64,
+            Metric::Retries => w.retries as u64,
+            Metric::Abandoned => w.abandoned as u64,
+            Metric::FaultsInjected => w.faults_injected as u64,
+            Metric::FaultsCleared => w.faults_cleared as u64,
+            Metric::Setups => w.setups as u64,
+            Metric::SetupMaxNs => w.setup_max_ns,
+            Metric::SetupMeanNs => w.setup_mean_ns(),
+            Metric::Passes => w.passes as u64,
+            Metric::Enqueued => w.enqueued as u64,
+            Metric::Granted => w.granted as u64,
+            Metric::Rejected => w.rejected as u64,
+            Metric::Batches => w.batches as u64,
         }
     }
 }
@@ -541,7 +541,7 @@ impl AlertEngine {
     pub fn on_snapshot(&mut self, snap: &Snapshot, out: &mut Vec<TraceRecord>) {
         for i in 0..self.rules.rules.len() {
             let rule = &self.rules.rules[i];
-            let x = rule.metric.value(snap);
+            let x = rule.metric.value(&snap.window);
             let st = &mut self.state[i];
             // What counts as "breaching" this window, plus the observed
             // value and threshold an eventual raise would report.
@@ -594,7 +594,7 @@ impl AlertEngine {
                             slot: snap.slot,
                             event: TraceEvent::AlertCleared {
                                 rule: i as u32,
-                                seq: snap.seq,
+                                seq: snap.window.seq,
                             },
                         });
                     }
@@ -614,7 +614,7 @@ impl AlertEngine {
                         slot: snap.slot,
                         event: TraceEvent::AlertRaised {
                             rule: i as u32,
-                            seq: snap.seq,
+                            seq: snap.window.seq,
                             value: observed,
                             threshold,
                         },
@@ -650,10 +650,12 @@ mod tests {
         Snapshot {
             t_ns: (seq as u64 + 1) * 1000,
             slot: seq,
-            seq,
-            retries,
-            delivered: 1,
-            ..Snapshot::default()
+            window: MetricsWindow {
+                seq,
+                retries,
+                delivered: 1,
+                ..MetricsWindow::default()
+            },
         }
     }
 
@@ -759,9 +761,12 @@ mod tests {
         let mut out = Vec::new();
         let mk = |seq: u32, delivered: u32| Snapshot {
             t_ns: (seq as u64 + 1) * 1000,
-            seq,
-            delivered,
-            ..Snapshot::default()
+            slot: 0,
+            window: MetricsWindow {
+                seq,
+                delivered,
+                ..MetricsWindow::default()
+            },
         };
         eng.on_snapshot(&mk(0, 10), &mut out); // no previous window yet
         eng.on_snapshot(&mk(1, 9), &mut out); // delta -1: fine
@@ -788,11 +793,14 @@ mod tests {
         let mut out = Vec::new();
         let mk = |seq: u32, setup_max: u64| Snapshot {
             t_ns: (seq as u64 + 1) * 1000,
-            seq,
-            setups: 1,
-            setup_total_ns: setup_max,
-            setup_max_ns: setup_max,
-            ..Snapshot::default()
+            slot: 0,
+            window: MetricsWindow {
+                seq,
+                setups: 1,
+                setup_total_ns: setup_max,
+                setup_max_ns: setup_max,
+                ..MetricsWindow::default()
+            },
         };
         // Steady 100 ns setups through warmup and beyond.
         for i in 0..8 {
@@ -816,10 +824,13 @@ mod tests {
             .enumerate()
             .map(|(i, &r)| Snapshot {
                 t_ns: (i as u64 + 1) * 1000,
-                seq: i as u32,
-                retries: r,
-                delivered: 10 - r.min(9),
-                ..Snapshot::default()
+                slot: 0,
+                window: MetricsWindow {
+                    seq: i as u32,
+                    retries: r,
+                    delivered: 10 - r.min(9),
+                    ..MetricsWindow::default()
+                },
             })
             .collect();
         // Live: engine fed snapshot by snapshot, records interleaved.
@@ -837,7 +848,7 @@ mod tests {
                     TraceEvent::AlertRaised { .. } | TraceEvent::AlertCleared { .. }
                 )
             })
-            .copied()
+            .cloned()
             .collect();
         assert!(!live_alerts.is_empty(), "pattern must exercise the rules");
         assert_eq!(replay_alerts(&live_records, &rules), live_alerts);
@@ -851,9 +862,12 @@ mod tests {
         let mut out = Vec::new();
         let s = Snapshot {
             t_ns: 1000,
-            seq: 0,
-            abandoned: 1,
-            ..Snapshot::default()
+            slot: 0,
+            window: MetricsWindow {
+                seq: 0,
+                abandoned: 1,
+                ..MetricsWindow::default()
+            },
         };
         eng.on_snapshot(&s, &mut out);
         assert_eq!(raises_and_clears(&out), (1, 0), "abandonment fires");

@@ -133,24 +133,17 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Json {
             }
             // The snapshot keeps only its headline fields (the full
             // payload lives in the JSONL trace).
-            TraceEvent::MetricsSnapshot {
-                seq,
-                delivered,
-                bytes,
-                denied,
-                retries,
-                ..
-            } => {
+            TraceEvent::MetricsSnapshot(ref w) => {
                 let args = vec![
-                    ("seq", seq.into()),
-                    ("delivered", delivered.into()),
-                    ("bytes", bytes.into()),
-                    ("denied", denied.into()),
-                    ("retries", retries.into()),
+                    ("seq", w.seq.into()),
+                    ("delivered", w.delivered.into()),
+                    ("bytes", w.bytes.into()),
+                    ("denied", w.denied.into()),
+                    ("retries", w.retries.into()),
                 ];
                 events.push(instant(rec, SCHED_TID, args));
             }
-            event => {
+            _ => {
                 events.push(schema_instant(rec));
                 if let TraceEvent::MsgDelivered {
                     src,
@@ -158,7 +151,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Json {
                     bytes,
                     msg,
                     latency_ns,
-                } = event
+                } = rec.event
                 {
                     // The message's lifetime as a duration bar on its
                     // source port's row.
@@ -190,7 +183,7 @@ pub fn write_chrome_trace(path: impl AsRef<Path>, records: &[TraceRecord]) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EvictCause, FaultClass};
+    use crate::event::{EvictCause, FaultClass, MetricsWindow};
 
     fn sample_records() -> Vec<TraceRecord> {
         let mk = |t_ns, slot, event| TraceRecord { t_ns, slot, event };
@@ -320,7 +313,7 @@ mod tests {
             mk(
                 1000,
                 5,
-                TraceEvent::MetricsSnapshot {
+                TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
                     seq: 0,
                     delivered: 1,
                     bytes: 64,
@@ -339,7 +332,7 @@ mod tests {
                     granted: 1,
                     rejected: 0,
                     batches: 1,
-                },
+                })),
             ),
             mk(
                 1000,

@@ -279,7 +279,19 @@ pub struct KindSchema {
     pub head: &'static str,
     /// Payload fields in export order.
     pub fields: &'static [FieldSpec],
+    /// Whether the payload sits behind a `Box` in [`TraceEvent`]. Only a
+    /// kind whose fields exceed the 24 B every other kind fits in is
+    /// boxed, so that one wide kind does not widen every record.
+    pub boxed: bool,
 }
+
+// Every record of a trace is this wide: a 24 B inline payload plus the
+// kind tag, then the stamp. A new kind wider than 24 B must be boxed
+// (`tests::inline_kinds_fit_in_24_bytes` names it).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 48);
 
 /// One payload field value, matched to its [`FieldSpec`] by position.
 /// Every event payload is an unsigned integer or a closed-set label.
@@ -380,22 +392,30 @@ fn take<T: Payload>(schema: &KindSchema, fields: &[Field<'_>], i: &mut usize) ->
 /// [`TraceEvent::with_fields`] and its inverse [`TraceEvent::from_fields`].
 /// Each variant is written `Name = "kind-label" { field: type, .. }`; the
 /// field order is the export order.
+///
+/// A kind whose payload is wider than 24 B is written
+/// `Name(Box<Payload>) = "kind-label" { field: type, .. }` instead: the
+/// macro generates `pub struct Payload` from the field list and the
+/// variant holds it boxed, so one rare wide kind does not widen every
+/// record. Its schema row, export order and JSONL form are those of an
+/// inline kind.
 macro_rules! trace_schema {
     (
         $(#[$meta:meta])*
         pub enum TraceEvent {
             $(
                 $(#[$vmeta:meta])*
-                $kind:ident = $label:literal {
+                $kind:ident $((Box<$boxed:ident>))? = $label:literal {
                     $( $(#[$fmeta:meta])* $field:ident : $ty:ty, )*
                 },
             )*
         }
     ) => {
-        $(#[$meta])*
-        pub enum TraceEvent {
-            $( $(#[$vmeta])* $kind { $( $(#[$fmeta])* $field: $ty, )* }, )*
-        }
+        trace_schema!(@enum [$(#[$meta])*] [] $(
+            [$(#[$vmeta])*] $kind [$($boxed)?] [$( $(#[$fmeta])* $field: $ty, )*]
+        )*);
+
+        $( trace_schema!(@payload $kind [$($boxed)?] [$( $(#[$fmeta])* $field: $ty, )*]); )*
 
         /// The kind of a [`TraceEvent`]: an index into the trace schema.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -414,6 +434,7 @@ macro_rules! trace_schema {
                         width: <$ty as Payload>::WIDTH,
                     },
                 )*],
+                boxed: trace_schema!(@boxed [$($boxed)?]),
             },
         )*];
 
@@ -450,9 +471,10 @@ macro_rules! trace_schema {
             /// export order (the order of `kind.schema().fields`). This is
             /// the one field list behind every exporter.
             pub fn with_fields<R>(&self, f: impl FnOnce(EventKind, &[Field<'static>]) -> R) -> R {
-                match *self {
-                    $( TraceEvent::$kind { $($field),* } => {
-                        f(EventKind::$kind, &[$(Payload::to_field($field)),*])
+                match self {
+                    $( trace_schema!(@pattern $kind [$($boxed)?] payload [$($field),*]) => {
+                        trace_schema!(@unpack [$($boxed)?] payload [$($field),*]);
+                        f(EventKind::$kind, &[$(Payload::to_field(*$field)),*])
                     } )*
                 }
             }
@@ -474,12 +496,59 @@ macro_rules! trace_schema {
                 }
                 let mut i = 0;
                 Ok(match kind {
-                    $( EventKind::$kind => TraceEvent::$kind {
+                    $( EventKind::$kind => trace_schema!(@build $kind [$($boxed)?] {
                         $( $field: take(schema, fields, &mut i)?, )*
-                    }, )*
+                    }), )*
                 })
             }
         }
+    };
+
+    // The enum itself, one variant at a time (a variant cannot be a macro
+    // call): an inline kind is a struct variant, a boxed kind a one-field
+    // tuple variant.
+    (@enum [$($meta:tt)*] [$($done:tt)*]) => {
+        $($meta)*
+        pub enum TraceEvent { $($done)* }
+    };
+    (@enum $meta:tt [$($done:tt)*]
+        [$($vmeta:tt)*] $kind:ident [$boxed:ident] $fields:tt $($rest:tt)*) => {
+        trace_schema!(@enum $meta [$($done)* $($vmeta)* $kind(Box<$boxed>),] $($rest)*);
+    };
+    (@enum $meta:tt [$($done:tt)*]
+        [$($vmeta:tt)*] $kind:ident [] [$($fields:tt)*] $($rest:tt)*) => {
+        trace_schema!(@enum $meta [$($done)* $($vmeta)* $kind { $($fields)* },] $($rest)*);
+    };
+
+    (@payload $kind:ident [] $fields:tt) => {};
+    (@payload $kind:ident [$boxed:ident] [$( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*]) => {
+        #[doc = concat!("The payload of a [`TraceEvent::", stringify!($kind), "`], kept behind a `Box`.")]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $boxed {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+    };
+
+    // `with_fields` binds every field by reference, boxed or not.
+    (@pattern $kind:ident [] $payload:ident [$($field:ident),*]) => {
+        TraceEvent::$kind { $($field),* }
+    };
+    (@pattern $kind:ident [$boxed:ident] $payload:ident [$($field:ident),*]) => {
+        TraceEvent::$kind($payload)
+    };
+    (@unpack [] $payload:ident [$($field:ident),*]) => {};
+    (@unpack [$boxed:ident] $payload:ident [$($field:ident),*]) => {
+        let $boxed { $($field),* } = &**$payload;
+    };
+
+    (@boxed []) => { false };
+    (@boxed [$boxed:ident]) => { true };
+
+    (@build $kind:ident [] { $($body:tt)* }) => {
+        TraceEvent::$kind { $($body)* }
+    };
+    (@build $kind:ident [$boxed:ident] { $($body:tt)* }) => {
+        TraceEvent::$kind(Box::new($boxed { $($body)* }))
     };
 }
 
@@ -508,9 +577,11 @@ impl TraceEvent {
 }
 
 trace_schema! {
-/// One typed simulator event. All payloads are plain integers so that
-/// recording an event never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One typed simulator event. All payloads are plain integers or labels;
+/// recording an event allocates only for the one boxed kind,
+/// `metrics-snapshot`, which the snapshot pipeline emits once per closed
+/// window.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message entered its source NIC queue.
     MsgInjected = "msg-injected" {
@@ -731,7 +802,7 @@ pub enum TraceEvent {
     /// to simulation time — never wall clock — so JSONL replay
     /// reconstructs the exact series. All-idle windows are skipped; gaps
     /// in `seq` are therefore meaningful, not lossy.
-    MetricsSnapshot = "metrics-snapshot" {
+    MetricsSnapshot(Box<MetricsWindow>) = "metrics-snapshot" {
         /// Window index: `window_start_ns / window_ns`.
         seq: u32,
         /// Messages delivered in this window.
@@ -796,7 +867,7 @@ pub enum TraceEvent {
 /// TDM slot) it happened.
 ///
 /// Paradigms without TDM slots (wormhole, circuit) stamp `slot = 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulation time in nanoseconds.
     pub t_ns: u64,
@@ -915,7 +986,7 @@ mod tests {
                 phase: SpanPhase::Msg,
                 msg: 0,
             },
-            TraceEvent::MetricsSnapshot {
+            TraceEvent::MetricsSnapshot(Box::new(MetricsWindow {
                 seq: 0,
                 delivered: 4,
                 bytes: 256,
@@ -934,7 +1005,7 @@ mod tests {
                 granted: 2,
                 rejected: 1,
                 batches: 1,
-            },
+            })),
             TraceEvent::AlertRaised {
                 rule: 0,
                 seq: 0,
@@ -948,6 +1019,30 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), TraceEvent::KIND_COUNT, "duplicate kind labels");
+    }
+
+    /// A kind is boxed exactly when its payload exceeds the 24 B that
+    /// keeps `TraceEvent` at 32 B (see the size asserts above).
+    #[test]
+    fn inline_kinds_fit_in_24_bytes() {
+        for kind in EventKind::ALL {
+            let schema = kind.schema();
+            let bytes: usize = schema
+                .fields
+                .iter()
+                .map(|f| match f.width {
+                    Width::U32 => 4,
+                    Width::U64 => 8,
+                    _ => 1,
+                })
+                .sum();
+            assert_eq!(
+                schema.boxed,
+                bytes > 24,
+                "`{}` has a {bytes} B payload: box it exactly when it exceeds 24 B",
+                schema.label
+            );
+        }
     }
 
     /// The line writer pushes kind labels, field names and cause, class

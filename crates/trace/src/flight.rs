@@ -137,7 +137,7 @@ impl FlightRecorder {
         }
     }
 
-    fn dump(&mut self, trigger: TraceRecord, rule: u32, seq: u32, value: u64, threshold: u64) {
+    fn dump(&mut self, trigger: &TraceRecord, rule: u32, seq: u32, value: u64, threshold: u64) {
         // A full disk must not take the simulation down: I/O errors are
         // swallowed, the trigger is still counted.
         self.triggers += 1;
@@ -157,14 +157,14 @@ impl FlightRecorder {
             ("value", value.into()),
             ("threshold", threshold.into()),
             ("trigger_seq", self.triggers.into()),
-            ("events", self.ring.records().len().into()),
+            ("events", self.ring.len().into()),
         ]);
         let mut lines = 1u64;
         let _ = writeln!(out, "{}", marker.render());
         let mut line = String::new();
-        for rec in self.ring.records() {
+        for rec in self.ring.iter() {
             line.clear();
-            write_record_line(&mut line, &rec);
+            write_record_line(&mut line, rec);
             line.push('\n');
             let _ = out.write_all(line.as_bytes());
             lines += 1;
@@ -180,7 +180,6 @@ impl TraceSink for FlightRecorder {
     // Outlined: keeps `Tracer::emit`'s inlined match small.
     #[inline(never)]
     fn record(&mut self, rec: TraceRecord) {
-        self.ring.record(rec);
         if let TraceEvent::AlertRaised {
             rule,
             seq,
@@ -188,7 +187,10 @@ impl TraceSink for FlightRecorder {
             threshold,
         } = rec.event
         {
-            self.dump(rec, rule, seq, value, threshold);
+            self.ring.record(rec.clone());
+            self.dump(&rec, rule, seq, value, threshold);
+        } else {
+            self.ring.record(rec);
         }
     }
 }

@@ -17,6 +17,11 @@
 //!   formatting, no allocation, and no writes.
 //! * **No floats, no strings on the hot path** — events are plain
 //!   integer structs; [`metrics::Histogram`] uses log2 buckets.
+//! * **48-byte records** — every event kind fits 24 B of payload inline
+//!   except `metrics-snapshot`, whose payload ([`MetricsWindow`]) is
+//!   boxed: the snapshot pipeline allocates one box per closed window,
+//!   and recording any other event allocates nothing beyond its sink's
+//!   own buffer.
 //! * **Zero dependencies** — including JSON: [`json`] is a small
 //!   hand-rolled value tree + renderer (the build environment has no
 //!   registry access, and a trace writer has no business pulling one in).
@@ -42,8 +47,8 @@ pub mod timeseries;
 pub use alerts::{replay_alerts, AlertEngine, AlertRule, AlertRules, RulesParseError};
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use event::{
-    EventKind, EvictCause, FaultClass, Field, FieldSpec, KindSchema, RejectCause, SpanPhase,
-    TraceEvent, TraceRecord, Width,
+    EventKind, EvictCause, FaultClass, Field, FieldSpec, KindSchema, MetricsWindow, RejectCause,
+    SpanPhase, TraceEvent, TraceRecord, Width,
 };
 pub use flight::{parse_flight_dump, FlightConfig, FlightParseError, FlightRecorder};
 pub use json::{Json, ParseError};

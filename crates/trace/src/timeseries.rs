@@ -13,7 +13,7 @@
 //! statement "nothing happened here", which keeps long idle-skipped runs
 //! from drowning the ring in zero rows.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{MetricsWindow, TraceEvent, TraceRecord};
 use crate::json::Json;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -102,45 +102,11 @@ pub struct Snapshot {
     pub t_ns: u64,
     /// TDM slot active at emission.
     pub slot: u32,
-    /// Window index: `window_start_ns / window_ns`.
-    pub seq: u32,
-    /// Messages delivered in the window.
-    pub delivered: u32,
-    /// Payload bytes delivered in the window.
-    pub bytes: u64,
-    /// Connections established in the window.
-    pub established: u32,
-    /// Connections evicted in the window.
-    pub evicted: u32,
-    /// Scheduler denials in the window.
-    pub denied: u32,
-    /// Message retries in the window.
-    pub retries: u32,
-    /// Messages abandoned in the window.
-    pub abandoned: u32,
-    /// Faults injected in the window.
-    pub faults_injected: u32,
-    /// Faults cleared in the window.
-    pub faults_cleared: u32,
-    /// Request→establish setups completed in the window.
-    pub setups: u32,
-    /// Sum of completed setup latencies.
-    pub setup_total_ns: u64,
-    /// Worst completed setup latency.
-    pub setup_max_ns: u64,
-    /// Scheduling passes in the window.
-    pub passes: u32,
-    /// Admission requests enqueued in the window.
-    pub enqueued: u32,
-    /// Admission requests granted in the window.
-    pub granted: u32,
-    /// Admission requests rejected in the window.
-    pub rejected: u32,
-    /// Admission batch epochs completed in the window.
-    pub batches: u32,
+    /// The window's index and counter deltas: the record's payload.
+    pub window: MetricsWindow,
 }
 
-impl Snapshot {
+impl MetricsWindow {
     /// Whether the window saw no activity at all (skipped, not emitted).
     pub fn is_idle(&self) -> bool {
         self.delivered == 0
@@ -168,29 +134,12 @@ impl Snapshot {
             self.setup_total_ns / self.setups as u64
         }
     }
+}
 
+impl Snapshot {
     /// The snapshot as a trace event (inverse of [`Snapshot::from_record`]).
     pub fn to_event(&self) -> TraceEvent {
-        TraceEvent::MetricsSnapshot {
-            seq: self.seq,
-            delivered: self.delivered,
-            bytes: self.bytes,
-            established: self.established,
-            evicted: self.evicted,
-            denied: self.denied,
-            retries: self.retries,
-            abandoned: self.abandoned,
-            faults_injected: self.faults_injected,
-            faults_cleared: self.faults_cleared,
-            setups: self.setups,
-            setup_total_ns: self.setup_total_ns,
-            setup_max_ns: self.setup_max_ns,
-            passes: self.passes,
-            enqueued: self.enqueued,
-            granted: self.granted,
-            rejected: self.rejected,
-            batches: self.batches,
-        }
+        TraceEvent::MetricsSnapshot(Box::new(self.window))
     }
 
     /// The snapshot as a stamped trace record.
@@ -205,47 +154,11 @@ impl Snapshot {
     /// Rebuilds a snapshot from a `MetricsSnapshot` record (replay path);
     /// `None` for any other event kind.
     pub fn from_record(rec: &TraceRecord) -> Option<Snapshot> {
-        match rec.event {
-            TraceEvent::MetricsSnapshot {
-                seq,
-                delivered,
-                bytes,
-                established,
-                evicted,
-                denied,
-                retries,
-                abandoned,
-                faults_injected,
-                faults_cleared,
-                setups,
-                setup_total_ns,
-                setup_max_ns,
-                passes,
-                enqueued,
-                granted,
-                rejected,
-                batches,
-            } => Some(Snapshot {
+        match &rec.event {
+            TraceEvent::MetricsSnapshot(window) => Some(Snapshot {
                 t_ns: rec.t_ns,
                 slot: rec.slot,
-                seq,
-                delivered,
-                bytes,
-                established,
-                evicted,
-                denied,
-                retries,
-                abandoned,
-                faults_injected,
-                faults_cleared,
-                setups,
-                setup_total_ns,
-                setup_max_ns,
-                passes,
-                enqueued,
-                granted,
-                rejected,
-                batches,
+                window: **window,
             }),
             _ => None,
         }
@@ -253,27 +166,28 @@ impl Snapshot {
 
     /// JSON object form (used by `/timeseries` and the analyze report).
     pub fn to_json(&self) -> Json {
+        let w = &self.window;
         Json::obj([
-            ("seq", self.seq.into()),
+            ("seq", w.seq.into()),
             ("t_ns", self.t_ns.into()),
             ("slot", self.slot.into()),
-            ("delivered", self.delivered.into()),
-            ("bytes", self.bytes.into()),
-            ("established", self.established.into()),
-            ("evicted", self.evicted.into()),
-            ("denied", self.denied.into()),
-            ("retries", self.retries.into()),
-            ("abandoned", self.abandoned.into()),
-            ("faults_injected", self.faults_injected.into()),
-            ("faults_cleared", self.faults_cleared.into()),
-            ("setups", self.setups.into()),
-            ("setup_total_ns", self.setup_total_ns.into()),
-            ("setup_max_ns", self.setup_max_ns.into()),
-            ("passes", self.passes.into()),
-            ("enqueued", self.enqueued.into()),
-            ("granted", self.granted.into()),
-            ("rejected", self.rejected.into()),
-            ("batches", self.batches.into()),
+            ("delivered", w.delivered.into()),
+            ("bytes", w.bytes.into()),
+            ("established", w.established.into()),
+            ("evicted", w.evicted.into()),
+            ("denied", w.denied.into()),
+            ("retries", w.retries.into()),
+            ("abandoned", w.abandoned.into()),
+            ("faults_injected", w.faults_injected.into()),
+            ("faults_cleared", w.faults_cleared.into()),
+            ("setups", w.setups.into()),
+            ("setup_total_ns", w.setup_total_ns.into()),
+            ("setup_max_ns", w.setup_max_ns.into()),
+            ("passes", w.passes.into()),
+            ("enqueued", w.enqueued.into()),
+            ("granted", w.granted.into()),
+            ("rejected", w.rejected.into()),
+            ("batches", w.batches.into()),
         ])
     }
 
@@ -286,28 +200,29 @@ enqueued,granted,rejected,batches";
     ///
     /// [`CSV_HEADER`]: Snapshot::CSV_HEADER
     pub fn to_csv_row(&self) -> String {
+        let w = &self.window;
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.seq,
+            w.seq,
             self.t_ns,
             self.slot,
-            self.delivered,
-            self.bytes,
-            self.established,
-            self.evicted,
-            self.denied,
-            self.retries,
-            self.abandoned,
-            self.faults_injected,
-            self.faults_cleared,
-            self.setups,
-            self.setup_total_ns,
-            self.setup_max_ns,
-            self.passes,
-            self.enqueued,
-            self.granted,
-            self.rejected,
-            self.batches
+            w.delivered,
+            w.bytes,
+            w.established,
+            w.evicted,
+            w.denied,
+            w.retries,
+            w.abandoned,
+            w.faults_injected,
+            w.faults_cleared,
+            w.setups,
+            w.setup_total_ns,
+            w.setup_max_ns,
+            w.passes,
+            w.enqueued,
+            w.granted,
+            w.rejected,
+            w.batches
         )
     }
 }
@@ -328,7 +243,7 @@ pub struct SnapshotCollector {
     /// hot path is one compare, not a division.
     next_boundary_ns: u64,
     /// Accumulating deltas for the open window.
-    acc: Snapshot,
+    acc: MetricsWindow,
     /// Last slot observed (stamped onto boundary snapshots).
     last_slot: u32,
     /// Outstanding `ConnRequested` times per (src, dst) — setups attribute
@@ -350,7 +265,7 @@ impl SnapshotCollector {
             cfg,
             cur: None,
             next_boundary_ns: 0,
-            acc: Snapshot::default(),
+            acc: MetricsWindow::default(),
             last_slot: 0,
             pending: HashMap::default(),
             recent: VecDeque::new(),
@@ -440,13 +355,16 @@ impl SnapshotCollector {
     }
 
     fn close_window(&mut self, boundary_ns: u64, out: &mut Vec<Snapshot>) {
-        let mut snap = std::mem::take(&mut self.acc);
-        snap.t_ns = boundary_ns;
-        snap.slot = self.last_slot;
-        if snap.is_idle() {
+        let window = std::mem::take(&mut self.acc);
+        if window.is_idle() {
             self.skipped_idle += 1;
             return;
         }
+        let snap = Snapshot {
+            t_ns: boundary_ns,
+            slot: self.last_slot,
+            window,
+        };
         self.emitted += 1;
         if self.recent.len() == self.cfg.ring {
             self.recent.pop_front();
@@ -542,15 +460,15 @@ mod tests {
         // Jump over windows 1..4 (idle) straight into window 5.
         c.observe(&delivered(5100, 32), &mut out);
         assert_eq!(out.len(), 1, "only window 0 closed; idle gap skipped");
-        assert_eq!(out[0].seq, 0);
+        assert_eq!(out[0].window.seq, 0);
         assert_eq!(out[0].t_ns, 1000, "stamped at the boundary");
-        assert_eq!(out[0].delivered, 2);
-        assert_eq!(out[0].bytes, 128);
+        assert_eq!(out[0].window.delivered, 2);
+        assert_eq!(out[0].window.bytes, 128);
         let mut sealed = Vec::new();
         c.seal(5200, 52, &mut sealed);
         assert_eq!(sealed.len(), 1, "seal flushes the partial window");
-        assert_eq!(sealed[0].seq, 5);
-        assert_eq!(sealed[0].delivered, 1);
+        assert_eq!(sealed[0].window.seq, 5);
+        assert_eq!(sealed[0].window.delivered, 1);
         assert_eq!(c.emitted(), 2);
         assert_eq!(c.skipped_idle(), 0, "idle gap windows never materialize");
     }
@@ -585,10 +503,10 @@ mod tests {
         let mut sealed = Vec::new();
         c.seal(300, 0, &mut sealed);
         assert_eq!(sealed.len(), 1);
-        assert_eq!(sealed[0].setups, 1);
-        assert_eq!(sealed[0].setup_total_ns, 240);
-        assert_eq!(sealed[0].setup_max_ns, 240);
-        assert_eq!(sealed[0].setup_mean_ns(), 240);
+        assert_eq!(sealed[0].window.setups, 1);
+        assert_eq!(sealed[0].window.setup_total_ns, 240);
+        assert_eq!(sealed[0].window.setup_max_ns, 240);
+        assert_eq!(sealed[0].window.setup_mean_ns(), 240);
     }
 
     #[test]
@@ -663,10 +581,10 @@ mod tests {
             1,
             "admission activity makes a window non-idle"
         );
-        assert_eq!(sealed[0].enqueued, 1);
-        assert_eq!(sealed[0].granted, 1);
-        assert_eq!(sealed[0].rejected, 1);
-        assert_eq!(sealed[0].batches, 1);
+        assert_eq!(sealed[0].window.enqueued, 1);
+        assert_eq!(sealed[0].window.granted, 1);
+        assert_eq!(sealed[0].window.rejected, 1);
+        assert_eq!(sealed[0].window.batches, 1);
     }
 
     #[test]
@@ -681,7 +599,7 @@ mod tests {
         }
         c.seal(1000, 0, &mut out);
         assert_eq!(out.len(), 10, "every non-idle window emitted");
-        let held: Vec<u32> = c.recent().map(|s| s.seq).collect();
+        let held: Vec<u32> = c.recent().map(|s| s.window.seq).collect();
         assert_eq!(held, vec![7, 8, 9], "ring keeps the most recent 3");
     }
 
@@ -690,24 +608,26 @@ mod tests {
         let snap = Snapshot {
             t_ns: 6400,
             slot: 63,
-            seq: 7,
-            delivered: 3,
-            bytes: 192,
-            established: 2,
-            evicted: 1,
-            denied: 4,
-            retries: 1,
-            abandoned: 0,
-            faults_injected: 1,
-            faults_cleared: 1,
-            setups: 2,
-            setup_total_ns: 500,
-            setup_max_ns: 400,
-            passes: 12,
-            enqueued: 5,
-            granted: 4,
-            rejected: 1,
-            batches: 2,
+            window: MetricsWindow {
+                seq: 7,
+                delivered: 3,
+                bytes: 192,
+                established: 2,
+                evicted: 1,
+                denied: 4,
+                retries: 1,
+                abandoned: 0,
+                faults_injected: 1,
+                faults_cleared: 1,
+                setups: 2,
+                setup_total_ns: 500,
+                setup_max_ns: 400,
+                passes: 12,
+                enqueued: 5,
+                granted: 4,
+                rejected: 1,
+                batches: 2,
+            },
         };
         assert_eq!(Snapshot::from_record(&snap.to_record()), Some(snap));
         assert_eq!(
@@ -720,11 +640,14 @@ mod tests {
     #[test]
     fn series_csv_has_header_and_rows() {
         let series = vec![Snapshot {
-            seq: 1,
             t_ns: 2000,
-            delivered: 5,
-            bytes: 320,
-            ..Snapshot::default()
+            slot: 0,
+            window: MetricsWindow {
+                seq: 1,
+                delivered: 5,
+                bytes: 320,
+                ..MetricsWindow::default()
+            },
         }];
         let csv = series_to_csv(&series);
         let mut lines = csv.lines();
@@ -746,10 +669,13 @@ mod tests {
         let mut out = Vec::new();
         let snap = Snapshot {
             t_ns: 100,
-            seq: 0,
-            delivered: 50,
-            bytes: 1000,
-            ..Snapshot::default()
+            slot: 0,
+            window: MetricsWindow {
+                seq: 0,
+                delivered: 50,
+                bytes: 1000,
+                ..MetricsWindow::default()
+            },
         };
         c.observe(&snap.to_record(), &mut out);
         c.observe(
