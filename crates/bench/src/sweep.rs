@@ -72,8 +72,8 @@ impl FigureTable {
     }
 
     /// Renders per-cell wall-clock in milliseconds, same layout as
-    /// [`render`](Self::render) — the criterion-free view of where a
-    /// sweep's time goes (e.g. which paradigm/row dominates a figure run).
+    /// [`render`](Self::render) — where a sweep's time goes (e.g. which
+    /// paradigm/row dominates a figure run).
     ///
     /// The footer separates the summed per-cell CPU time from the
     /// end-to-end wall-clock: their ratio is the sweep's parallel

@@ -216,8 +216,7 @@ pub fn sl_pass(inputs: &SlInputs, b_s: &BitMatrix, priority: Priority) -> SlPass
 
 /// The original cell-by-cell SL pass, kept verbatim as the semantic
 /// reference for the event-driven [`sl_pass`] — proptests
-/// assert the two produce identical outputs, and the `sl_pass_kernel`
-/// criterion group times one against the other.
+/// assert the two produce identical outputs.
 pub mod reference {
     use super::{sl_cell, CellAction, CellInput, Priority};
     use pms_bitmat::BitMatrix;

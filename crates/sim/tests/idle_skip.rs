@@ -59,6 +59,18 @@ fn gappy_workload() -> Workload {
     Workload::new("gappy", PORTS, programs).with_patterns(pats)
 }
 
+/// Eight messages from four senders, 200 us of compute between sends,
+/// on 128 ports: every bit-matrix row spans two words, and each gap
+/// skips about 2000 slot boundaries.
+fn sparse128_workload() -> Workload {
+    let ports = 128;
+    let mut programs = vec![Program::new(); ports];
+    for m in 0..8 {
+        programs[m % 4].send((m + 1) % ports, 64).delay(200_000);
+    }
+    Workload::new("sparse128", ports, programs)
+}
+
 fn paradigms() -> Vec<Paradigm> {
     vec![
         Paradigm::Wormhole,
@@ -83,22 +95,40 @@ fn params(idle_skip: bool) -> SimParams {
 
 #[test]
 fn stats_and_traces_identical_across_paradigms() {
-    let w = gappy_workload();
-    for p in paradigms() {
-        let (fast_stats, fast_tracer) = p.run_traced(&w, &params(true), Tracer::vec());
-        let (slow_stats, slow_tracer) = p.run_traced(&w, &params(false), Tracer::vec());
-        assert_eq!(fast_stats, slow_stats, "{}: stats diverge", p.label());
-        assert_eq!(
-            fast_tracer.records(),
-            slow_tracer.records(),
-            "{}: trace records diverge",
-            p.label()
-        );
-        assert!(
-            fast_stats.delivered_messages > 0,
-            "{}: workload delivered nothing — test is vacuous",
-            p.label()
-        );
+    let cases = [
+        (gappy_workload(), paradigms()),
+        (
+            sparse128_workload(),
+            vec![Paradigm::Circuit, Paradigm::DynamicTdm(PredictorKind::Drop)],
+        ),
+    ];
+    for (w, ps) in &cases {
+        for p in ps {
+            let skip = params(true).with_ports(w.ports);
+            let stepped = params(false).with_ports(w.ports);
+            let (fast_stats, fast_tracer) = p.run_traced(w, &skip, Tracer::vec());
+            let (slow_stats, slow_tracer) = p.run_traced(w, &stepped, Tracer::vec());
+            assert_eq!(
+                fast_stats,
+                slow_stats,
+                "{} {}: stats diverge",
+                w.name,
+                p.label()
+            );
+            assert_eq!(
+                fast_tracer.records(),
+                slow_tracer.records(),
+                "{} {}: trace records diverge",
+                w.name,
+                p.label()
+            );
+            assert!(
+                fast_stats.delivered_messages > 0,
+                "{} {}: workload delivered nothing — test is vacuous",
+                w.name,
+                p.label()
+            );
+        }
     }
 }
 

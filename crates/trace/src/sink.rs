@@ -35,7 +35,6 @@ pub struct RingTracer {
     buf: Vec<TraceRecord>,
     cap: usize,
     next: usize,
-    total: u64,
 }
 
 impl RingTracer {
@@ -46,13 +45,7 @@ impl RingTracer {
             buf: Vec::with_capacity(cap),
             cap,
             next: 0,
-            total: 0,
         }
-    }
-
-    /// Total records ever recorded (including overwritten ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// Number of records currently held.
@@ -77,8 +70,8 @@ impl RingTracer {
         self.iter().cloned().collect()
     }
 
-    /// Drops all held records (capacity and total count are kept; the
-    /// flight recorder empties its window after each dump).
+    /// Drops all held records (capacity is kept; the flight recorder
+    /// empties its window after each dump).
     pub fn clear(&mut self) {
         self.buf.clear();
         self.next = 0;
@@ -92,9 +85,11 @@ impl TraceSink for RingTracer {
             self.buf.push(rec);
         } else {
             self.buf[self.next] = rec;
-            self.next = (self.next + 1) % self.cap;
+            self.next += 1;
+            if self.next == self.cap {
+                self.next = 0;
+            }
         }
-        self.total += 1;
     }
 }
 
@@ -124,8 +119,8 @@ impl TraceSink for VecTracer {
 /// Built for live telemetry: the simulator emits through a
 /// [`Tracer::Shared`] holding one clone while an HTTP server thread
 /// snapshots another clone mid-run. The lock is per-record, which is fine
-/// off the simulator's criterion-measured paths (live serving is an
-/// explicitly opted-in mode).
+/// off the simulator's measured paths (live serving is an explicitly
+/// opted-in mode).
 #[derive(Debug, Clone, Default)]
 pub struct SharedTracer {
     records: std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>,
@@ -525,12 +520,33 @@ mod tests {
         for i in 0..10u64 {
             ring.record(rec(i));
         }
-        assert_eq!(ring.total_recorded(), 10);
         let recs = ring.records();
         assert_eq!(
             recs.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
+    }
+
+    #[test]
+    fn ring_tracer_clear_after_wrap_restarts_the_window() {
+        // Clear with the cursor mid-ring (as the flight recorder does
+        // after a dump), then wrap again: the cursor restarts at slot 0
+        // and resets at capacity, so order stays oldest first.
+        let mut ring = RingTracer::new(4);
+        for i in 0..6u64 {
+            ring.record(rec(i));
+        }
+        ring.clear();
+        assert!(ring.is_empty());
+        let times = |ring: &RingTracer| ring.iter().map(|r| r.t_ns).collect::<Vec<_>>();
+        for i in 10..13u64 {
+            ring.record(rec(i));
+        }
+        assert_eq!(times(&ring), vec![10, 11, 12]);
+        for i in 13..19u64 {
+            ring.record(rec(i));
+        }
+        assert_eq!(times(&ring), vec![15, 16, 17, 18]);
     }
 
     #[test]
