@@ -256,7 +256,7 @@ fn main() {
     }
     // One copy of the trace serves both the trace file and the report.
     let records = if args.trace.is_some() || args.report.is_some() {
-        tracer.records()
+        tracer.into_records()
     } else {
         Vec::new()
     };

@@ -84,7 +84,7 @@ fn bench_policy(
     // --- the gate: live == rerun == trace == JSONL replay ----------------
     let mut tracer = Tracer::vec();
     let live = fresh().run(stream.to_vec(), &mut tracer);
-    let records = tracer.records();
+    let records = tracer.into_records();
     let live_text = render_all(&live.decisions);
 
     let rerun = fresh().run(stream.to_vec(), &mut Tracer::vec());
@@ -164,7 +164,7 @@ fn main() {
             .collect();
     // One scratch file per policy: the policies run on separate threads,
     // so the replay round trips must not share a path.
-    let bench = &|kind: PolicyKind| {
+    let bench = |_, kind: PolicyKind| {
         let path = std::env::temp_dir().join(format!(
             "admit_bench_{}_{}_{}_{}.jsonl",
             args.ports,
@@ -176,19 +176,8 @@ fn main() {
         let _ = std::fs::remove_file(&path);
         r
     };
-    // Contiguous runs of policies per thread: joining the threads in
-    // spawn order returns the results in policy order.
-    let per_thread = PolicyKind::ALL.len().div_ceil(args.threads);
-    let results: Vec<PolicyResult> = std::thread::scope(|s| {
-        let workers: Vec<_> = PolicyKind::ALL
-            .chunks(per_thread)
-            .map(|kinds| s.spawn(move || kinds.iter().map(|&k| bench(k)).collect::<Vec<_>>()))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
+    // Results come back in job order, which is policy order.
+    let results = cli::run_cells(args.threads, PolicyKind::ALL.to_vec(), bench);
 
     for r in &results {
         println!(

@@ -41,4 +41,4 @@ pub use engine::{
 pub use policy::{AdmissionPolicy, Fifo, PolicyKind, ShortestFirst, StrictPriority};
 pub use queue::{Pending, PifoQueue, Push};
 pub use ratelimit::{RateConfig, TokenBuckets};
-pub use stream::{format_request, parse_requests, StreamError};
+pub use stream::{format_request, parse_requests};

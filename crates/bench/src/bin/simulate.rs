@@ -238,17 +238,6 @@ fn main() {
         }
     );
     pms_bench::finish(&mut tracer);
-    // One copy of the trace serves both the trace file and the report.
-    let records = if args.trace.is_some() || args.report.is_some() {
-        tracer.records()
-    } else {
-        Vec::new()
-    };
-    if let Some(path) = &args.trace {
-        write_trace_file(path, &records)
-            .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));
-        eprintln!("trace        : {} events -> {path}", records.len());
-    }
     let flight_recorder = match &tracer {
         Tracer::Flight(fr) => Some(fr.as_ref()),
         Tracer::Pipeline(p) => match p.inner() {
@@ -285,6 +274,18 @@ fn main() {
         std::fs::write(path, series_to_csv(&snaps))
             .unwrap_or_else(|e| die(format!("cannot write time series {path}: {e}")));
         eprintln!("time series  : {} window(s) -> {path}", snaps.len());
+    }
+    // One copy of the trace serves both the trace file and the report;
+    // it moves out of the tracer, so every read of the tracer comes first.
+    let records = if args.trace.is_some() || args.report.is_some() {
+        tracer.into_records()
+    } else {
+        Vec::new()
+    };
+    if let Some(path) = &args.trace {
+        write_trace_file(path, &records)
+            .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));
+        eprintln!("trace        : {} events -> {path}", records.len());
     }
     if let Some(path) = &args.report {
         let report = write_report_file(path, &records, &ReportConfig::default())

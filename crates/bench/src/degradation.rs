@@ -66,7 +66,7 @@ pub fn degradation_sweep(
         .iter()
         .flat_map(|&d| paradigms.iter().map(move |p| (d, p.clone())))
         .collect();
-    let cells = crate::runner::run_cells(threads, jobs, |_, (duty_pct, p)| {
+    let cells = pms_trace::cli::run_cells(threads, jobs, |_, (duty_pct, p)| {
         let spec = RunSpec {
             plan: blackout_plan(workload.ports as u32, duty_pct, period_ns),
             ..RunSpec::new(workload, params.clone(), p.clone())

@@ -8,7 +8,6 @@
 //! `tests/golden.rs` pins each `--quick` document through this module,
 //! at 1 and at 2 threads.
 
-use crate::runner::run_cells;
 use crate::sweep::{run_grid_threads, FigureTable};
 use pms_analyze::schedule_quality;
 use pms_schedopt::{
@@ -16,7 +15,7 @@ use pms_schedopt::{
     validate_costed_schedule, ColoringKind, CostModel, DemandMatrix, PagedStudy,
 };
 use pms_sim::{MsTopology, Paradigm, PredictorKind, SimParams, TdmSim};
-use pms_trace::Json;
+use pms_trace::{cli::run_cells, Json};
 use pms_workloads::{
     build_pattern, datacenter_flows, hybrid, ordered_mesh, random_mesh, scatter, two_phase,
     DatacenterSpec, HybridSpec, MeshSpec, Workload,

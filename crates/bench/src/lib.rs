@@ -20,7 +20,6 @@
 pub mod degradation;
 pub mod figures;
 pub mod reporting;
-pub mod runner;
 pub mod sweep;
 
 pub use degradation::{
@@ -28,5 +27,4 @@ pub use degradation::{
     render_degradation, DegradationRow, DegradationWindow,
 };
 pub use reporting::{finish, write_report_file, write_results, write_trace_file, TraceFlags};
-pub use runner::run_cells;
 pub use sweep::{run_grid_threads, Cell, FigureTable};

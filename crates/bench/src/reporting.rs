@@ -84,7 +84,7 @@ impl TraceFlags {
         let tracer = Tracer::pipeline(SnapshotConfig::default(), rules, Tracer::vec());
         let (_, mut tracer) = run.run(tracer);
         finish(&mut tracer);
-        let records = tracer.records();
+        let records = tracer.into_records();
         if let Some(path) = trace {
             write_trace_file(path, &records)
                 .unwrap_or_else(|e| die(format!("cannot write trace {path}: {e}")));

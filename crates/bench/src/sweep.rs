@@ -5,8 +5,8 @@
 //! order, making the table byte-identical at any thread count (see
 //! DESIGN.md §10, "Sequential runs, parallel sweeps").
 
-use crate::runner::run_cells;
 use pms_sim::{Paradigm, SimParams, SimStats};
+use pms_trace::cli::run_cells;
 use pms_workloads::Workload;
 
 /// One completed grid cell.

@@ -127,6 +127,45 @@ fn fault_plans_must_name_existing_ports() {
 }
 
 #[test]
+fn out_of_range_plan_and_rule_numbers_exit_1_naming_the_line() {
+    let dir = scratch_dir("overflow");
+    let (plan, rules) = (dir.join("plan.txt"), dir.join("rules.txt"));
+    std::fs::write(
+        &plan,
+        "# 2^32 once ran as port 0\nlink-down start=0 dur=1000 src=4294967296 dst=1\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &rules,
+        "threshold name=t metric=retries op=ge value=1 for=4294967297 # x\n",
+    )
+    .unwrap();
+    for (flag, path, need) in [
+        (
+            "--faults",
+            &plan,
+            r#"line 2: src=4294967296 is out of range in "link-down start=0 dur=1000 src=4294967296 dst=1""#,
+        ),
+        (
+            "--alerts",
+            &rules,
+            r#"line 1: for=4294967297 is out of range in "threshold name=t metric=retries op=ge value=1 for=4294967297""#,
+        ),
+    ] {
+        let out = simulate(&format!(
+            "--pattern uniform --ports 16 {flag} {}",
+            path.display()
+        ));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr:?}");
+        let want = format!("{}: {need}\n", path.display());
+        assert_eq!(stderr, want, "{flag}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn phase_detector_needs_dynamic_slots() {
     assert_geometry_error(
         "--paradigm preload --pattern scatter --ports 8 --phase-detector",

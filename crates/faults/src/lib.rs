@@ -47,5 +47,5 @@
 mod plan;
 mod state;
 
-pub use plan::{FaultKind, FaultPlan, PlanParseError, RatePlanParams, RetryPolicy, ScheduledFault};
+pub use plan::{FaultKind, FaultPlan, RatePlanParams, RetryPolicy, ScheduledFault};
 pub use state::{FaultState, Transition};

@@ -1,8 +1,8 @@
 //! The fault plan: an explicit, fully-scripted schedule of fault windows.
 
+use pms_trace::cli::{self, Fields, LineError, Words};
 use pms_trace::FaultClass;
 use rand::prelude::*;
-use std::fmt;
 
 /// What misbehaves, and where. Ports are `u32` to match trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,173 +326,88 @@ impl FaultPlan {
     /// ```
     ///
     /// Windows take either `end=` (exclusive) or `dur=`; adding
-    /// `period=` makes the window repeat. Errors carry 1-based line
-    /// numbers.
-    pub fn parse(text: &str) -> Result<FaultPlan, PlanParseError> {
+    /// `period=` makes the window repeat. The file is read by
+    /// [`cli::read_lines`]: `#` starts a comment, and a bad line is a
+    /// [`LineError`] naming it.
+    pub fn parse(text: &str) -> Result<FaultPlan, LineError> {
         let mut plan = FaultPlan::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            plan.parse_line(line)
-                .map_err(|msg| PlanParseError::new(idx + 1, line, msg))?;
-        }
+        cli::read_lines(text, |line| plan.parse_line(line))?;
         Ok(plan)
     }
 
     fn parse_line(&mut self, line: &str) -> Result<(), String> {
-        let mut words = line.split_whitespace();
-        let directive = words.next().expect("non-empty line");
+        let mut words = Words::new(line);
+        let directive = words.word("directive")?;
         let fields = Fields::parse(words)?;
-        match directive {
+        let pair =
+            || -> Result<(u32, u32), String> { Ok((fields.num("src")?, fields.num("dst")?)) };
+        let kind = match directive {
             "retry" => {
                 self.retry = RetryPolicy {
-                    max_retries: fields.get_u64("budget")? as u32,
-                    backoff_base_ns: fields.get_u64("base")?,
-                    backoff_max_ns: fields.get_u64("max")?,
+                    max_retries: fields.num("budget")?,
+                    backoff_base_ns: fields.num("base")?,
+                    backoff_max_ns: fields.num("max")?,
                 };
-                Ok(())
+                return Ok(());
             }
             "rate-link-down" => {
-                self.push_rate_link_down(RatePlanParams {
-                    seed: fields.get_u64("seed")?,
-                    prob: fields.get_f64("prob")?,
-                    period_ns: fields.get_u64("period")?,
-                    duration_ns: fields.get_u64("dur")?,
-                    horizon_ns: fields.get_u64("horizon")?,
-                    ports: fields.get_u64("ports")? as u32,
-                });
-                Ok(())
-            }
-            kind_word => {
-                let kind = match kind_word {
-                    "link-down" => FaultKind::LinkDown {
-                        src: fields.get_u64("src")? as u32,
-                        dst: fields.get_u64("dst")? as u32,
-                    },
-                    "stuck-grant" => FaultKind::StuckGrant {
-                        src: fields.get_u64("src")? as u32,
-                        dst: fields.get_u64("dst")? as u32,
-                    },
-                    "stuck-release" => FaultKind::StuckRelease {
-                        src: fields.get_u64("src")? as u32,
-                        dst: fields.get_u64("dst")? as u32,
-                    },
-                    "grant-drop" => FaultKind::GrantDrop {
-                        src: fields.get_u64("src")? as u32,
-                        dst: fields.get_u64("dst")? as u32,
-                    },
-                    "nic-transient" => FaultKind::NicTransient {
-                        port: fields.get_u64("port")? as u32,
-                    },
-                    other => return Err(format!("unknown directive `{other}`")),
+                let params = RatePlanParams {
+                    seed: fields.num("seed")?,
+                    prob: fields.num("prob")?,
+                    period_ns: fields.num("period")?,
+                    duration_ns: fields.num("dur")?,
+                    horizon_ns: fields.num("horizon")?,
+                    ports: fields.num("ports")?,
                 };
-                let start = fields.get_u64("start")?;
-                let dur = match (fields.find("dur"), fields.find("end")) {
-                    (Some(_), Some(_)) => {
-                        return Err("give either dur= or end=, not both".to_string())
-                    }
-                    (Some(_), None) => fields.get_u64("dur")?,
-                    (None, Some(_)) => {
-                        let end = fields.get_u64("end")?;
-                        if end <= start {
-                            return Err(format!("end ({end}) must exceed start ({start})"));
-                        }
-                        end - start
-                    }
-                    (None, None) => return Err("missing dur= or end=".to_string()),
-                };
-                if dur == 0 {
-                    return Err("zero-duration fault window".to_string());
+                if !(0.0..=1.0).contains(&params.prob) {
+                    return Err(format!("prob={} must be in [0, 1]", params.prob));
                 }
-                match fields.find("period") {
-                    Some(_) => {
-                        let period = fields.get_u64("period")?;
-                        if dur >= period {
-                            return Err(format!(
-                                "periodic fault needs dur ({dur}) < period ({period})"
-                            ));
-                        }
-                        self.push_periodic(start, dur, period, kind);
-                    }
-                    None => {
-                        self.push(start, dur, kind);
-                    }
+                if params.duration_ns == 0 || params.duration_ns > params.period_ns {
+                    return Err(format!(
+                        "rate fault needs 0 < dur ({}) <= period ({})",
+                        params.duration_ns, params.period_ns
+                    ));
                 }
-                Ok(())
+                self.push_rate_link_down(params);
+                return Ok(());
             }
+            "link-down" => pair().map(|(src, dst)| FaultKind::LinkDown { src, dst })?,
+            "stuck-grant" => pair().map(|(src, dst)| FaultKind::StuckGrant { src, dst })?,
+            "stuck-release" => pair().map(|(src, dst)| FaultKind::StuckRelease { src, dst })?,
+            "grant-drop" => pair().map(|(src, dst)| FaultKind::GrantDrop { src, dst })?,
+            "nic-transient" => FaultKind::NicTransient {
+                port: fields.num("port")?,
+            },
+            other => return Err(format!("unknown directive `{other}`")),
+        };
+        let start: u64 = fields.num("start")?;
+        let dur = match (fields.find("dur"), fields.find("end")) {
+            (Some(_), Some(_)) => return Err("give either dur= or end=, not both".to_string()),
+            (Some(_), None) => fields.num("dur")?,
+            (None, Some(_)) => {
+                let end: u64 = fields.num("end")?;
+                if end <= start {
+                    return Err(format!("end ({end}) must exceed start ({start})"));
+                }
+                end - start
+            }
+            (None, None) => return Err("missing dur= or end=".to_string()),
+        };
+        if dur == 0 {
+            return Err("zero-duration fault window".to_string());
         }
+        match fields.opt::<u64>("period")? {
+            Some(period) if dur >= period => {
+                return Err(format!(
+                    "periodic fault needs dur ({dur}) < period ({period})"
+                ))
+            }
+            Some(period) => self.push_periodic(start, dur, period, kind),
+            None => self.push(start, dur, kind),
+        };
+        Ok(())
     }
 }
-
-/// `key=value` fields of one plan line.
-struct Fields<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Fields<'a> {
-    fn parse(words: impl Iterator<Item = &'a str>) -> Result<Fields<'a>, String> {
-        let mut pairs = Vec::new();
-        for w in words {
-            let (k, v) = w
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got `{w}`"))?;
-            pairs.push((k, v));
-        }
-        Ok(Fields { pairs })
-    }
-
-    fn find(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn get_u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.find(key).ok_or_else(|| format!("missing {key}="))?;
-        v.parse::<u64>()
-            .map_err(|_| format!("{key}={v} is not a non-negative integer"))
-    }
-
-    fn get_f64(&self, key: &str) -> Result<f64, String> {
-        let v = self.find(key).ok_or_else(|| format!("missing {key}="))?;
-        v.parse::<f64>()
-            .map_err(|_| format!("{key}={v} is not a number"))
-    }
-}
-
-/// A malformed fault-plan line: which line (1-based), what it contained,
-/// and what was wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// The offending line, verbatim (trimmed).
-    pub context: String,
-    /// What was wrong with it.
-    pub msg: String,
-}
-
-impl PlanParseError {
-    fn new(line: usize, context: &str, msg: String) -> Self {
-        PlanParseError {
-            line,
-            context: context.to_string(),
-            msg,
-        }
-    }
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan line {}: {} in {:?}",
-            self.line, self.msg, self.context
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
 
 #[cfg(test)]
 mod tests {
@@ -642,5 +557,57 @@ rate-link-down seed=42 prob=0.05 period=1000 dur=300 horizon=5000 ports=4
 
         let err = FaultPlan::parse("nic-transient start=0 dur=x port=1").unwrap_err();
         assert!(err.msg.contains("dur=x"), "{err}");
+    }
+
+    #[test]
+    fn ports_past_u32_are_rejected_not_wrapped() {
+        // 2^32 once ran as port 0.
+        let err = FaultPlan::parse("link-down start=0 dur=1000 src=4294967296 dst=1").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert_eq!(err.msg, "src=4294967296 is out of range");
+        for line in [
+            "nic-transient start=0 dur=1 port=4294967297",
+            "retry budget=4294967296 base=1 max=2",
+            "rate-link-down seed=1 prob=0.5 period=10 dur=5 horizon=10 ports=4294967296",
+        ] {
+            let err = FaultPlan::parse(line).unwrap_err();
+            assert!(err.msg.ends_with("is out of range"), "{line}: {err}");
+        }
+        let plan = FaultPlan::parse("link-down start=0 dur=1 src=4294967295 dst=1").unwrap();
+        assert_eq!(plan.faults[0].kind.pair(), (u32::MAX, 1));
+    }
+
+    #[test]
+    fn rate_parameters_the_expansion_would_refuse_are_line_errors() {
+        for (line, msg) in [
+            ("prob=1.5 period=10 dur=5", "prob=1.5 must be in [0, 1]"),
+            ("prob=NaN period=10 dur=5", "prob=NaN must be in [0, 1]"),
+            (
+                "prob=0.5 period=0 dur=5",
+                "rate fault needs 0 < dur (5) <= period (0)",
+            ),
+            (
+                "prob=0.5 period=10 dur=0",
+                "rate fault needs 0 < dur (0) <= period (10)",
+            ),
+        ] {
+            let text = format!("rate-link-down seed=1 {line} horizon=20 ports=2");
+            assert_eq!(FaultPlan::parse(&text).unwrap_err().msg, msg, "{text}");
+        }
+    }
+
+    #[test]
+    fn trailing_comments_are_cut() {
+        let plan = FaultPlan::parse(
+            "link-down start=0 dur=10 src=0 dst=1 # flaky cable
+",
+        )
+        .unwrap();
+        let bare = FaultPlan::parse(
+            "link-down start=0 dur=10 src=0 dst=1
+",
+        )
+        .unwrap();
+        assert_eq!(plan, bare);
     }
 }

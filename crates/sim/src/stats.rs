@@ -3,18 +3,6 @@
 use crate::message::MsgState;
 use pms_trace::{Histogram, Json, MetricsRegistry};
 
-/// One step of the splitmix64 stream — the deterministic generator behind
-/// the latency-sample reservoir (the sim crates carry no `rand`
-/// dependency, and determinism is load-bearing for run equivalence
-/// tests).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Results of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
@@ -58,13 +46,12 @@ pub struct SimStats {
     pub msgs_abandoned: u64,
     /// Per-message latencies, sorted ascending, for exact percentiles.
     ///
-    /// Capped at [`SimStats::MAX_EXACT_SAMPLES`] to bound memory on very
-    /// large runs. When a run delivers more messages than the cap, the
-    /// retained set is a uniform random sample of *all* deliveries
-    /// (reservoir sampling, Algorithm R, driven by a fixed-seed
-    /// splitmix64 generator — the same workload always retains the same
-    /// sample), and [`latency_quantile_ns`](Self::latency_quantile_ns)
-    /// switches to the log2 histogram instead.
+    /// Kept only for runs that deliver at most
+    /// [`SimStats::MAX_EXACT_SAMPLES`] messages, to bound memory on very
+    /// large runs; past the cap it holds only the first that many
+    /// delivered messages, and
+    /// [`latency_quantile_ns`](Self::latency_quantile_ns) reads the
+    /// histogram instead.
     pub latency_samples: Vec<u64>,
     /// Log2-bucketed latency histogram over *all* delivered messages
     /// (never capped); the quantile source for runs past the sample cap.
@@ -75,16 +62,8 @@ impl SimStats {
     /// Exact per-message latencies are kept only up to this many
     /// deliveries (64 Ki samples = 512 KiB); beyond it, quantiles come
     /// from [`latency_histogram`](Self::latency_histogram) with at most
-    /// ~2x relative error (geometric-midpoint log2 buckets), while
-    /// [`latency_samples`](Self::latency_samples) degrades to a
-    /// deterministic uniform reservoir over all deliveries rather than
-    /// silently keeping only the earliest ones.
+    /// ~2x relative error (geometric-midpoint log2 buckets).
     pub const MAX_EXACT_SAMPLES: usize = 65_536;
-
-    /// Fixed seed for the reservoir's splitmix64 stream: sampling past
-    /// the cap is deterministic, so repeated runs of the same workload
-    /// (and skip-on vs skip-off runs) produce byte-identical stats.
-    const RESERVOIR_SEED: u64 = 0x9aa3_8e12_c0de_5eed;
 
     /// Collects message-level stats; the caller fills the
     /// scheduler/predictor counters.
@@ -118,8 +97,6 @@ impl SimStats {
         };
         // One bit per source port, grown to the highest one seen.
         let mut senders: Vec<u64> = Vec::new();
-        let mut rng = Self::RESERVOIR_SEED;
-        let mut seen = 0u64;
         for m in messages {
             if let Some(done) = m.delivered_at {
                 s.delivered_messages += 1;
@@ -129,17 +106,8 @@ impl SimStats {
                 s.total_latency_ns += lat;
                 s.max_latency_ns = s.max_latency_ns.max(lat);
                 s.latency_histogram.record(lat);
-                // Reservoir sampling (Algorithm R): the i-th delivery
-                // replaces a random slot with probability cap/i, keeping
-                // the retained set uniform over every delivery so far.
-                seen += 1;
                 if s.latency_samples.len() < Self::MAX_EXACT_SAMPLES {
                     s.latency_samples.push(lat);
-                } else {
-                    let j = splitmix64(&mut rng) % seen;
-                    if let Some(slot) = s.latency_samples.get_mut(j as usize) {
-                        *slot = lat;
-                    }
                 }
                 let (word, bit) = (m.spec.src / 64, m.spec.src % 64);
                 if word >= senders.len() {
@@ -292,9 +260,7 @@ impl SimStats {
             reg.set(id, value);
         }
         let h = reg.histogram("sim.latency_ns");
-        for &lat in &self.latency_samples {
-            reg.observe(h, lat);
-        }
+        reg.set_histogram(h, self.latency_histogram.clone());
         reg
     }
 }
@@ -440,26 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_retains_a_uniform_deterministic_sample_past_the_cap() {
+    fn registry_histogram_counts_every_delivery_past_the_cap() {
         let total = SimStats::MAX_EXACT_SAMPLES + 10_000;
         let msgs: Vec<MsgState> = (0..total)
             .map(|i| msg(i, i % 4, 8, 0, (i as u64 + 1) * 10))
             .collect();
-        let a = SimStats::from_messages("test", "wl", &msgs);
-        assert_eq!(a.latency_samples.len(), SimStats::MAX_EXACT_SAMPLES);
-        // Fixed seed: re-running the same deliveries keeps the same set.
-        let b = SimStats::from_messages("test", "wl", &msgs);
-        assert_eq!(a.latency_samples, b.latency_samples);
-        // Uniform over all deliveries, not first-N: some retained latency
-        // must come from past the cap (probability of failure is
-        // (1 - 10000/75536)^65536, i.e. zero for this fixed seed).
-        let cap_latency = SimStats::MAX_EXACT_SAMPLES as u64 * 10;
-        assert!(
-            a.latency_samples.iter().any(|&l| l > cap_latency),
-            "reservoir never sampled past the cap"
-        );
-        // The histogram still counts every delivery.
-        assert_eq!(a.latency_histogram.count(), total as u64);
+        let s = SimStats::from_messages("test", "wl", &msgs);
+        assert_eq!(s.latency_samples.len(), SimStats::MAX_EXACT_SAMPLES);
+        let h = s.registry();
+        let h = h.histogram_values("sim.latency_ns").unwrap();
+        assert_eq!(h.count(), s.delivered_messages);
+        assert_eq!(h.max(), total as u64 * 10);
+        assert_eq!(h, &s.latency_histogram);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Declarative alerting over the snapshot time-series.
 //!
-//! A rules file is a line-oriented `key=value` script (same shape and
-//! error discipline as `pms-faults` plan files: blank lines and `#`
-//! comments skipped, errors carry 1-based line numbers and the verbatim
-//! line). Three rule kinds:
+//! A rules file is a line-oriented `key=value` script, read like every
+//! other input file ([`cli::read_lines`]): blank lines are skipped, `#`
+//! starts a comment, and an error carries the 1-based line number and
+//! the trimmed line. Three rule kinds:
 //!
 //! ```text
 //! # fire when a per-window metric crosses a level
@@ -32,9 +32,9 @@
 //! happened at all. This is deliberate: an idle fabric has no new
 //! evidence either way.
 
+use crate::cli::{self, Fields, LineError, Words};
 use crate::event::{MetricsWindow, TraceEvent, TraceRecord};
 use crate::timeseries::Snapshot;
-use std::fmt;
 
 /// A per-window metric an alert rule can address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,103 +268,12 @@ pub struct AlertRules {
     pub rules: Vec<AlertRule>,
 }
 
-/// A malformed rules line: which line (1-based), what it contained, and
-/// what was wrong. Mirrors `pms-faults`'s `PlanParseError`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RulesParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// The offending line, verbatim (trimmed).
-    pub context: String,
-    /// What was wrong with it.
-    pub msg: String,
-}
-
-impl fmt::Display for RulesParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "alert rules line {}: {} in {:?}",
-            self.line, self.msg, self.context
-        )
-    }
-}
-
-impl std::error::Error for RulesParseError {}
-
-/// `key=value` fields of one rules line.
-struct Fields<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Fields<'a> {
-    fn parse(words: impl Iterator<Item = &'a str>) -> Result<Fields<'a>, String> {
-        let mut pairs = Vec::new();
-        for w in words {
-            let (k, v) = w
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got `{w}`"))?;
-            pairs.push((k, v));
-        }
-        Ok(Fields { pairs })
-    }
-
-    fn find(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.find(key).ok_or_else(|| format!("missing {key}="))
-    }
-
-    fn get_u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.get(key)?;
-        v.parse::<u64>()
-            .map_err(|_| format!("{key}={v} is not a non-negative integer"))
-    }
-
-    fn get_i64(&self, key: &str) -> Result<i64, String> {
-        let v = self.get(key)?;
-        v.parse::<i64>()
-            .map_err(|_| format!("{key}={v} is not an integer"))
-    }
-
-    fn get_f64(&self, key: &str) -> Result<f64, String> {
-        let v = self.get(key)?;
-        v.parse::<f64>()
-            .map_err(|_| format!("{key}={v} is not a number"))
-    }
-
-    fn opt_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.find(key) {
-            Some(_) => self.get_u64(key),
-            None => Ok(default),
-        }
-    }
-
-    fn opt_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.find(key) {
-            Some(_) => self.get_f64(key),
-            None => Ok(default),
-        }
-    }
-}
-
 impl AlertRules {
-    /// Parses a rules file. Errors carry 1-based line numbers.
-    pub fn parse(text: &str) -> Result<AlertRules, RulesParseError> {
+    /// Parses a rules file, read by [`cli::read_lines`]: a bad line is a
+    /// [`LineError`] naming it.
+    pub fn parse(text: &str) -> Result<AlertRules, LineError> {
         let mut rules = AlertRules::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            rules.parse_line(line).map_err(|msg| RulesParseError {
-                line: idx + 1,
-                context: line.to_string(),
-                msg,
-            })?;
-        }
+        cli::read_lines(text, |line| rules.parse_line(line))?;
         Ok(rules)
     }
 
@@ -381,8 +290,8 @@ impl AlertRules {
     }
 
     fn parse_line(&mut self, line: &str) -> Result<(), String> {
-        let mut words = line.split_whitespace();
-        let directive = words.next().expect("non-empty line");
+        let mut words = Words::new(line);
+        let directive = words.word("directive")?;
         let fields = Fields::parse(words)?;
         let name = fields.get("name")?.to_string();
         if self.rules.iter().any(|r| r.name == name) {
@@ -403,14 +312,11 @@ impl AlertRules {
         };
         let (op, kind) = match directive {
             "threshold" => {
-                let clear_value = match fields.find("clear") {
-                    Some(_) => Some(fields.get_u64("clear")?),
-                    None => None,
-                };
+                let clear_value = fields.opt("clear")?;
                 (
                     parse_op()?,
                     RuleKind::Threshold {
-                        value: fields.get_u64("value")?,
+                        value: fields.num("value")?,
                         clear_value,
                     },
                 )
@@ -418,15 +324,15 @@ impl AlertRules {
             "rate" => (
                 parse_op()?,
                 RuleKind::Rate {
-                    value: fields.get_i64("value")?,
+                    value: fields.num("value")?,
                 },
             ),
             "anomaly" => {
-                let z = fields.get_f64("z")?;
+                let z: f64 = fields.num("z")?;
                 if !z.is_finite() || z <= 0.0 {
                     return Err(format!("z={z} must be a positive number"));
                 }
-                let alpha = fields.opt_f64("alpha", 0.25)?;
+                let alpha = fields.opt("alpha")?.unwrap_or(0.25);
                 if !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
                     return Err(format!("alpha={alpha} must be in (0, 1]"));
                 }
@@ -435,7 +341,7 @@ impl AlertRules {
                     RuleKind::Anomaly {
                         z,
                         alpha,
-                        warmup: fields.opt_u64("warmup", 8)? as u32,
+                        warmup: fields.opt("warmup")?.unwrap_or(8),
                     },
                 )
             }
@@ -445,8 +351,8 @@ impl AlertRules {
                 ))
             }
         };
-        let raise_for = fields.opt_u64("for", 1)? as u32;
-        let clear_for = fields.opt_u64("clear-for", 1)? as u32;
+        let raise_for = fields.opt("for")?.unwrap_or(1);
+        let clear_for = fields.opt("clear-for")?.unwrap_or(1);
         if raise_for == 0 || clear_for == 0 {
             return Err("for= and clear-for= must be at least 1".to_string());
         }
@@ -457,7 +363,7 @@ impl AlertRules {
             kind,
             raise_for,
             clear_for,
-            cooldown: fields.opt_u64("cooldown", 0)? as u32,
+            cooldown: fields.opt("cooldown")?.unwrap_or(0),
         });
         Ok(())
     }
@@ -707,6 +613,36 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("duplicate"), "{}", err.msg);
+    }
+
+    #[test]
+    fn counts_past_u32_are_rejected_not_wrapped() {
+        // 2^32 + 1 once ran as for=1, and 2^32 was reported as zero.
+        for (count, key) in [("4294967297", "for"), ("4294967296", "for")] {
+            let text = format!("threshold name=t metric=retries op=ge value=1 {key}={count}");
+            let err = AlertRules::parse(&text).unwrap_err();
+            assert_eq!(err.msg, format!("{key}={count} is out of range"), "{text}");
+        }
+        for key in ["clear-for", "cooldown", "warmup"] {
+            let text = format!("anomaly name=s metric=setups z=3 {key}=4294967296");
+            let err = AlertRules::parse(&text).unwrap_err();
+            assert!(err.msg.ends_with("is out of range"), "{text}: {err}");
+        }
+        let max = AlertRules::parse("threshold name=t metric=retries op=ge value=1 for=4294967295")
+            .unwrap();
+        assert_eq!(max.rules[0].raise_for, u32::MAX);
+    }
+
+    #[test]
+    fn a_hash_starts_a_comment_anywhere_on_the_line() {
+        let rules = AlertRules::parse(
+            "threshold metric=retries op=ge value=1 name=a#b for=9\n\
+             rate name=c metric=delivered op=lt value=-1 # a drop of one\n",
+        )
+        .unwrap();
+        assert_eq!(rules.rules[0].name, "a");
+        assert_eq!(rules.rules[0].raise_for, 1, "`for=9` is inside the comment");
+        assert_eq!(rules.rules[1].kind, RuleKind::Rate { value: -1 });
     }
 
     #[test]

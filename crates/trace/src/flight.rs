@@ -16,63 +16,27 @@
 //! [`AlertRules::default_flight`](crate::alerts::AlertRules::default_flight)
 //! when no rules file is given.
 
+use crate::cli::{self, LineError};
 use crate::event::TraceEvent;
-use crate::json::ParseError;
 use crate::sink::{write_record_line, RingTracer, TraceSink};
 use crate::{Json, TraceRecord};
-use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
-
-/// A malformed line in a flight-recorder dump: which line (1-based), what
-/// it contained, and the underlying JSON error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightParseError {
-    /// 1-based line number within the dump text.
-    pub line: usize,
-    /// The offending line, verbatim.
-    pub context: String,
-    /// The JSON parse error for that line.
-    pub error: ParseError,
-}
-
-impl fmt::Display for FlightParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "flight dump line {}: {} in {:?}",
-            self.line, self.error, self.context
-        )
-    }
-}
-
-impl std::error::Error for FlightParseError {}
 
 /// Parses a flight-recorder JSONL dump back into one [`Json`] value per
 /// line (markers included, blank lines skipped).
 ///
 /// A replay must not die mid-stream without saying *where*: a bad line is
-/// reported with its 1-based line number and verbatim content rather than
-/// a bare [`ParseError`] whose byte offset is relative to a line the
-/// caller can no longer identify.
-pub fn parse_flight_dump(text: &str) -> Result<Vec<Json>, FlightParseError> {
+/// a [`LineError`] carrying its 1-based line number and trimmed content,
+/// since a JSON error's byte offset is relative to a line the caller
+/// could no longer identify.
+pub fn parse_flight_dump(text: &str) -> Result<Vec<Json>, LineError> {
     let mut docs = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match Json::parse(line) {
-            Ok(v) => docs.push(v),
-            Err(error) => {
-                return Err(FlightParseError {
-                    line: idx + 1,
-                    context: line.to_string(),
-                    error,
-                })
-            }
-        }
-    }
+    cli::read_jsonl_lines(text, |line| {
+        docs.push(Json::parse(line).map_err(|e| e.to_string())?);
+        Ok(())
+    })?;
     Ok(docs)
 }
 

@@ -44,13 +44,13 @@ pub mod sink;
 pub mod span;
 pub mod timeseries;
 
-pub use alerts::{replay_alerts, AlertEngine, AlertRule, AlertRules, RulesParseError};
+pub use alerts::{replay_alerts, AlertEngine, AlertRule, AlertRules};
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use event::{
     EventKind, EvictCause, FaultClass, Field, FieldSpec, KindSchema, MetricsWindow, RejectCause,
     SpanPhase, TraceEvent, TraceRecord, Width,
 };
-pub use flight::{parse_flight_dump, FlightConfig, FlightParseError, FlightRecorder};
+pub use flight::{parse_flight_dump, FlightConfig, FlightRecorder};
 pub use json::{Json, ParseError};
 pub use metrics::{prometheus_name, Histogram, MetricsRegistry, PROMETHEUS_CONTENT_TYPE};
 pub use prof::{KernelSnapshot, ProfKernel, ProfScope};

@@ -248,6 +248,11 @@ impl MetricsRegistry {
         self.counters[id.0].1 = value;
     }
 
+    /// Replaces a histogram with `h` (for importing aggregates).
+    pub fn set_histogram(&mut self, id: HistogramId, h: Histogram) {
+        self.histograms[id.0].1 = h;
+    }
+
     /// Records a histogram sample.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: u64) {

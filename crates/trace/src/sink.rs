@@ -439,6 +439,16 @@ impl Tracer {
         }
     }
 
+    /// [`records`](Self::records) for a caller done with the tracer: a
+    /// `Vec` sink's records move out instead of being copied.
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        match self {
+            Tracer::Vec(t) => t.records,
+            Tracer::Pipeline(t) => t.inner.into_records(),
+            other => other.records(),
+        }
+    }
+
     /// The snapshot series this tracer knows about: the pipeline's
     /// bounded delta-ring, or — for plain tracers — the
     /// `MetricsSnapshot` records already in the stream.
@@ -547,6 +557,34 @@ mod tests {
             ring.record(rec(i));
         }
         assert_eq!(times(&ring), vec![15, 16, 17, 18]);
+    }
+
+    #[test]
+    fn into_records_moves_what_records_copies() {
+        let pipeline = || {
+            let cfg = crate::timeseries::SnapshotConfig {
+                window_ns: 10,
+                ring: 4,
+            };
+            Tracer::pipeline(cfg, None, Tracer::vec())
+        };
+        let tracers: [fn() -> Tracer; 5] = [
+            || Tracer::Null,
+            Tracer::vec,
+            || Tracer::ring(4),
+            || Tracer::ring(64),
+            pipeline,
+        ];
+        for make in tracers {
+            let mut t = make();
+            for i in 0..10 {
+                t.emit(i * 7, 0, TraceEvent::SlotAdvanced { slot_idx: i as u32 });
+            }
+            t.seal(100, 0);
+            let copied = t.records();
+            assert_eq!(copied.is_empty(), !t.enabled());
+            assert_eq!(t.into_records(), copied);
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! command-file path, so logged applications drive the same simulators
 //! as synthetic patterns.
 
-use crate::dsl::ParseError;
 use crate::program::Program;
 use crate::workload::Workload;
+use pms_trace::cli::{self, LineError, Words};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -121,57 +121,39 @@ pub fn datacenter(spec: &DatacenterSpec) -> Workload {
 
 /// Parses an NPB-style communication log.
 ///
-/// Grammar, one record per line (`#` starts a comment, blank lines
-/// allowed):
+/// Grammar, one record per line (read by [`cli::read_lines`]: `#` starts
+/// a comment, blank lines allowed):
 ///
 /// ```text
 /// trace <src> <dst> <bytes>
 /// ```
 ///
 /// Errors carry the 1-based line number and the offending line text.
-pub fn parse_trace_log(text: &str) -> Result<Vec<(usize, usize, u64)>, ParseError> {
+pub fn parse_trace_log(text: &str) -> Result<Vec<(usize, usize, u64)>, LineError> {
+    read_trace_log(text, |_, _| Ok(()))
+}
+
+/// [`parse_trace_log`], also running `check` on each record's ports: an
+/// `Err` becomes a parse error on that record's line.
+fn read_trace_log(
+    text: &str,
+    check: impl Fn(usize, usize) -> Result<(), String>,
+) -> Result<Vec<(usize, usize, u64)>, LineError> {
     let mut flows = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: String| ParseError {
-            line: line_no,
-            context: line.to_string(),
-            message: msg,
-        };
-        let mut parts = line.split_whitespace();
-        let op = parts.next().expect("non-empty line has a token");
-        if op != "trace" {
-            return Err(err(format!("unknown record `{op}` (expected `trace`)")));
-        }
-        let mut field = |what: &str| -> Result<u64, ParseError> {
-            let tok = parts.next().ok_or_else(|| ParseError {
-                line: line_no,
-                context: line.to_string(),
-                message: format!("missing {what}"),
-            })?;
-            tok.parse().map_err(|_| ParseError {
-                line: line_no,
-                context: line.to_string(),
-                message: format!("invalid {what} `{tok}`"),
-            })
-        };
-        let src = field("source")? as usize;
-        let dst = field("destination")? as usize;
-        let bytes = field("byte count")?;
-        if let Some(extra) = parts.next() {
-            return Err(err(format!("unexpected trailing token `{extra}`")));
-        }
+    cli::read_lines(text, |line| {
+        let mut words = Words::new(line);
+        words.keyword("trace")?;
+        let src = words.num("source")?;
+        let dst = words.num("destination")?;
+        let bytes: u64 = words.num("byte count")?;
+        words.finish()?;
         if bytes == 0 || bytes > u32::MAX as u64 {
-            return Err(err(format!(
-                "byte count {bytes} out of range (1..=u32::MAX)"
-            )));
+            return Err(format!("byte count {bytes} out of range (1..=u32::MAX)"));
         }
+        check(src, dst)?;
         flows.push((src, dst, bytes));
-    }
+        Ok(())
+    })?;
     Ok(flows)
 }
 
@@ -190,26 +172,16 @@ pub fn replay_trace_log(
     name: impl Into<String>,
     ports: usize,
     text: &str,
-) -> Result<Workload, ParseError> {
-    let flows = parse_trace_log(text)?;
-    // Validate ports here (with log line attribution) rather than letting
+) -> Result<Workload, LineError> {
+    // Checked here, with the log's line, rather than letting
     // Workload::new panic deep in the command-file path.
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace().skip(1);
-        let src: usize = parts.next().unwrap().parse().unwrap();
-        let dst: usize = parts.next().unwrap().parse().unwrap();
+    let flows = read_trace_log(text, |src, dst| {
         if src >= ports || dst >= ports || src == dst {
-            return Err(ParseError {
-                line: i + 1,
-                context: line.to_string(),
-                message: format!("record {src}->{dst} invalid for {ports} ports"),
-            });
+            Err(format!("record {src}->{dst} invalid for {ports} ports"))
+        } else {
+            Ok(())
         }
-    }
+    })?;
     let mut files = vec![String::new(); ports];
     for (src, dst, bytes) in flows {
         files[src].push_str(&format!("send {dst} {bytes}\n"));
@@ -279,25 +251,34 @@ trace 0 2 8
         let err = parse_trace_log("trace 0 1 64\nsend 1 2\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert_eq!(err.context, "send 1 2");
-        assert!(err.message.contains("expected `trace`"));
+        assert!(err.msg.contains("expected `trace`"));
 
         let err = parse_trace_log("trace 0 1\n").unwrap_err();
-        assert!(err.message.contains("missing byte count"));
+        assert!(err.msg.contains("missing byte count"));
 
         let err = parse_trace_log("trace 0 1 x\n").unwrap_err();
-        assert!(err.message.contains("invalid byte count"));
+        assert!(err.msg.contains("invalid byte count"));
 
         let err = parse_trace_log("trace 0 1 64 9\n").unwrap_err();
-        assert!(err.message.contains("trailing"));
+        assert!(err.msg.contains("trailing"));
 
         let err = parse_trace_log("trace 0 1 0\n").unwrap_err();
-        assert!(err.message.contains("out of range"));
+        assert!(err.msg.contains("out of range"));
 
         let err = replay_trace_log("t", 4, "trace 0 9 64\n").unwrap_err();
         assert_eq!(err.line, 1);
-        assert!(err.message.contains("invalid for 4 ports"));
+        assert!(err.msg.contains("invalid for 4 ports"));
 
         let err = replay_trace_log("t", 4, "trace 2 2 64\n").unwrap_err();
-        assert!(err.message.contains("2->2"));
+        assert!(err.msg.contains("2->2"));
+    }
+
+    #[test]
+    fn replay_checks_ports_in_the_parsing_pass() {
+        // The first bad line is reported, whichever way it is bad.
+        let err = replay_trace_log("t", 4, "trace 0 9 64\ntrace x 1 64\n").unwrap_err();
+        assert_eq!((err.line, err.context.as_str()), (1, "trace 0 9 64"));
+        let err = replay_trace_log("t", 4, "trace x 1 64\ntrace 0 9 64\n").unwrap_err();
+        assert_eq!(err.msg, "invalid source `x`");
     }
 }

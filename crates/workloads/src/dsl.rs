@@ -1,6 +1,7 @@
 //! The command-file text format.
 //!
-//! One command per line; `#` starts a comment. Mirrors the paper's
+//! One command per line, read by [`cli::read_lines`]: `#` starts a
+//! comment, and a bad line is a [`LineError`]. Mirrors the paper's
 //! per-processor command files:
 //!
 //! ```text
@@ -14,35 +15,10 @@
 //! ```
 
 use crate::program::{Command, Program};
-use std::fmt;
-
-/// A command-file parse error with line information.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// The offending line text, trimmed (same convention as the faults
-    /// plan-file parser), so the message is actionable without the file
-    /// open.
-    pub context: String,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "line {}: {} in {:?}",
-            self.line, self.message, self.context
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
+use pms_trace::cli::{self, LineError, Words};
 
 /// Parses a command file into a [`Program`].
-pub fn parse_program(text: &str) -> Result<Program, ParseError> {
+pub fn parse_program(text: &str) -> Result<Program, LineError> {
     parse_checked(text, |_| Ok(()))
 }
 
@@ -51,66 +27,38 @@ pub fn parse_program(text: &str) -> Result<Program, ParseError> {
 pub(crate) fn parse_checked(
     text: &str,
     check: impl Fn(&Command) -> Result<(), String>,
-) -> Result<Program, ParseError> {
+) -> Result<Program, LineError> {
     let mut prog = Program::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let op = parts.next().expect("non-empty line has a token");
-        let err = |msg: String| ParseError {
-            line: line_no,
-            context: line.to_string(),
-            message: msg,
-        };
-        let cmd = match op {
-            "send" => {
-                let dst = parse_field(parts.next(), "destination", line_no, line)?;
-                let bytes = parse_field(parts.next(), "byte count", line_no, line)?;
-                Command::Send { dst, bytes }
-            }
-            "delay" => {
-                let ns = parse_field(parts.next(), "nanoseconds", line_no, line)?;
-                Command::Delay { ns }
-            }
-            "barrier" => Command::Barrier,
-            "flush" => Command::Flush,
-            "preload" => {
-                let pattern = parse_field(parts.next(), "pattern index", line_no, line)?;
-                Command::Preload { pattern }
-            }
-            other => return Err(err(format!("unknown command `{other}`"))),
-        };
-        if let Some(extra) = parts.next() {
-            return Err(err(format!("unexpected trailing token `{extra}`")));
-        }
-        check(&cmd).map_err(err)?;
+    cli::read_lines(text, |line| {
+        let cmd = parse_command(line)?;
+        check(&cmd)?;
         prog.cmds.push(cmd);
-    }
+        Ok(())
+    })?;
     Ok(prog)
 }
 
-/// Parses one field; a token that is not a number, or does not fit the
-/// field's type (a byte count past `u32::MAX`), is an error.
-fn parse_field<T: std::str::FromStr>(
-    tok: Option<&str>,
-    what: &str,
-    line: usize,
-    context: &str,
-) -> Result<T, ParseError> {
-    let tok = tok.ok_or_else(|| ParseError {
-        line,
-        context: context.to_string(),
-        message: format!("missing {what}"),
-    })?;
-    tok.parse().map_err(|_| ParseError {
-        line,
-        context: context.to_string(),
-        message: format!("invalid {what} `{tok}`"),
-    })
+/// One command line. A number that does not fit its field (a byte count
+/// past `u32::MAX`) is an error.
+fn parse_command(line: &str) -> Result<Command, String> {
+    let mut words = Words::new(line);
+    let cmd = match words.word("command")? {
+        "send" => Command::Send {
+            dst: words.num("destination")?,
+            bytes: words.num("byte count")?,
+        },
+        "delay" => Command::Delay {
+            ns: words.num("nanoseconds")?,
+        },
+        "barrier" => Command::Barrier,
+        "flush" => Command::Flush,
+        "preload" => Command::Preload {
+            pattern: words.num("pattern index")?,
+        },
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    words.finish()?;
+    Ok(cmd)
 }
 
 /// Renders a [`Program`] in the command-file format. The output parses
@@ -182,7 +130,7 @@ mod tests {
     fn unknown_command_rejected_with_line() {
         let err = parse_program("send 1 8\nrecv 2\n").unwrap_err();
         assert_eq!(err.line, 2);
-        assert!(err.message.contains("recv"));
+        assert!(err.msg.contains("recv"));
         assert_eq!(err.context, "recv 2");
     }
 
@@ -203,18 +151,12 @@ mod tests {
 
     #[test]
     fn missing_and_bad_fields_rejected() {
-        assert!(parse_program("send 1")
-            .unwrap_err()
-            .message
-            .contains("missing"));
+        assert!(parse_program("send 1").unwrap_err().msg.contains("missing"));
         assert!(parse_program("send x 8")
             .unwrap_err()
-            .message
+            .msg
             .contains("invalid"));
-        assert!(parse_program("delay")
-            .unwrap_err()
-            .message
-            .contains("missing"));
+        assert!(parse_program("delay").unwrap_err().msg.contains("missing"));
     }
 
     #[test]
@@ -222,7 +164,7 @@ mod tests {
         // 2^32 + 64 once wrapped to a 64 B send.
         let err = parse_program("send 1 8\nsend 1 4294967360\n").unwrap_err();
         assert_eq!(err.line, 2);
-        assert_eq!(err.message, "invalid byte count `4294967360`");
+        assert_eq!(err.msg, "invalid byte count `4294967360`");
         let p = parse_program("send 1 4294967295").unwrap();
         assert_eq!(
             p.cmds,
@@ -236,7 +178,7 @@ mod tests {
     #[test]
     fn trailing_tokens_rejected() {
         let err = parse_program("barrier now").unwrap_err();
-        assert!(err.message.contains("trailing"));
+        assert!(err.msg.contains("trailing"));
     }
 }
 

@@ -39,7 +39,7 @@ pub use arrivals::{arrivals, ArrivalConfig, Arrivals, ConnRequest};
 pub use datacenter::{
     datacenter, datacenter_flows, parse_trace_log, replay_trace_log, DatacenterSpec,
 };
-pub use dsl::{format_program, parse_program, ParseError};
+pub use dsl::{format_program, parse_program};
 pub use patterns::{
     butterfly, gather, hotspot, hybrid, ordered_mesh, permutation, random_mesh, ring, scatter,
     stencil3d, transpose, two_phase, uniform, HybridSpec, MeshSpec,

@@ -155,7 +155,7 @@ impl Workload {
     pub fn from_command_files<S: AsRef<str>>(
         name: impl Into<String>,
         files: &[S],
-    ) -> Result<Self, (usize, crate::dsl::ParseError)> {
+    ) -> Result<Self, (usize, pms_trace::cli::LineError)> {
         let n = files.len();
         let mut programs = Vec::with_capacity(n);
         for (i, f) in files.iter().enumerate() {
@@ -274,7 +274,7 @@ mod tests {
         ] {
             let (p, err) = Workload::from_command_files("bad", &files).unwrap_err();
             assert_eq!((p, err.line), (proc_idx, line), "{err}");
-            assert!(err.message.contains(needle), "{err}");
+            assert!(err.msg.contains(needle), "{err}");
         }
     }
 
